@@ -118,6 +118,9 @@ class PowerManager:
         self.obs = None
         #: Why acquisitions failed (diagnostics and tests).
         self.fail_counts: Dict[str, int] = {"dimm": 0, "chip": 0, "gcp": 0}
+        #: Moves on every change an acquisition can observe: a commit, a
+        #: release of a live holding, a reset of a write's sources.
+        self._epoch = 0
         # PWL intra-line wear-leveling state: line -> [writes_left, offset].
         self._pwl_state: Dict[int, List[int]] = {}
         self._pwl_rng = np.random.default_rng(
@@ -151,18 +154,25 @@ class PowerManager:
         """Attempt to start iteration 0. Applies Multi-RESET on demand:
         if the full RESET does not fit but a split one does, re-plan the
         write (Section 3.2: Multi-RESET kicks in when tokens are short).
+        A write splits at most once; a one-cell RESET cannot split.
         """
         if write.n_changed == 0:
             return True
-        if self._try_acquire(write, 0, now):
+        if self._still_blocked(write, 0):
+            return False
+        failed = self._try_acquire(write, 0, now)
+        if failed is None:
             return True
-        if self.ipm and self.mr_splits > 1 and write.mr_splits == 1:
+        if (self.ipm and self.mr_splits > 1 and write.mr_splits == 1
+                and write.n_changed > 1):
             write.apply_multi_reset(self.mr_splits, grouping=self.mr_grouping)
             if self.obs is not None:
                 self.obs.on_mr_split(write, now)
-            if self._try_acquire(write, 0, now):
+            failed = self._try_acquire(write, 0, now)
+            if failed is None:
                 return True
             # Leave the MR plan in place; it can only lower the demand.
+        self._block(write, 0, failed)
         return False
 
     def try_resume(self, write: WriteOperation, now: int) -> bool:
@@ -175,13 +185,21 @@ class PowerManager:
         from scratch — a stalled write has no pulses in flight, so
         re-routing its segments is safe and prevents livelock.
         """
-        if self._try_acquire(write, write.current_iteration, now):
+        i = write.current_iteration
+        if self._still_blocked(write, i):
+            return False
+        failed = self._try_acquire(write, i, now)
+        if failed is None:
             return True
         holding = self._holdings.get(write.write_id)
         if holding is not None and holding.sources.any():
             holding.sources[:] = SRC_NONE
             holding.has_gcp = False
-            return self._try_acquire(write, write.current_iteration, now)
+            self._epoch += 1
+            failed = self._try_acquire(write, i, now)
+            if failed is None:
+                return True
+        self._block(write, i, failed)
         return False
 
     def required_rounds(self, write: WriteOperation) -> int:
@@ -222,7 +240,7 @@ class PowerManager:
             # Per-write budgeting holds a constant allocation; nothing to do.
             return "advance"
         self.release_all(write, now, keep_sources=True)
-        if self._try_acquire(write, i + 1, now):
+        if self._try_acquire(write, i + 1, now) is None:
             return "advance"
         return "stall"
 
@@ -234,6 +252,7 @@ class PowerManager:
         holding = self._holdings.get(write.write_id)
         if holding is None:
             return
+        self._epoch += 1
         if holding.dimm > TOKEN_EPS:
             self.dimm_pool.release(holding.dimm, now)
         if self.chip_ledger is not None:
@@ -259,21 +278,58 @@ class PowerManager:
         return self._holdings.get(write.write_id)
 
     # ------------------------------------------------------------------
+    # Blocked writes
+    # ------------------------------------------------------------------
+    # A failed acquisition changes nothing, and its outcome depends only
+    # on the pool balances, the write's demand row (iteration and RESET
+    # plan) and its pinned sources. Every change to balances or sources
+    # moves ``_epoch``, so a write retried at the epoch, iteration and
+    # plan of its last failure fails again on the same resource: count
+    # that failure and skip the plan. ``on_iteration_end`` records
+    # nothing, because its stall keeps the write's sources, which a
+    # later ``try_resume`` may reset.
+    def _still_blocked(self, write: WriteOperation, i: int) -> bool:
+        """Count a repeat of ``write``'s last failure, if nothing it
+        depends on has changed since."""
+        block = getattr(write, "_blocked", None)
+        if (block is None or block[0] != self._epoch or block[1] != i
+                or block[2] != write.mr_splits):
+            return False
+        self.fail_counts[block[3]] += 1
+        return True
+
+    def _block(self, write: WriteOperation, i: int, failed: str) -> None:
+        setattr(write, "_blocked", (self._epoch, i, write.mr_splits, failed))
+
+    # ------------------------------------------------------------------
     # The atomic acquisition step
     # ------------------------------------------------------------------
-    def _try_acquire(self, write: WriteOperation, i: int, now: int) -> bool:
+    def _try_acquire(
+        self, write: WriteOperation, i: int, now: int
+    ) -> Optional[str]:
         """Plan and commit iteration ``i``'s full allocation, or nothing.
 
         All checks (chip LCPs, GCP pump capacity, DIMM input power) run
         before anything is committed, so failure never leaves partial
         holdings behind. The reference kernel arbitrates chip by chip;
         the vectorized kernel evaluates the same plan with array ops.
+        Returns ``None`` on success, else the resource that refused the
+        plan (``"dimm"``, ``"chip"`` or ``"gcp"``), counted in
+        :attr:`fail_counts`.
         """
         if self._vec:
-            return self._try_acquire_vec(write, i, now)
-        return self._try_acquire_ref(write, i, now)
+            failed = self._try_acquire_vec(write, i, now)
+        else:
+            failed = self._try_acquire_ref(write, i, now)
+        if failed is None:
+            self._epoch += 1
+        else:
+            self.fail_counts[failed] += 1
+        return failed
 
-    def _try_acquire_ref(self, write: WriteOperation, i: int, now: int) -> bool:
+    def _try_acquire_ref(
+        self, write: WriteOperation, i: int, now: int
+    ) -> Optional[str]:
         c_ratio = self.reset_set_ratio
         holding = self._holdings.get(write.write_id)
         if holding is None:
@@ -296,19 +352,16 @@ class PowerManager:
                     src = SRC_LCP if chips[c].can_allocate(amount) else SRC_GCP
                 if src == SRC_LCP:
                     if not chips[c].can_allocate(amount):
-                        self.fail_counts["chip"] += 1
-                        return False
+                        return "chip"
                     local_plan.append(c)
                     local_total += amount
                 else:
                     if self.gcp is None:
-                        self.fail_counts["chip"] += 1
-                        return False
+                        return "chip"
                     gcp_plan.append(c)
                     gcp_total += amount
             if gcp_total > 0 and not self.gcp.can_supply(gcp_total):
-                self.fail_counts["gcp"] += 1
-                return False
+                return "gcp"
             dimm_input = local_total / self.lcp_efficiency
             if gcp_total > 0:
                 dimm_input += self.gcp.input_power(gcp_total)
@@ -318,8 +371,7 @@ class PowerManager:
             )
 
         if self.enforce_dimm and not self.dimm_pool.can_allocate(dimm_input):
-            self.fail_counts["dimm"] += 1
-            return False
+            return "dimm"
 
         # --- commit ---
         if self.enforce_chip and need is not None:
@@ -340,13 +392,15 @@ class PowerManager:
             self.dimm_pool.allocate(dimm_input, now)
             holding.dimm = dimm_input
         self._holdings[write.write_id] = holding
-        return True
+        return None
 
-    def _try_acquire_vec(self, write: WriteOperation, i: int, now: int) -> bool:
+    def _try_acquire_vec(
+        self, write: WriteOperation, i: int, now: int
+    ) -> Optional[str]:
         """Array-ledger twin of :meth:`_try_acquire_ref`.
 
         The per-chip source choice, feasibility checks, failure
-        accounting and commits are evaluated with boolean masks over the
+        reasons and commits are evaluated with boolean masks over the
         write's cached allocation profile instead of a Python loop, but
         every float travels through the same arithmetic: totals are
         accumulated sequentially in chip order (NumPy's pairwise ``sum``
@@ -366,15 +420,14 @@ class PowerManager:
             if self.enforce_dimm and not self.dimm_pool.can_allocate(
                 dimm_input
             ):
-                self.fail_counts["dimm"] += 1
-                return False
+                return "dimm"
             if holding is None:
                 holding = Holding(self.dimm.n_chips)
                 self._holdings[write.write_id] = holding
             if self.enforce_dimm and dimm_input > TOKEN_EPS:
                 self.dimm_pool.allocate(dimm_input, now)
                 holding.dimm = dimm_input
-            return True
+            return None
 
         need, local_total, pos = (
             write.chip_plan(i, c_ratio)
@@ -398,8 +451,7 @@ class PowerManager:
             if self.enforce_dimm and not self.dimm_pool.can_allocate(
                 dimm_input
             ):
-                self.fail_counts["dimm"] += 1
-                return False
+                return "dimm"
             if holding is None:
                 holding = Holding(self.dimm.n_chips)
                 self._holdings[write.write_id] = holding
@@ -409,7 +461,7 @@ class PowerManager:
             if self.enforce_dimm and dimm_input > TOKEN_EPS:
                 self.dimm_pool.allocate(dimm_input, now)
                 holding.dimm = dimm_input
-            return True
+            return None
 
         # General path: per-chip source routing with boolean masks.
         gcp_total = 0.0
@@ -425,11 +477,10 @@ class PowerManager:
         lcp = pos & (chosen == SRC_LCP)
         gcp = pos & (chosen == SRC_GCP)
         # A pinned-LCP segment that no longer fits, or any GCP-routed
-        # segment without a pump, fails the same "chip" counter the
-        # per-chip loop charges.
+        # segment without a pump, fails on "chip" as in the per-chip
+        # loop.
         if (lcp & ~fits).any() or (self.gcp is None and gcp.any()):
-            self.fail_counts["chip"] += 1
-            return False
+            return "chip"
         local_total = 0.0
         for amount in need[lcp].tolist():
             local_total += amount
@@ -437,15 +488,13 @@ class PowerManager:
             for amount in need[gcp].tolist():
                 gcp_total += amount
             if not self.gcp.can_supply(gcp_total):
-                self.fail_counts["gcp"] += 1
-                return False
+                return "gcp"
         dimm_input = local_total / self.lcp_efficiency
         if gcp_total > 0:
             dimm_input += self.gcp.input_power(gcp_total)
 
         if self.enforce_dimm and not self.dimm_pool.can_allocate(dimm_input):
-            self.fail_counts["dimm"] += 1
-            return False
+            return "dimm"
 
         # --- commit ---
         if holding is None:
@@ -471,7 +520,7 @@ class PowerManager:
             self.dimm_pool.allocate(dimm_input, now)
             holding.dimm = dimm_input
         self._holdings[write.write_id] = holding
-        return True
+        return None
 
     # ------------------------------------------------------------------
     # Invariant checks (used by tests)

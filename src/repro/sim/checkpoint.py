@@ -65,7 +65,7 @@ log = get_logger("sim.checkpoint")
 #: layout. Bump whenever either changes shape (renamed attributes,
 #: different refs, new pickle contract): stale capsules must never be
 #: resumed into newer code, they are discarded and the run restarts.
-CKPT_SCHEMA_VERSION = 1
+CKPT_SCHEMA_VERSION = 2
 
 #: Default capsule root, next to the result cache's entries.
 DEFAULT_CKPT_DIR = str(Path(DEFAULT_CACHE_DIR) / "ckpt")

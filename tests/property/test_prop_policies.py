@@ -1,5 +1,8 @@
 """Property tests: power managers conserve tokens under random
-write/iteration schedules."""
+write/iteration schedules, and skipping a blocked write's retry changes
+nothing but the work done."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +18,18 @@ from ..conftest import make_tiny_config
 
 
 @st.composite
-def write_batches(draw):
-    """A batch of writes with random cell sets and iteration counts."""
+def write_batches(draw, span=1024):
+    """A batch of writes with random cell sets and iteration counts.
+
+    Each write's cells lie in one window of ``span`` consecutive cells;
+    a narrow window piles a write onto few chips and few RESET groups.
+    """
     batch = []
     for _ in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(1, 120))
+        n = draw(st.integers(1, min(120, span)))
+        low = draw(st.integers(0, 1024 - span))
         idx = np.array(sorted(draw(st.sets(
-            st.integers(0, 1023), min_size=n, max_size=n,
+            st.integers(low, low + span - 1), min_size=n, max_size=n,
         ))))
         counts = np.array(draw(st.lists(
             st.integers(1, 8), min_size=idx.size, max_size=idx.size,
@@ -117,3 +125,93 @@ class TestManagerConservation:
                 manager.release_all(write, 2)
         manager.assert_conserved()
         assert manager.dimm_pool.allocated == pytest.approx(0.0, abs=1e-6)
+
+
+class NoMemoManager(PowerManager):
+    """Oracle: evaluates the plan of every retry."""
+
+    def _still_blocked(self, write, i):
+        return False
+
+
+def manager_state(manager, writes):
+    holdings = {
+        write_id: (h.dimm, h.chip.tolist(), h.sources.tolist(), h.has_gcp,
+                   {c: g.output_tokens for c, g in h.grants.items()})
+        for write_id, h in manager._holdings.items()
+    }
+    gcp = None if manager.gcp is None else manager.gcp.output_in_use
+    return (dict(manager.fail_counts), holdings, manager.dimm_pool.allocated,
+            manager.chip_allocations().tolist(), gcp,
+            [w.mr_splits for w in writes])
+
+
+class TestRetryMemo:
+    @given(batch=st.sampled_from([1024, 256, 64]).flatmap(write_batches),
+           flags=MANAGER_FLAGS,
+           kernel=st.sampled_from(["reference", "vectorized"]),
+           dimm_tokens=st.sampled_from([160.0, 240.0, 560.0]),
+           retries=st.integers(2, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_memo_is_a_pure_cache(self, batch, flags, kernel, dimm_tokens,
+                                  retries):
+        """Retrying each blocked write several times between state
+        changes gives, at every step, the outcomes, failure counts,
+        holdings and pool balances of a manager that never consults
+        the memo. Budgets below Table 1's make writes contend."""
+        config = make_tiny_config()
+        config = replace(
+            config, power=replace(config.power, dimm_tokens=dimm_tokens),
+        ).with_kernel(kernel)
+        sides = []
+        for cls in (PowerManager, NoMemoManager):
+            dimm = DIMM(config)
+            writes = [
+                WriteOperation(k, 0, 0, idx, counts, dimm.mapping)
+                for k, (idx, counts) in enumerate(batch)
+            ]
+            sides.append((cls(config, dimm, **flags), writes))
+
+        def step(method, k, *args):
+            outcomes = [getattr(m, method)(ws[k], *args) for m, ws in sides]
+            assert outcomes[0] == outcomes[1], (method, k)
+            assert manager_state(*sides[0]) == manager_state(*sides[1])
+            return outcomes[0]
+
+        manager, writes = sides[0]
+        queued = [k for k, w in enumerate(writes)
+                  if manager.required_rounds(w) == 1]
+        running = {}  # write index -> stalled?
+        t = 0
+        while queued or running:
+            progressed = False
+            for k in list(queued):
+                for _ in range(retries):
+                    t += 1
+                    if step("try_issue", k, t):
+                        queued.remove(k)
+                        running[k] = False
+                        progressed = True
+                        break
+            for k in list(running):
+                if not running[k]:
+                    progressed = True
+                    i = writes[k].current_iteration
+                    t += 1
+                    outcome = step("on_iteration_end", k, i, t)
+                    if outcome == "done":
+                        del running[k]
+                        continue
+                    for _, ws in sides:
+                        ws[k].current_iteration = i + 1
+                    running[k] = outcome == "stall"
+                # A stalled write is retried at once, as the controller
+                # does after a stall, and again on every later sweep.
+                for _ in range(retries if running[k] else 0):
+                    t += 1
+                    if step("try_resume", k, t):
+                        running[k] = False
+                        progressed = True
+                        break
+            if not progressed:
+                break  # every write left is blocked for good

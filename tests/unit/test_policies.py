@@ -73,6 +73,68 @@ class TestChipEnforcement:
         assert not manager.try_issue(w2, 0)  # 120 > 66.5 on chip 0
         assert manager.fail_counts["chip"] == 1
 
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_blocked_retry_skips_the_plan_until_a_release(
+        self, kernel, monkeypatch
+    ):
+        """Retrying a blocked write before any pool changes counts the
+        same failure again without evaluating its plan."""
+        config = make_tiny_config().with_kernel(kernel)
+        dimm = DIMM(config)
+        manager = PowerManager(
+            config, dimm, enforce_dimm=True, enforce_chip=True,
+        )
+        idx = np.arange(60)
+        w1 = WriteOperation(1, 0, 0, idx, np.full(60, 2), dimm.mapping)
+        w2 = WriteOperation(2, 0, 1, idx, np.full(60, 2), dimm.mapping)
+        assert manager.try_issue(w1, 0)
+        acquire = manager._try_acquire
+        plans = []
+
+        def counting_acquire(write, i, now):
+            plans.append(write.write_id)
+            return acquire(write, i, now)
+
+        monkeypatch.setattr(manager, "_try_acquire", counting_acquire)
+        for t in range(1, 101):
+            assert not manager.try_issue(w2, t)
+        assert plans == [2]
+        assert manager.fail_counts == {"dimm": 0, "chip": 100, "gcp": 0}
+        manager.release_all(w1, 101)
+        assert manager.try_issue(w2, 102)
+        assert plans == [2, 2]
+        manager.assert_conserved()
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_one_cell_write_never_splits(self, kernel):
+        """Multi-RESET cannot split a one-cell RESET: a blocked one-cell
+        write is retried without a re-plan and fails once per retry."""
+        config = make_tiny_config().with_kernel(kernel)
+        dimm = DIMM(config)
+        manager = PowerManager(
+            config, dimm, enforce_dimm=True, enforce_chip=True, ipm=True,
+            mr_splits=3,
+        )
+        splits = []
+
+        class SplitRecorder:
+            def on_mr_split(self, write, now):
+                splits.append(write.write_id)
+
+        manager.obs = SplitRecorder()
+        fill = int(dimm.chips[0].budget)  # chip 0 keeps < 1 token free
+        full = WriteOperation(
+            1, 0, 0, np.arange(fill), np.full(fill, 2), dimm.mapping,
+        )
+        one = WriteOperation(2, 0, 1, np.array([fill]), np.array([2]),
+                             dimm.mapping)
+        assert manager.try_issue(full, 0)
+        for t in range(1, 6):
+            assert not manager.try_issue(one, t)
+        assert splits == []
+        assert one.mr_splits == 1
+        assert manager.fail_counts["chip"] == 5
+
     def test_gcp_unblocks_hot_chip(self):
         config = make_tiny_config()
         dimm = DIMM(config)
@@ -129,6 +191,40 @@ class TestStallResume:
         assert manager.on_iteration_end(w1, 0, 1) == "advance"  # 70 -> 35
         w2.current_iteration = 0
         assert manager.try_resume(w2, 1)      # 40 <= 45 now
+
+    @pytest.mark.parametrize("kernel", ["reference", "vectorized"])
+    def test_stalled_write_retried_at_once_is_rerouted(self, kernel):
+        """A stall keeps the write's sources, so its first resume is
+        evaluated in full even though no pool changed since: it fails
+        with the kept sources, re-routes and fails again. Later retries
+        repeat the re-routed failure without re-planning."""
+        config = make_tiny_config().with_kernel(kernel)
+        dimm = DIMM(config)
+        manager = PowerManager(
+            config, dimm, enforce_dimm=True, enforce_chip=True, ipm=True,
+            mr_splits=2,
+        )
+        # RESET group 0 is 5 cells on chip 1, group 1 is 40 on chip 0.
+        idx = np.concatenate([np.arange(64, 104), np.arange(128, 133)])
+        split = WriteOperation(
+            2, 0, 1, idx, np.full(idx.size, 2), dimm.mapping, mr_splits=2,
+        )
+        hog = WriteOperation(1, 0, 0, np.arange(60), np.full(60, 2),
+                             dimm.mapping)
+        assert manager.try_issue(split, 0)
+        assert manager.try_issue(hog, 0)    # chip 0 keeps 6.5 tokens
+        assert manager.on_iteration_end(split, 0, 1) == "stall"
+        assert manager.holding_for(split).sources.any()
+        split.current_iteration = 1
+        assert not manager.try_resume(split, 1)
+        assert manager.fail_counts["chip"] == 3
+        assert not manager.holding_for(split).sources.any()
+        for t in range(2, 5):
+            assert not manager.try_resume(split, t)
+        assert manager.fail_counts["chip"] == 6
+        manager.release_all(hog, 5)
+        assert manager.try_resume(split, 6)
+        manager.assert_conserved()
 
     def test_required_rounds_per_write(self):
         config = make_figure5_config()  # 80-token budget
