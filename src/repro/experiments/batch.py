@@ -16,12 +16,11 @@ This module is the batched tier underneath
 * :func:`partition_cohorts` groups a deduplicated plan by
   :func:`cohort_key` — a digest of each run's *trace-relevant*
   structure **after** its scheme is applied (workload, scale, kernel,
-  seed, CPU + cache geometry, PCM cell model, line size). Runs in one
-  cohort share a cohort key strictly finer than the trace-generator's
-  memo key, so a cohort is exactly a set of runs that can share one
-  trace-generation pass; swept scalars (budgets, GCP efficiency, MR
-  split, write-queue depth) never separate runs, and nothing
-  trace-relevant is ever mixed.
+  seed, CPU + cache geometry, PCM cell model, line size). It digests
+  the same structure the trace generator's memo keys on, so a cohort
+  is exactly a set of runs that can share one trace-generation pass;
+  swept scalars (budgets, GCP efficiency, MR split, write-queue depth)
+  never separate runs, and nothing trace-relevant is ever mixed.
 * :func:`_cohort_execute` is the worker entry point: it lowers a
   cohort into one process task that runs every member through the
   engine's own :func:`~repro.experiments.engine._worker_execute`
@@ -73,9 +72,9 @@ from typing import (
     Tuple,
 )
 
-from ..config.system import canonical_value
 from ..core.policies.registry import get_scheme
 from ..obs.logging import get_logger
+from ..trace.generator import trace_structure
 from .base import RunRequest
 from .engine import _WorkerEnv, _worker_execute, dedupe_requests
 from .resilience import RetryPolicy
@@ -89,24 +88,16 @@ def cohort_key(request: RunRequest) -> str:
     Computed on the config *after* the scheme is applied (schemes may
     change the cell mapping, power budgets, or queue depth — none of
     which the trace generator reads, so scheme and budget sweeps over
-    one workload share a cohort). Two runs share a key iff they agree
-    on everything
-    the trace generator reads — workload, scale, seed, kernel, CPU and
-    cache geometry, PCM cell model, line size — which makes the key
-    strictly finer than the generator's memo key: a cohort's members
-    are guaranteed to share one trace-generation pass inside a worker.
+    one workload share a cohort). The digested structure is
+    :func:`~repro.trace.generator.trace_structure`, which the
+    generator's memo also keys on: two runs share a key iff they share
+    a memoized trace, so a cohort's members are guaranteed to share one
+    trace-generation pass inside a worker.
     """
     cfg = get_scheme(request.scheme).apply_to_config(request.config)
-    structure = (
-        ("workload", request.workload),
-        ("n_pcm_writes", request.scale.n_pcm_writes),
-        ("max_refs_per_core", request.scale.max_refs_per_core),
-        ("kernel", cfg.kernel),
-        ("seed", cfg.seed),
-        ("cpu", canonical_value(cfg.cpu)),
-        ("caches", canonical_value(cfg.caches)),
-        ("pcm", canonical_value(cfg.pcm)),
-        ("line_size", cfg.memory.line_size),
+    structure = trace_structure(
+        cfg, request.workload,
+        request.scale.n_pcm_writes, request.scale.max_refs_per_core,
     )
     return hashlib.sha256(repr(structure).encode("utf-8")).hexdigest()
 

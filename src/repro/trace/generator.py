@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cache.hierarchy import CoreHierarchy, PCM_READ
-from ..config.system import SystemConfig
+from ..config.system import SystemConfig, canonical_value
 from ..pcm.cells import changed_cell_targets
 from ..pcm.contents import LineStore
 from ..pcm.write_model import IterationSampler
@@ -42,6 +42,37 @@ _TRACE_CACHE: Dict[Tuple, Trace] = {}
 def clear_trace_cache() -> None:
     """Drop all memoized traces (tests and sweeps)."""
     _TRACE_CACHE.clear()
+
+
+def trace_structure(
+    config: SystemConfig,
+    workload: str,
+    n_pcm_writes: int,
+    max_refs_per_core: int,
+    *,
+    seed: Optional[int] = None,
+) -> Tuple[Tuple[str, object], ...]:
+    """Everything a generated trace depends on, as ``(name, value)``
+    pairs: the trace memo's key, and the batch tier's cohort key.
+
+    The CPU, cache and PCM configs take part whole (through
+    :func:`~repro.config.system.canonical_value`), so no field the
+    generator reads can be left out of either key. The kernel never
+    changes a trace's bytes, but it is part of the key so each kernel
+    exercises its own sampling path end to end (the
+    differential-equivalence suite relies on that).
+    """
+    return (
+        ("workload", workload),
+        ("n_pcm_writes", n_pcm_writes),
+        ("max_refs_per_core", max_refs_per_core),
+        ("kernel", config.kernel),
+        ("seed", config.seed if seed is None else seed),
+        ("cpu", canonical_value(config.cpu)),
+        ("caches", canonical_value(config.caches)),
+        ("pcm", canonical_value(config.pcm)),
+        ("line_size", config.memory.line_size),
+    )
 
 
 def generate_trace(
@@ -61,20 +92,10 @@ def generate_trace(
     cache-resident benchmarks (xalancbmk) terminate.
     """
     seed = config.seed if seed is None else seed
-    # The kernel never changes a trace's bytes, but it is part of the
-    # key so each kernel exercises its own sampling path end to end
-    # (the differential-equivalence suite relies on that).
     key = (
-        workload,
-        config.caches.l3.size_bytes,
-        config.caches.l3.assoc,
-        config.memory.line_size,
-        config.pcm.bits_per_cell,
-        n_pcm_writes,
-        max_refs_per_core,
-        seed,
+        trace_structure(config, workload, n_pcm_writes, max_refs_per_core,
+                        seed=seed),
         prewarm,
-        config.kernel,
     )
     if use_cache and key in _TRACE_CACHE:
         return _TRACE_CACHE[key]
@@ -144,10 +165,7 @@ def _generate_core(
     )
     base = (core_id + 1) * CORE_ADDR_STRIDE
     if prewarm:
-        _prewarm_l3(
-            hierarchy, image, pcm_image, bench, base, rng,
-            bulk=sampler.kernel.vectorized,
-        )
+        _prewarm_l3(hierarchy, image, pcm_image, bench, base, rng)
 
     stream: List[PCMAccess] = []
     stats = TraceStats()
@@ -233,7 +251,6 @@ def _prewarm_l3(
     bench,
     base: int,
     rng: np.random.Generator,
-    bulk: bool = False,
 ) -> None:
     """Fill every L3 set to full associativity so evictions reflect
     steady state from the first miss.
@@ -276,21 +293,12 @@ def _prewarm_l3(
     tail_dirty = dirty[:, ways - tail:]
     sets_idx, ways_off = np.nonzero(tail_dirty)
     old_block, new_block = bench.prewarm_line_pairs(rng, sets_idx.size, line_size)
-    if bulk:
-        # Vectorized kernel: compute every row's address at once and
-        # install both stores with bulk writes. Row order matches the
-        # scalar loop, so duplicate tags resolve identically.
-        tags = rel_tags[sets_idx, ways - tail + ways_off]
-        addrs = ((base_tag + tags) * n_sets + sets_idx) * line_size
-        pcm_image.write_rows(addrs, old_block)
-        image.write_rows(addrs, new_block)
-    else:
-        for row in range(sets_idx.size):
-            s = int(sets_idx[row])
-            k = ways - tail + int(ways_off[row])
-            abs_line = (base_tag + int(rel_tags[s, k])) * n_sets + s
-            pcm_image.write(abs_line * line_size, old_block[row])
-            image.write(abs_line * line_size, new_block[row])
+    # Rows go in set-major order, so a residual duplicate tag keeps its
+    # later way's contents.
+    tags = rel_tags[sets_idx, ways - tail + ways_off]
+    addrs = ((base_tag + tags) * n_sets + sets_idx) * line_size
+    pcm_image.write_rows(addrs, old_block)
+    image.write_rows(addrs, new_block)
     hierarchy.pending_cycles = 0
 
 

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .data import make_line_block, make_line_pair
+from .data import make_line_pair
 
 
 class BatchedRandom:
@@ -102,12 +102,6 @@ class SyntheticWorkload(abc.ABC):
     def refs(self, rng: np.random.Generator, base_addr: int) -> Iterator[Ref]:
         """Yield CPU references forever, confined to
         ``[base_addr, base_addr + footprint_bytes)``."""
-
-    def prewarm_lines(
-        self, rng: np.random.Generator, n_lines: int, line_size: int
-    ) -> np.ndarray:
-        """Fabricated contents for ``n_lines`` dirty resident lines."""
-        return make_line_block(self.line_kind, rng, n_lines, line_size)
 
     def prewarm_line_pairs(
         self, rng: np.random.Generator, n_lines: int, line_size: int

@@ -18,6 +18,7 @@ content:
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ...errors import TraceError
 
@@ -45,7 +46,7 @@ def make_line_block(
         raise TraceError(f"unknown line kind {kind!r}; use one of {LINE_KINDS}")
     # Leave a fraction of words zero (never-initialized slack).
     zero_frac = {"int": 0.30, "fp": 0.35, "random": 0.50}[kind]
-    words[rng.random(shape) < zero_frac] = 0
+    words *= rng.random(shape) >= zero_frac
     return words.view(np.uint8).reshape(n_lines, line_size)
 
 
@@ -76,15 +77,20 @@ def _clustered_mask(
     cluster: int, density: float,
 ) -> np.ndarray:
     """Touched-unit mask where modifications come in aligned runs of
-    ``cluster`` units, with a per-line random phase."""
+    ``cluster`` units, with a per-line random phase.
+
+    Unit ``u`` of line ``i`` belongs to block ``(u + shift[i]) //
+    cluster``: repeating each block ``cluster`` times lays the blocks
+    out unit by unit, and line ``i``'s mask is the ``n_units`` window
+    of that row starting at ``shift[i]``.
+    """
     cluster = max(1, min(cluster, n_units))
     n_blocks = n_units // cluster + 2
     block_touched = rng.random((n_lines, n_blocks)) < density
     shift = rng.integers(0, cluster, size=n_lines)
-    block_of_unit = (
-        np.arange(n_units)[None, :] + shift[:, None]
-    ) // cluster
-    return np.take_along_axis(block_touched, block_of_unit, axis=1)
+    per_unit = np.repeat(block_touched, cluster, axis=1)
+    windows = sliding_window_view(per_unit, n_units, axis=1)
+    return windows[np.arange(n_lines), shift]
 
 
 def make_line_pair(
@@ -99,6 +105,10 @@ def make_line_pair(
     the low-order bytes of clustered 32-bit words (struct fields), FP
     sweeps rewrite mantissas of runs of doubles, random payloads replace
     whole values sequentially.
+
+    Bytes are selected a unit at a time: each unit's mask is a word
+    over the little-endian unit view (``<u4`` / ``<u8``), so pattern
+    byte ``j`` is bits ``8j .. 8j+7`` on any host.
     """
     try:
         model = _DELTA_MODELS[kind]
@@ -109,35 +119,47 @@ def make_line_pair(
     old = make_line_block(kind, rng, n_lines, line_size)
     if n_lines == 0:
         return old, old.copy()
-    unit = model["unit"]
-    n_units = line_size // unit
+    unit = np.dtype(f"<u{model['unit']}")
     touched = _clustered_mask(
-        rng, n_lines, n_units, model["cluster"], model["density"]
+        rng, n_lines, line_size // unit.itemsize, model["cluster"],
+        model["density"],
     )
-    pattern = np.asarray(model["pattern"], dtype=bool)
-    byte_mask = touched[:, :, None] & pattern[None, None, :]
+    pattern = sum(0xFF << 8 * j for j, on in enumerate(model["pattern"]) if on)
+    mask = touched * unit.type(pattern)
     if model["full_frac"]:
-        full = touched & (rng.random(touched.shape) < model["full_frac"])
-        byte_mask |= full[:, :, None]
-    byte_mask = byte_mask.reshape(n_lines, line_size)
-    new = old.copy()
-    fresh = rng.integers(0, 256, size=(n_lines, line_size), dtype=np.uint8)
-    new[byte_mask] = fresh[byte_mask]
+        full = rng.random(touched.shape) < model["full_frac"]
+        full &= touched
+        mask |= full * unit.type(np.iinfo(unit).max)
+    # Fresh bytes, drawn as little-endian uint32 words: the same
+    # generator calls and bytes as a uint8 draw of the whole block.
+    fresh = rng.integers(0, 1 << 32, size=n_lines * line_size // 4,
+                         dtype=np.uint32).astype("<u4", copy=False)
+    new = fresh.view(np.uint8).reshape(n_lines, line_size)
+    # new = old where the mask is clear, fresh where it is set.
+    old_units, new_units = old.view(unit), new.view(unit)
+    new_units ^= old_units
+    new_units &= mask
+    new_units ^= old_units
     return old, new
 
 
 def _int_words(rng: np.random.Generator, shape) -> np.ndarray:
     """Small counters/indices (low bytes only) mixed with full pointers."""
-    small = rng.integers(0, 1 << 20, size=shape, dtype=np.uint64)
-    pointers = (
-        rng.integers(0x7F00_0000_0000, 0x7FFF_FFFF_FFFF, size=shape, dtype=np.uint64)
-        << 4
+    words = rng.integers(0, 1 << 20, size=shape, dtype=np.uint64)
+    pointers = rng.integers(
+        0x7F00_0000_0000, 0x7FFF_FFFF_FFFF, size=shape, dtype=np.uint64
     )
-    is_pointer = rng.random(shape) < 0.25
-    return np.where(is_pointer, pointers, small)
+    pointers <<= 4
+    # words += (pointers - words) where a word is a pointer (mod 2**64).
+    pointers -= words
+    pointers *= rng.random(shape) < 0.25
+    words += pointers
+    return words
 
 
 def _fp_words(rng: np.random.Generator, shape) -> np.ndarray:
     """Doubles in [0.5, 2): fully populated exponent + mantissa bytes."""
-    values = 0.5 + 1.5 * rng.random(shape)
-    return values.astype(np.float64).view(np.uint64)
+    values = rng.random(shape)
+    values *= 1.5
+    values += 0.5
+    return values.view(np.uint64)

@@ -1,8 +1,11 @@
 """Trace generation: calibration, caching, prewarm."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.config.system import CacheLevelConfig, CPUConfig, WriteLevelModel
 from repro.trace.generator import clear_trace_cache, generate_trace
 from repro.trace.records import READ, WRITE
 
@@ -80,6 +83,63 @@ class TestGeneration:
         a = tiny_trace("mcf_m")
         b = tiny_trace("tig_m")
         assert a is not b
+
+
+def _with_cores(config):
+    return replace(config, cpu=CPUConfig(cores=1))
+
+
+def _with_l1_geometry(config):
+    return replace(config, caches=replace(
+        config.caches, l1=CacheLevelConfig(4 * 1024, 1, 64, 2)))
+
+
+def _with_l2_latency(config):
+    return replace(config, caches=replace(
+        config.caches, l2=replace(config.caches.l2, hit_latency_cycles=11)))
+
+
+def _with_l3_latency(config):
+    return replace(config, caches=replace(
+        config.caches, l3=replace(config.caches.l3, hit_latency_cycles=300)))
+
+
+def _with_level_models(config):
+    models = list(config.pcm.level_models)
+    models[1] = WriteLevelModel(mean_iterations=4.0, fast_fraction=0.375,
+                                fast_max_iterations=2, max_iterations=16)
+    return replace(config, pcm=replace(config.pcm, level_models=tuple(models)))
+
+
+class TestMemoKey:
+    """The memo must key on every field the generator reads: a config
+    that differs only in one of them gets its own trace, never the
+    memoized trace of another config."""
+
+    @pytest.mark.parametrize("vary", [
+        _with_cores, _with_l1_geometry, _with_l2_latency,
+        _with_l3_latency, _with_level_models,
+    ], ids=lambda f: f.__name__[len("_with_"):])
+    def test_variant_gets_its_own_trace(self, vary):
+        base = tiny_trace("tig_m")
+        variant = vary(make_tiny_config())
+        kwargs = dict(n_pcm_writes=60, max_refs_per_core=15_000)
+        memoized = generate_trace(variant, "tig_m", **kwargs)
+        fresh = generate_trace(variant, "tig_m", use_cache=False, **kwargs)
+        assert memoized is not base
+        assert memoized.n_cores == variant.cpu.cores
+        assert _content(memoized) == _content(fresh)
+        assert _content(memoized) != _content(base)
+
+
+def _content(trace):
+    """Everything a replay reads from a trace, as comparable values."""
+    return [
+        (acc.core, acc.kind, acc.line_addr, acc.gap_instr,
+         acc.gap_hit_cycles,
+         None if acc.iter_counts is None else acc.iter_counts.tolist())
+        for stream in trace.per_core for acc in stream
+    ]
 
 
 class TestCalibration:

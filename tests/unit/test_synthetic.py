@@ -1,5 +1,6 @@
 """Synthetic workloads and line-content models."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -163,6 +164,35 @@ class TestLineData:
     def test_empty_pair(self):
         old, new = make_line_pair("fp", make_rng(1, "d"), 0, 256)
         assert old.shape == (0, 256) and new.shape == (0, 256)
+
+    #: sha256 of (old, new) and of the generator's next draws, for 37
+    #: rows (a multiple of no kind's cluster). Every golden trace's
+    #: prewarm contents come from this function, so any change to its
+    #: bytes or to the draws it consumes fails here first.
+    PAIR_DIGESTS = {
+        "int": ("6725860b226e57c4e620c6591b7a8eb1e144d61b15c1c0c8be62783196fc89a1",
+                "33f5c376423f28154aa30b56a62f7389228131d7e6e4d666e9b5761c2998279a"),
+        "fp": ("27e9295dfe6cc6c5824f1c119ce2e8af04dd1e01f5bb0aa9f41573717297b7b4",
+               "3f280aaab41c15a470ea0ace23c4e843fc2ed9fbae548dd15cbed40eede701bf"),
+        "random": ("40b3b695fa3f69d3358cf8c7241b1809710c2c1ce905cc710952824643a9b66e",
+                   "81faee8a24225df37e6b9f3db6b278fb11d1e017c1f7dc8947aa59934dac50ce"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PAIR_DIGESTS))
+    def test_pair_bytes_and_rng_stream_pinned(self, kind):
+        rng = make_rng(14, "line-pair", kind)
+        old, new = make_line_pair(kind, rng, 37, 256)
+        following = (rng.integers(0, 1 << 32, size=3, dtype=np.uint32),
+                     rng.random(3))
+        assert (_digest(old, new), _digest(*following)) \
+            == self.PAIR_DIGESTS[kind]
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
 
 
 class TestWorkloadRegistry:
