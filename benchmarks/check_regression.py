@@ -1,30 +1,24 @@
 """Benchmark regression gate on paired speedup ratios.
 
-Reads the ``bench_kernel`` and ``bench_plan`` records the latest
-benchmark sessions appended to ``.benchmarks/BENCH_runs.jsonl`` (see
-``benchmarks/conftest.py``), computes per-name speedups —
-reference/vectorized for kernel pairs, per-run/batched for plan pairs —
-prints the tables, and fails if any pair
+Reads the ``bench_kernel`` records the latest benchmark session
+appended to ``.benchmarks/BENCH_runs.jsonl`` (see
+``benchmarks/conftest.py``), computes per-name reference/vectorized
+speedups, prints the table, and fails if any pair
 
 * fell below its absolute floor (the kernel tentpole targets ≥3x on the
-  pure kernel microbenchmarks; the batched execution tier targets ≥2x
-  plan-level throughput), or
+  pure kernel microbenchmarks), or
 * regressed more than 25% against the committed
   ``benchmarks/BENCH_baseline.json``.
 
 Gating on the *ratio* of two timings from the same session keeps the
 check machine-independent: absolute times shift with hardware, but both
-sides of a pair run the same inputs on the same host.
+sides of a pair run the same inputs on the same host. Plan throughput
+is measured end to end by the ``plan`` workload of ``benchmarks/e2e``.
 
 Usage::
 
-    pytest benchmarks/test_bench_kernel.py benchmarks/test_bench_sweeps.py \\
-        benchmarks/test_bench_explore.py --benchmark-only
+    pytest benchmarks/test_bench_kernel.py --benchmark-only
     python benchmarks/check_regression.py
-
-The two plan-pair files must run in one pytest invocation: only the
-latest session's ``bench_plan`` records are paired, so splitting them
-makes the earlier session's pairs read as "not run".
 """
 
 from __future__ import annotations
@@ -44,8 +38,8 @@ REGRESSION_SLACK = 0.75
 
 def latest_session_records(manifest: pathlib.Path, record_type: str):
     """Records of ``record_type`` from the last session that produced
-    any (records after a ``run_header``), so kernel and plan benchmarks
-    may come from separate pytest invocations."""
+    any (records after a ``run_header``), so other benchmarks may run
+    in later pytest invocations."""
     sessions = [[]]
     with manifest.open() as handle:
         for line in handle:
@@ -63,25 +57,24 @@ def latest_session_records(manifest: pathlib.Path, record_type: str):
     return []
 
 
-def pair_speedups(records, numerator: str, denominator: str, axis: str):
-    """name -> numerator_min / denominator_min over the paired records,
-    where ``axis`` is the record field the pair differs in (``kernel``
-    for kernel pairs, ``mode`` for plan pairs)."""
+def kernel_speedups(records):
+    """name -> reference min time / vectorized min time, over the names
+    timed on both kernels."""
     times = {}
     for record in records:
-        times.setdefault(record["name"], {})[record[axis]] = record[
+        times.setdefault(record["name"], {})[record["kernel"]] = record[
             "min_seconds"
         ]
-    speedups = {}
-    for name, sides in sorted(times.items()):
-        if {numerator, denominator} <= set(sides):
-            speedups[name] = sides[numerator] / sides[denominator]
-    return speedups
+    return {
+        name: sides["reference"] / sides["vectorized"]
+        for name, sides in sorted(times.items())
+        if {"reference", "vectorized"} <= set(sides)
+    }
 
 
-def check(speedups, expected, floors, label):
+def check(speedups, expected, floors):
     failures = []
-    print(f"\n{label}")
+    print("\nkernel pairs (reference / vectorized)")
     print(f"{'benchmark':<24}{'speedup':>9}{'baseline':>10}{'floor':>7}  verdict")
     for name, speedup in speedups.items():
         floor = floors.get(name, 1.0)
@@ -116,22 +109,14 @@ def main(argv=None) -> int:
               "`pytest benchmarks/ --benchmark-only` first",
               file=sys.stderr)
         return 2
-    kernel_speedups = pair_speedups(
-        latest_session_records(args.manifest, "bench_kernel"),
-        "reference", "vectorized", "kernel")
-    plan_speedups = pair_speedups(
-        latest_session_records(args.manifest, "bench_plan"),
-        "per_run", "batched", "mode")
-    if not kernel_speedups and not plan_speedups:
+    speedups = kernel_speedups(
+        latest_session_records(args.manifest, "bench_kernel"))
+    if not speedups:
         print("no benchmark pairs in the latest session", file=sys.stderr)
         return 2
     baseline = json.loads(args.baseline.read_text())
-    failures = check(kernel_speedups, baseline.get("kernel_speedups", {}),
-                     baseline.get("floors", {}),
-                     "kernel pairs (reference / vectorized)")
-    failures += check(plan_speedups, baseline.get("plan_speedups", {}),
-                      baseline.get("plan_floors", {}),
-                      "plan pairs (per-run / batched)")
+    failures = check(speedups, baseline.get("kernel_speedups", {}),
+                     baseline.get("floors", {}))
     if failures:
         print("\nregression gate FAILED:", file=sys.stderr)
         for failure in failures:

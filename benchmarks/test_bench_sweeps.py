@@ -1,11 +1,6 @@
-"""Benchmarks for the design-space sweeps: Figures 19-23 and Tables 1-2,
-plus plan-level throughput pairs for the batched execution tier."""
+"""Benchmarks for the design-space sweeps: Figures 19-23 and Tables 1-2."""
 
-from repro.experiments.base import RunRequest, RunScale, clear_sim_cache
-from repro.experiments.engine import dedupe_requests, execute_plan
-from repro.trace.generator import clear_trace_cache
-
-from .conftest import bench_config, gmean_row, record_plan_bench, run_experiment
+from .conftest import gmean_row, run_experiment
 
 
 def test_fig19_line_size(benchmark, config):
@@ -55,76 +50,6 @@ def test_fig23_rdopt(benchmark, config):
     # at micro scale, and everything beats the baseline.
     assert row["FPB"] > 1.0
     assert row["FPB+WC+WP+WT"] >= row["FPB"] * 0.8
-
-
-#: The storm pair's scale: the two workloads whose cache-filtering
-#: trace construction is costliest relative to their PCM write
-#: scheduling, so the pair stresses exactly the work batching dedupes.
-STORM_SCALE = RunScale("bench", 60, 12_000, ("cop_m", "qso_m"))
-
-
-def token_sweep_storm():
-    """The Figure 22 token sweep replicated over two trace-heavy
-    workloads and two trace seeds: 48 runs sharing only 4 distinct
-    trace structures (12-run cohorts).
-
-    Executed with one worker per run — the service cold-miss-storm
-    shape from the gateway's dispatcher, where every coalesced miss
-    lands on its own worker. Per-run execution then regenerates each
-    structure's trace in every worker that touches it; the batched tier
-    generates each exactly once per cohort. The pair therefore measures
-    the aggregate compute the batched tier saves, which on CI-class
-    single-core hosts is exactly the plan's wall-clock throughput.
-    """
-    requests = []
-    for workload in STORM_SCALE.workloads:
-        for seed in (1, 2):
-            config = bench_config(seed=seed)
-            for step in range(6):
-                for scheme in ("fpb", "dimm+chip"):
-                    requests.append(RunRequest(
-                        config.with_dimm_tokens(466.0 + 66.0 * step),
-                        workload, scheme, STORM_SCALE,
-                    ))
-    return dedupe_requests(requests)
-
-
-def run_plan(requests, batching):
-    """Cold plan execution: both caches dropped before the pool forks
-    so per-round timings always include trace construction."""
-    clear_sim_cache()
-    clear_trace_cache()
-    summary = execute_plan(requests, jobs=len(requests), force=True,
-                           batching=batching)
-    assert summary["failed"] == 0
-    return summary
-
-
-def test_token_sweep_storm_per_run(benchmark):
-    """Per-run engine baseline for the plan-throughput pair.
-
-    ``check_regression.py`` divides this timing by the batched one and
-    gates the ratio against ``plan_speedups``/``plan_floors`` in
-    ``BENCH_baseline.json``.
-    """
-    requests = token_sweep_storm()
-    summary = benchmark.pedantic(
-        run_plan, args=(requests, "off"), rounds=2, iterations=1,
-    )
-    assert summary["computed"] == len(requests)
-    assert summary["batch_cohorts"] == 0
-    record_plan_bench(benchmark, "token_sweep_storm", "per_run")
-
-
-def test_token_sweep_storm_batched(benchmark):
-    requests = token_sweep_storm()
-    summary = benchmark.pedantic(
-        run_plan, args=(requests, "force"), rounds=2, iterations=1,
-    )
-    assert summary["computed"] == len(requests)
-    assert summary["batch_runs"] == len(requests)
-    assert summary["batch_fallbacks"] == 0
-    record_plan_bench(benchmark, "token_sweep_storm", "batched")
 
 
 def test_tab1_config(benchmark, config):

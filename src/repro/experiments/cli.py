@@ -52,7 +52,7 @@ from .base import (
     use_disk_cache,
     use_telemetry,
 )
-from .engine import BATCHING_MODES, execute_plan
+from .engine import execute_plan
 from .registry import available_experiments, get_experiment, plan_runs
 from .resilience import RetryPolicy
 
@@ -143,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 1 = serial; 0 = one per CPU)",
     )
     run.add_argument(
-        "--batching", choices=BATCHING_MODES, default="off",
-        help="batch structurally-identical planned runs into cohorts "
-             "executed together on one worker (auto: cohorts of >= 2 "
-             "runs; force: everything; results are byte-identical "
-             "either way — see docs/performance.md; default off)",
-    )
-    run.add_argument(
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(DEFAULT_CACHE_DIR),
         metavar="DIR",
         help="on-disk run cache directory (default .simcache/)",
@@ -200,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget on worker processes; a run "
-             "exceeding it is abandoned and retried (default: none)",
+        help="per-run wall-clock budget on worker processes, counted "
+             "from when a worker starts the run; a run exceeding it is "
+             "abandoned and retried (default: none)",
     )
     run.add_argument(
         "--retries", type=_non_negative_int, default=2, metavar="N",
@@ -265,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
              "0 = one per CPU)",
     )
     explore.add_argument(
-        "--batching", choices=BATCHING_MODES, default="off",
-        help="batch each generation's cold runs into structure-sharing "
-             "cohorts (results are byte-identical; default off)",
-    )
-    explore.add_argument(
         "--resume", action="store_true",
         help="restore already-evaluated points from the session journal "
              "(found by the deterministic session id) instead of "
@@ -300,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget on worker processes",
+        help="per-run wall-clock budget on worker processes, counted "
+             "from when a worker starts the run",
     )
     explore.add_argument(
         "--retries", type=_non_negative_int, default=2, metavar="N",
@@ -337,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes for the corpus simulations "
              "(default 1 = serial; 0 = one per CPU)",
-    )
-    golden.add_argument(
-        "--batching", choices=BATCHING_MODES, default="off",
-        help="batch the corpus runs into structure-sharing cohorts "
-             "(results are byte-identical; default off)",
     )
     golden.add_argument(
         "--cache-dir", type=pathlib.Path,
@@ -402,11 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
              "plan (default 16)",
     )
     serve.add_argument(
-        "--batching", choices=BATCHING_MODES, default="off",
-        help="execute coalesced cold misses as structure-sharing "
-             "cohorts (byte-identical results; default off)",
-    )
-    serve.add_argument(
         "--memory-cache-limit", type=_positive_int, default=4096,
         metavar="N",
         help="in-memory result-cache bound; oldest entries are evicted "
@@ -428,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget on engine workers",
+        help="per-run wall-clock budget on engine workers, counted "
+             "from when a worker starts the run",
     )
     serve.add_argument(
         "--retries", type=_non_negative_int, default=2, metavar="N",
@@ -577,7 +558,6 @@ def _explore_main(args) -> int:
             scheme=args.scheme,
             scale=SCALES[args.scale],
             jobs=args.jobs,
-            batching=args.batching,
         )
         session = ExploreSession(
             settings, base_config, policy=policy,
@@ -646,15 +626,14 @@ def _golden_main(args) -> int:
         cache = SimCache(args.cache_dir)
         use_disk_cache(cache)
     def prefetch(scale, seed, kernels):
-        if args.jobs <= 1 and args.batching == "off":
+        if args.jobs <= 1:
             return
         requests = [
             variant
             for request, _ in golden.corpus_runs(scale, seed=seed)
             for variant in golden.kernel_requests(request, kernels)
         ]
-        execute_plan(requests, jobs=args.jobs, policy=RetryPolicy(),
-                     batching=args.batching)
+        execute_plan(requests, jobs=args.jobs, policy=RetryPolicy())
 
     try:
         if args.check:
@@ -759,7 +738,6 @@ def _serve_main(args) -> int:
         policy=RetryPolicy(max_attempts=args.retries + 1,
                            run_timeout_s=args.timeout),
         drain_timeout_s=args.drain_timeout,
-        batching=args.batching,
         fleet=fleet,
         telemetry=telemetry,
         manifest_path=args.metrics_out,
@@ -831,11 +809,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         try:
             requests = plan_runs(targets, base_config, scale)
-            if requests and (args.jobs > 1 or cache is not None
-                             or args.batching != "off"):
+            if requests and (args.jobs > 1 or cache is not None):
                 summary = execute_plan(requests, jobs=args.jobs,
-                                       policy=policy,
-                                       batching=args.batching)
+                                       policy=policy)
                 log.info(
                     "plan: %d runs (%d unique) — %d in memory, %d from "
                     "cache, %d computed on %d worker(s)\n",

@@ -8,15 +8,28 @@ ProcessPoolExecutor`. Results land in the shared caches, so the
 experiments' ``run()`` methods — unchanged and strictly sequential —
 consume warm hits.
 
+The unit of work is a **cohort** (:func:`repro.experiments.batch.
+partition_cohorts`): runs sharing a trace structure execute in one
+worker task, so the trace is generated once per cohort; a lone run is
+a cohort of one. No cohort holds more than ⌈pending runs / workers⌉
+runs, where ``workers`` is the pool size capped at the CPUs this
+process may use: workers beyond the CPUs add no parallelism, while
+every extra cohort generates its trace again. At most one cohort is in
+flight per worker, so a cohort starts as soon as it is submitted. Its
+worker writes each member's outcome to a file as the member finishes,
+so the parent judges every member on its own: the wall-clock budget is
+per member, and a task cut short keeps the members it finished.
+
 Correctness guarantees:
 
 * **Bit-identical to serial.** Every run's random streams derive from
   ``config.seed`` (``repro.rng``), so a worker process computes exactly
-  the bytes the main process would. Results cross the process boundary
-  by pickling, which round-trips ints and IEEE doubles exactly.
+  the bytes the main process would, whichever cohort it runs in.
+  Results cross the process boundary by pickling, which round-trips
+  ints and IEEE doubles exactly.
 * **Telemetry crosses into workers by sidecar, never by sharing.**
   When the parent has a :class:`~repro.obs.Telemetry`, each worker
-  attaches its own local one, runs instrumented, and spools a
+  attaches its own local one per run, runs instrumented, and spools a
   JSON snapshot (run record, spans, metrics, trace events) to a
   content-addressed sidecar file next to the run's ``SimCache``
   entry; the parent merges it back into one manifest and one
@@ -32,21 +45,27 @@ Correctness guarantees:
 Resilience guarantees (policy in :mod:`repro.experiments.resilience`,
 proven by the chaos tests in ``tests/integration/test_fault_tolerance``):
 
-* **One run's failure never unwinds the plan.** A worker exception is
-  classified (transient vs deterministic), retried with exponential
-  backoff and fingerprint-derived deterministic jitter, and — if it
-  keeps failing — recorded as a terminal failure while the other runs
-  complete (*partial-result semantics*).
-* **A killed worker doesn't discard in-flight work.** On
-  ``BrokenProcessPool`` the pool is rebuilt (bounded by a respawn
-  budget) and every in-flight run is requeued; since the pool cannot
-  say *which* worker died, the requeued runs execute one-at-a-time in
-  the fresh pool until the culprit is identified in isolation.
+* **One run's failure never unwinds the plan.** A member that raises
+  inside its cohort does not stop the others; its exception comes back
+  from the worker, is classified (transient vs deterministic), retried
+  as a cohort of one with exponential backoff and fingerprint-derived
+  deterministic jitter, and — if it keeps failing — recorded as a
+  terminal failure while the other runs complete (*partial-result
+  semantics*).
+* **A killed worker doesn't discard finished work.** On
+  ``BrokenProcessPool`` the pool is rebuilt. Members whose outcomes
+  were written are kept, and members no worker had reached requeue.
+  The pool cannot say *which* worker died, so the members the workers
+  were running are suspects: a lone suspect is charged, several each
+  execute alone in the fresh pool until the culprit is identified in
+  isolation. One respawn budget (``RetryPolicy.max_pool_respawns``)
+  covers the whole plan.
 * **A hung worker is abandoned, not waited on.** With a per-run
-  wall-clock timeout (``RetryPolicy.run_timeout_s``) the engine
-  terminates the pool under a stuck run, requeues the innocent
-  in-flight runs without an attempt penalty, and charges the hung run
-  a :class:`~repro.errors.WorkerTimeoutError` failure.
+  wall-clock timeout (``RetryPolicy.run_timeout_s``, restarted as each
+  member of a cohort finishes) the engine terminates the pool under a
+  stuck member, charges that member a
+  :class:`~repro.errors.WorkerTimeoutError`, and requeues every other
+  unfinished member without an attempt penalty.
 * **Runs that fail identically twice are quarantined** so a
   deterministic bug costs at most two attempts, and the manifest
   distinguishes "worth a rerun" from "needs triage".
@@ -65,6 +84,7 @@ from __future__ import annotations
 import heapq
 import json
 import os
+import pickle
 import shutil
 import tempfile
 import time
@@ -78,7 +98,7 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import WorkerTimeoutError
 from ..obs import tracing
@@ -100,6 +120,7 @@ from .base import (
     record_cache_event,
     request_key,
 )
+from .batch import Cohort, dedupe_requests, partition_cohorts
 from .resilience import (
     FAIL,
     QUARANTINE,
@@ -111,14 +132,6 @@ from .resilience import (
 )
 
 log = get_logger("experiments.engine")
-
-
-def dedupe_requests(requests: Iterable[RunRequest]) -> List[RunRequest]:
-    """Unique requests by fingerprint, first occurrence order."""
-    unique: Dict[str, RunRequest] = {}
-    for request in requests:
-        unique.setdefault(request.fingerprint, request)
-    return list(unique.values())
 
 
 def _checkpoint_plan(request: RunRequest,
@@ -136,19 +149,56 @@ def _checkpoint_plan(request: RunRequest,
     )
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that a reader sees all of it or no
+    file at all, even if the writer dies midway."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+
+
 def _worker_execute(
-    request: RunRequest, obs: Optional[Dict[str, object]] = None,
+    spool: str, members: Sequence[RunRequest],
+    obs: Optional[Dict[str, object]] = None,
     ckpt: Optional[Dict[str, object]] = None,
-) -> Tuple[str, object, int, Optional[str]]:
-    """Process-pool entry point: compute one run, uncached, tagged with
-    the worker's PID for provenance.
+) -> None:
+    """Process-pool entry point: compute one cohort's runs, uncached and
+    in member order.
+
+    The first member generates the cohort's shared trace; the rest
+    reuse it from the worker-process trace memo. As each member
+    finishes, its outcome ``(worker PID, seconds since the task began,
+    (result | None, exception | None, sidecar path | None))`` is pickled
+    to the file ``<spool>.<index>``. The parent reads these while the
+    task still runs, to restart the watchdog for each member, and after
+    the task dies, to keep the members that had finished. A member that
+    raises does not stop the others: its exception is its outcome, for
+    the parent's :class:`RunSupervisor` to judge. An outcome that will
+    not pickle ends the task at that member, and the parent charges it.
+    """
+    start = time.monotonic()
+    for index, request in enumerate(members):
+        try:
+            result, sidecar = _execute_one(request, obs, ckpt)
+            outcome = (result, None, sidecar)
+        except Exception as exc:
+            outcome = (None, exc, None)
+        _write_atomic(Path(f"{spool}.{index}"), pickle.dumps(
+            (os.getpid(), time.monotonic() - start, outcome)))
+
+
+def _execute_one(
+    request: RunRequest, obs: Optional[Dict[str, object]],
+    ckpt: Optional[Dict[str, object]],
+) -> Tuple[object, Optional[str]]:
+    """One run inside a worker: ``(result, sidecar path)``.
 
     With an ``obs`` spec (``spool_dir`` / ``sample_interval`` /
     ``parent_span_id``) the run executes under a worker-local
     :class:`~repro.obs.Telemetry` whose snapshot is spooled to a
-    content-addressed sidecar file; the returned 4th element is its
-    path (``None`` when capture is off or spooling failed — sidecar
-    trouble must never fail the run).
+    content-addressed sidecar file (the path is ``None`` when capture
+    is off or spooling failed — sidecar trouble must never fail the
+    run).
 
     With a ``ckpt`` spec (``dir`` / ``every_writes``) the run
     checkpoints its state as it goes and — the resume half of the
@@ -158,9 +208,7 @@ def _worker_execute(
     maybe_inject("worker_run", key=request_key(request))
     plan = _checkpoint_plan(request, ckpt)
     if obs is None:
-        return (request.fingerprint,
-                execute_request(request, checkpoint=plan),
-                os.getpid(), None)
+        return execute_request(request, checkpoint=plan), None
 
     from ..obs.telemetry import Telemetry
 
@@ -184,7 +232,7 @@ def _worker_execute(
                                      checkpoint=plan)
     sidecar = _spool_sidecar(telemetry, fingerprint,
                              str(obs.get("spool_dir") or ""))
-    return fingerprint, result, os.getpid(), sidecar
+    return result, sidecar
 
 
 def _spool_sidecar(telemetry, fingerprint: str,
@@ -199,26 +247,63 @@ def _spool_sidecar(telemetry, fingerprint: str,
         directory = Path(spool_dir) / fingerprint[:2]
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{fingerprint}.obs.json"
-        tmp = directory / f".{fingerprint}.obs.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
+        _write_atomic(path, json.dumps(payload).encode("utf-8"))
         return str(path)
     except OSError:
         return None
 
 
-class _WorkerEnv:
-    """Per-plan worker context shared by the per-run executor and the
-    batched cohort tier (:mod:`repro.experiments.batch`): the active
-    disk cache and telemetry, the checkpoint spec shipped to workers,
-    the telemetry-sidecar spool directory, and the single delivery path
-    every completed run takes back into the caches and manifest.
+@dataclass
+class _Flight:
+    """One in-flight cohort task and how far its worker has got."""
 
-    Factoring this out of :class:`_PlanExecutor` is what makes batched
-    execution byte-identical on the parent side too — both tiers merge
-    worker results through literally the same :meth:`deliver` code."""
+    cohort: Cohort
+    attempt: int
+    spool: str                 # prefix of the task's outcome files
+    started: float             # monotonic submit time
+    isolated: bool = False     # running alone to identify a pool-killer
+    done: int = 0              # members accounted for, in member order
+    elapsed: float = 0.0       # worker seconds to the last outcome read
+    delivered: int = 0         # members whose result was published
 
-    def __init__(self) -> None:
+    @property
+    def running(self) -> Optional[RunRequest]:
+        """The member the worker is on (``None`` once all are done)."""
+        if self.done < self.cohort.size:
+            return self.cohort.members[self.done]
+        return None
+
+
+class _PlanSupervisor:
+    """Supervised execution of one plan's cohorts: pool ownership,
+    per-member deadlines, broken-pool recovery, one respawn budget, and
+    the single path every completed run takes back into the caches and
+    manifest."""
+
+    def __init__(self, cohorts: List[Cohort], n_workers: int,
+                 policy: RetryPolicy, summary: Dict[str, object]):
+        self.policy = policy
+        self.supervisor = RunSupervisor(policy)
+        self.summary = summary
+        self.n_workers = n_workers
+        #: Ready work: ``(cohort, attempt)`` in submission order.
+        self.work: Deque[Tuple[Cohort, int]] = deque(
+            (cohort, 1) for cohort in cohorts)
+        #: Runs to execute alone, one at a time: the members a broken
+        #: pool's workers were running when it died.
+        self.suspects: Deque[Tuple[Cohort, int]] = deque()
+        #: Backoff heap: ``(ready_at, seq, cohort, attempt, isolated)``.
+        self.delayed: List[Tuple[float, int, Cohort, int, bool]] = []
+        self._delay_seq = 0
+        self._tasks = 0
+        self.futures: Dict[Future, _Flight] = {}
+        self.pool: Optional[ProcessPoolExecutor] = None
+        self.respawns = 0
+        self.aborted = False
+        #: Outcome files of the plan's tasks (and worker telemetry
+        #: sidecars when there is no disk cache); removed after the plan.
+        self.scratch = tempfile.mkdtemp(prefix="repro-plan-")
+
         self.disk = active_disk_cache()
         self.telemetry = active_telemetry()
         # Checkpoint/resume: the process-wide setting is serialized into
@@ -237,19 +322,14 @@ class _WorkerEnv:
             }
         # Worker-side telemetry capture: sidecars land next to the disk
         # cache entries when there is a disk cache (content-addressed
-        # artifacts worth keeping), else in a temp spool removed after
-        # the plan.
-        self._spool_tmp: Optional[str] = None
+        # artifacts worth keeping), else in the plan's scratch directory.
         self.spool_dir: Optional[str] = None
         if (self.telemetry is not None
                 and getattr(self.telemetry, "capture_workers", False)):
-            if self.disk is not None:
-                self.spool_dir = str(self.disk.root)
-            else:
-                self._spool_tmp = tempfile.mkdtemp(prefix="repro-obs-")
-                self.spool_dir = self._spool_tmp
+            self.spool_dir = (str(self.disk.root) if self.disk is not None
+                              else self.scratch)
 
-    def obs_spec(self) -> Optional[Dict[str, object]]:
+    def _obs_spec(self) -> Optional[Dict[str, object]]:
         """The per-submission telemetry spec workers run under, or
         ``None`` when worker capture is off."""
         if self.spool_dir is None:
@@ -264,87 +344,11 @@ class _WorkerEnv:
                 context.span_id if context is not None else None,
         }
 
-    def deliver(self, request: RunRequest, result, worker_pid: int,
-                sidecar: Optional[str], summary: Dict[str, object]) -> None:
-        """Publish one worker-computed result: memory cache, disk cache,
-        manifest cache event, telemetry sidecar merge, summary count."""
-        key = request.fingerprint
-        _SIM_CACHE[key] = result
-        if self.disk is not None:
-            self.disk.put(key, result)
-        record_cache_event(request, "computed", worker=worker_pid,
-                           prefetch=True)
-        if self.telemetry is not None:
-            merged = False
-            if sidecar is not None:
-                try:
-                    payload = json.loads(Path(sidecar).read_text())
-                    self.telemetry.merge_worker_telemetry(payload,
-                                                          sidecar=sidecar)
-                    merged = True
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    log.warning("discarding unreadable worker telemetry "
-                                "sidecar %s (%s: %s)", sidecar,
-                                type(exc).__name__, exc)
-            if not merged:
-                self.telemetry.record_external_run(result, worker=worker_pid)
-        summary["computed"] += 1
-
-    def cleanup(self) -> None:
-        if self._spool_tmp is not None:
-            shutil.rmtree(self._spool_tmp, ignore_errors=True)
-            self._spool_tmp = None
-
-
-@dataclass
-class _Flight:
-    """One in-flight submission."""
-
-    request: RunRequest
-    attempt: int
-    deadline: Optional[float]  # monotonic seconds, None = no watchdog
-    isolated: bool = False     # running alone to identify a pool-killer
-
-
-class _PlanExecutor:
-    """Supervised execution of one deduplicated, cache-missing run set."""
-
-    def __init__(self, pending: List[RunRequest], jobs: int,
-                 window: int, policy: RetryPolicy, summary: Dict[str, object],
-                 env: Optional[_WorkerEnv] = None):
-        self.policy = policy
-        self.supervisor = RunSupervisor(policy)
-        self.summary = summary
-        self.n_workers = min(jobs, len(pending))
-        self.window = window
-        #: Ready work: ``(request, attempt)`` in submission order.
-        self.work: Deque[Tuple[RunRequest, int]] = deque(
-            (request, 1) for request in pending)
-        #: Runs to execute one-at-a-time (pool-break culprits unknown).
-        self.suspects: Deque[Tuple[RunRequest, int]] = deque()
-        #: Backoff heap: ``(ready_at, seq, request, attempt, isolated)``.
-        self.delayed: List[Tuple[float, int, RunRequest, int, bool]] = []
-        self._delay_seq = 0
-        self.futures: Dict[Future, _Flight] = {}
-        self.pool: Optional[ProcessPoolExecutor] = None
-        self.respawns = 0
-        self.aborted = False
-        self.env = env if env is not None else _WorkerEnv()
-        self._owns_env = env is None
-
-    @property
-    def telemetry(self):
-        return self.env.telemetry
-
-    @property
-    def ckpt_store(self) -> Optional[CheckpointStore]:
-        return self.env.ckpt_store
-
     # -- scheduling ----------------------------------------------------
 
     def run(self) -> None:
-        self._ensure_pool()
         try:
+            self._ensure_pool()
             while not self.aborted and (self.futures or self.work
                                         or self.delayed or self.suspects):
                 self._promote_delayed()
@@ -368,24 +372,23 @@ class _PlanExecutor:
                 self._check_deadlines()
         except KeyboardInterrupt:
             self.summary["interrupted"] = True
-            log.warning("interrupted: abandoning %d in-flight run(s), "
+            log.warning("interrupted: abandoning %d in-flight cohort(s), "
                         "%d completed result(s) kept",
                         len(self.futures), self.summary["computed"])
             self._teardown_pool(terminate=True)
             raise
         finally:
             self._teardown_pool()
-            if self._owns_env:
-                self.env.cleanup()
+            shutil.rmtree(self.scratch, ignore_errors=True)
 
     def _promote_delayed(self) -> None:
         now = time.monotonic()
         while self.delayed and self.delayed[0][0] <= now:
-            _, _, request, attempt, isolated = heapq.heappop(self.delayed)
+            _, _, cohort, attempt, isolated = heapq.heappop(self.delayed)
             if isolated:
-                self.suspects.append((request, attempt))
+                self.suspects.append((cohort, attempt))
             else:
-                self.work.append((request, attempt))
+                self.work.append((cohort, attempt))
 
     def _fill(self) -> None:
         if self.pool is None:
@@ -394,32 +397,43 @@ class _PlanExecutor:
             # Isolation mode: one submission at a time until the
             # suspect queue (and anything it respawns) drains.
             if not self.futures:
-                request, attempt = self.suspects.popleft()
-                self._submit(request, attempt, isolated=True)
+                cohort, attempt = self.suspects.popleft()
+                self._submit(cohort, attempt, isolated=True)
             return
-        while self.work and len(self.futures) < self.window:
-            request, attempt = self.work.popleft()
-            self._submit(request, attempt)
+        # One cohort per worker: a submitted cohort starts at once, so
+        # its deadline never counts time spent queued behind another.
+        while self.work and len(self.futures) < self.n_workers:
+            cohort, attempt = self.work.popleft()
+            self._submit(cohort, attempt)
 
-    def _submit(self, request: RunRequest, attempt: int,
+    def _submit(self, cohort: Cohort, attempt: int,
                 isolated: bool = False) -> None:
-        deadline = None
-        if self.policy.run_timeout_s is not None:
-            deadline = time.monotonic() + self.policy.run_timeout_s
-        future = self.pool.submit(_worker_execute, request,
-                                  self.env.obs_spec(), self.env.ckpt_spec)
-        self.futures[future] = _Flight(request, attempt, deadline, isolated)
+        self._tasks += 1
+        spool = os.path.join(self.scratch, str(self._tasks))
+        future = self.pool.submit(_worker_execute, spool, cohort.members,
+                                  self._obs_spec(), self.ckpt_spec)
+        self.futures[future] = _Flight(cohort, attempt, spool,
+                                       time.monotonic(), isolated)
 
-    def _defer(self, request: RunRequest, attempt: int, delay: float,
+    def _defer(self, cohort: Cohort, attempt: int, delay: float,
                isolated: bool) -> None:
         self._delay_seq += 1
         heapq.heappush(self.delayed, (time.monotonic() + delay,
-                                      self._delay_seq, request, attempt,
+                                      self._delay_seq, cohort, attempt,
                                       isolated))
 
+    def _deadline(self, flight: _Flight) -> Optional[float]:
+        """When the member ``flight``'s worker is running overruns its
+        wall-clock budget: the budget restarts as each member finishes."""
+        if self.policy.run_timeout_s is None:
+            return None
+        return flight.started + flight.elapsed + self.policy.run_timeout_s
+
     def _wait_timeout(self) -> Optional[float]:
-        candidates = [flight.deadline for flight in self.futures.values()
-                      if flight.deadline is not None]
+        candidates = [self._deadline(flight)
+                      for flight in self.futures.values()]
+        candidates = [deadline for deadline in candidates
+                      if deadline is not None]
         if self.delayed:
             candidates.append(self.delayed[0][0])
         if not candidates:
@@ -433,31 +447,75 @@ class _PlanExecutor:
 
     # -- completion and failure handling -------------------------------
 
-    def _collect(self, done: Iterable[Future]) -> None:
-        broken: Optional[BaseException] = None
-        casualties: List[_Flight] = []
-        for future in done:
-            flight = self.futures.pop(future, None)
-            if flight is None:
-                continue
+    def _poll(self, flight: _Flight) -> None:
+        """Take, in member order, the outcomes ``flight``'s worker has
+        written since the last poll: each result is published, each
+        member's exception goes to the supervisor."""
+        while flight.running is not None:
+            path = Path(f"{flight.spool}.{flight.done}")
             try:
-                _key, result, worker_pid, sidecar = future.result()
-            except BrokenProcessPool as exc:
-                broken = broken or exc
-                casualties.append(flight)
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:  # worker raised: pool is fine
-                self._handle_failure(flight, exc)
+                data = path.read_bytes()
+            except FileNotFoundError:
+                return
+            path.unlink()
+            request = flight.running
+            flight.done += 1
+            try:
+                pid, flight.elapsed, (result, exc, sidecar) = \
+                    pickle.loads(data)
+            except Exception as error:  # an outcome that won't unpickle
+                exc = error
+            if exc is None:
+                self._publish(request, result, pid, sidecar)
+                flight.delivered += 1
             else:
-                self._deliver(flight, result, worker_pid, sidecar)
-        if broken is not None:
-            self._pool_broken(casualties, broken)
+                self._handle_failure(flight, request, exc)
 
-    def _deliver(self, flight: _Flight, result, worker_pid: int,
-                 sidecar: Optional[str] = None) -> None:
-        self.env.deliver(flight.request, result, worker_pid, sidecar,
-                         self.summary)
+    def _collect(self, done: Iterable[Future]) -> None:
+        errors = {future: future.exception() for future in done}
+        for exc in errors.values():
+            if isinstance(exc, KeyboardInterrupt):
+                raise exc
+            if isinstance(exc, BrokenProcessPool):
+                self._pool_broken(exc)
+                return
+        for future, exc in errors.items():
+            flight = self.futures.pop(future)
+            self._poll(flight)
+            if flight.running is None:
+                self._retire(flight)
+                continue
+            # The task ended at a member whose outcome it could not
+            # write (one that would not pickle, say); the pool is fine.
+            exc = exc or RuntimeError("worker wrote no outcome")
+            self._charge(flight, exc)
+            self._retire(flight, f"{type(exc).__name__}: {exc}")
+
+    def _publish(self, request: RunRequest, result, worker_pid: int,
+                 sidecar: Optional[str]) -> None:
+        """Deliver one run's result to the memory cache, disk cache,
+        manifest and telemetry."""
+        key = request.fingerprint
+        _SIM_CACHE[key] = result
+        if self.disk is not None:
+            self.disk.put(key, result)
+        record_cache_event(request, "computed", worker=worker_pid,
+                           prefetch=True)
+        if self.telemetry is not None:
+            merged = False
+            if sidecar is not None:
+                try:
+                    payload = json.loads(Path(sidecar).read_text())
+                    self.telemetry.merge_worker_telemetry(payload,
+                                                          sidecar=sidecar)
+                    merged = True
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    log.warning("discarding unreadable worker telemetry "
+                                "sidecar %s (%s: %s)", sidecar,
+                                type(exc).__name__, exc)
+            if not merged:
+                self.telemetry.record_external_run(result, worker=worker_pid)
+        self.summary["computed"] += 1
 
     def _checkpoint_progress(self, request: RunRequest) -> Optional[int]:
         """Writes completed by the run's newest capsule, or ``None``.
@@ -472,12 +530,20 @@ class _PlanExecutor:
         writes_done = meta.get("writes_done")
         return int(writes_done) if isinstance(writes_done, int) else None
 
-    def _handle_failure(self, flight: _Flight, exc: BaseException) -> None:
+    def _charge(self, flight: _Flight, exc: BaseException) -> None:
+        """Charge the member ``flight``'s worker was running with
+        ``exc``."""
+        request = flight.running
+        flight.done += 1
+        self._handle_failure(flight, request, exc)
+
+    def _handle_failure(self, flight: _Flight, request: RunRequest,
+                        exc: BaseException) -> None:
+        """Judge one failed attempt of ``request``; a retry runs it as
+        a cohort of one."""
         verdict, delay = self.supervisor.on_failure(
-            flight.request, exc,
-            progress=self._checkpoint_progress(flight.request),
+            request, exc, progress=self._checkpoint_progress(request),
         )
-        request = flight.request
         if verdict == RETRY:
             self.summary["retried"] += 1
             attempt = flight.attempt + 1
@@ -491,7 +557,8 @@ class _PlanExecutor:
                     attempt=attempt, delay_s=delay,
                     error_type=type(exc).__name__,
                 )
-            self._defer(request, attempt, delay, flight.isolated)
+            self._defer(Cohort(flight.cohort.key, (request,)), attempt,
+                        delay, flight.isolated)
             return
         self._record_terminal(self.supervisor.failures[-1])
 
@@ -514,6 +581,30 @@ class _PlanExecutor:
         if self.telemetry is not None:
             self.telemetry.record_run_failure(failure.as_record())
 
+    def _retire(self, flight: _Flight, reason: Optional[str] = None) -> None:
+        """Close a cohort task. Members it never reached requeue as one
+        cohort, without an attempt charge. The task is recorded as
+        ``executed`` when its worker wrote every outcome, else as
+        ``dissolved`` for ``reason``."""
+        cohort = flight.cohort
+        rest = cohort.members[flight.done:]
+        if rest:
+            self.work.appendleft((Cohort(cohort.key, rest), flight.attempt))
+        if reason is None:
+            self.summary["batch_cohorts"] += 1
+        elif cohort.size == 1:
+            return
+        else:
+            log.warning("cohort %s (%d runs) cut short (%s): %d run(s) "
+                        "delivered, %d requeued", cohort.key[:12],
+                        cohort.size, reason, flight.delivered, len(rest))
+        if self.telemetry is not None:
+            self.telemetry.record_batch_cohort(
+                action="executed" if reason is None else "dissolved",
+                key=cohort.key, size=cohort.size,
+                delivered=flight.delivered, detail=reason,
+            )
+
     # -- pool lifecycle ------------------------------------------------
 
     def _ensure_pool(self) -> None:
@@ -532,121 +623,113 @@ class _PlanExecutor:
         pool.shutdown(wait=not terminate, cancel_futures=True)
         if terminate:
             for proc in procs:
-                self._terminate(proc)
+                try:
+                    proc.terminate()
+                except Exception:
+                    pass
 
-    @staticmethod
-    def _terminate(proc) -> None:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-
-    def _pool_broken(self, casualties: List[_Flight],
-                     exc: BaseException) -> None:
-        """The pool died under us. Requeue every in-flight run; if there
-        was exactly one, the culprit is proven and charged."""
-        victims: List[_Flight] = list(casualties)
-        for future, flight in list(self.futures.items()):
-            del self.futures[future]
-            if future.done() and future.exception() is None:
-                _key, result, worker_pid, sidecar = future.result()
-                self._deliver(flight, result, worker_pid, sidecar)
+    def _abandon_pool(self) -> List[_Flight]:
+        """Terminate the pool's workers, take every outcome they wrote,
+        and retire the tasks that wrote all of theirs. Returns the
+        unfinished flights."""
+        flights = list(self.futures.values())
+        self.futures.clear()
+        self._teardown_pool(terminate=True)
+        unfinished: List[_Flight] = []
+        for flight in flights:
+            self._poll(flight)
+            if flight.running is None:
+                self._retire(flight)
             else:
-                victims.append(flight)
-        self._respawn(victims, exc, reason="broken_pool", isolate=True)
+                unfinished.append(flight)
+        return unfinished
+
+    def _pool_broken(self, exc: BaseException) -> None:
+        """The pool died under us. The members its workers were running
+        are the suspects: a lone suspect is a proven culprit and is
+        charged, several each rerun alone without an attempt charge."""
+        unfinished = self._abandon_pool()
+        if not self._respawn("broken_pool", exc, unfinished):
+            return
+        for flight in unfinished:
+            if len(unfinished) == 1:
+                flight.isolated = True
+                self._charge(flight, exc)
+            else:
+                self.suspects.append((
+                    Cohort(flight.cohort.key, (flight.running,)),
+                    flight.attempt))
+                flight.done += 1
+            self._retire(flight, "broken_pool")
 
     def _check_deadlines(self) -> None:
         if self.policy.run_timeout_s is None or not self.futures:
             return
         now = time.monotonic()
-        expired: List[_Flight] = []
-        for future, flight in list(self.futures.items()):
-            if flight.deadline is None or now < flight.deadline:
+        expired: List[Tuple[_Flight, int]] = []
+        for future, flight in self.futures.items():
+            if future.done() or now < self._deadline(flight):
                 continue
-            if future.done():
-                continue  # finished between wait() and here; next loop
-            del self.futures[future]
-            expired.append(flight)
+            self._poll(flight)  # the worker may have moved on since
+            if flight.running is not None and now >= self._deadline(flight):
+                expired.append((flight, flight.done))
         if not expired:
             return
-        # A worker is stuck mid-run. There is no portable way to kill a
-        # single pool worker, so the whole pool is abandoned: innocent
-        # in-flight runs requeue without an attempt charge, the hung
-        # run(s) are charged a WorkerTimeoutError.
-        self.summary["timeouts"] += len(expired)
-        innocents: List[_Flight] = []
-        for future, flight in list(self.futures.items()):
-            del self.futures[future]
-            if future.done() and future.exception() is None:
-                _key, result, worker_pid, sidecar = future.result()
-                self._deliver(flight, result, worker_pid, sidecar)
-            else:
-                innocents.append(flight)
-        self._teardown_pool(terminate=True)
-        for flight in expired:
-            self._handle_failure(flight, WorkerTimeoutError(
-                f"no result within the {self.policy.run_timeout_s:.1f}s "
-                f"wall-clock budget; worker abandoned"
-            ))
-        self._respawn(innocents, None, reason="watchdog_timeout",
-                      isolate=False)
+        # A worker is stuck on one member. There is no portable way to
+        # kill a single pool worker, so the whole pool is abandoned: the
+        # stuck member is charged a WorkerTimeoutError, and every other
+        # unfinished member requeues without an attempt charge.
+        unfinished = self._abandon_pool()
+        for flight, index in expired:
+            if flight.done == index:  # still on the member that overran
+                self.summary["timeouts"] += 1
+                self._charge(flight, WorkerTimeoutError(
+                    f"no result within the {self.policy.run_timeout_s:.1f}s"
+                    f" wall-clock budget; worker abandoned"))
+        if self._respawn("watchdog_timeout", None, unfinished):
+            for flight in unfinished:
+                self._retire(flight, "watchdog_timeout")
 
-    def _respawn(self, victims: List[_Flight],
-                 exc: Optional[BaseException], reason: str,
-                 isolate: bool) -> None:
-        """Rebuild the pool within the respawn budget and requeue
-        ``victims``; past the budget, everything outstanding fails."""
-        self._teardown_pool(terminate=True)
+    def _respawn(self, reason: str, exc: Optional[BaseException],
+                 victims: List[_Flight]) -> bool:
+        """Rebuild the pool within the plan's respawn budget. Past it,
+        every outstanding run fails — the unfinished members of
+        ``victims`` and everything queued — and the plan aborts."""
         self.respawns += 1
         self.summary["pool_respawns"] += 1
+        requeued = sum(flight.cohort.size - flight.done
+                       for flight in victims)
         if self.respawns > self.policy.max_pool_respawns:
+            outstanding = (
+                [(flight.cohort.members[flight.done:], flight.attempt + 1)
+                 for flight in victims]
+                + [(cohort.members, attempt)
+                   for cohort, attempt in (*self.work, *self.suspects)]
+                + [(cohort.members, attempt)
+                   for _, _, cohort, attempt, _ in self.delayed])
             log.error("pool respawn budget exhausted (%d); failing %d "
                       "outstanding run(s)", self.policy.max_pool_respawns,
-                      len(victims) + len(self.work) + len(self.suspects)
-                      + len(self.delayed))
+                      sum(len(members) for members, _ in outstanding))
             note = (f"pool respawn budget ({self.policy.max_pool_respawns}) "
                     f"exhausted during {reason}")
-            for flight in victims:
-                self._force_fail(flight.request, flight.attempt + 1, note)
-            for request, attempt in list(self.work):
-                self._force_fail(request, attempt, note)
-            for request, attempt in list(self.suspects):
-                self._force_fail(request, attempt, note)
-            for _, _, request, attempt, _ in self.delayed:
-                self._force_fail(request, attempt, note)
+            for members, attempts in outstanding:
+                for request in members:
+                    self._force_fail(request, attempts, note)
             self.work.clear()
             self.suspects.clear()
             self.delayed.clear()
             self.aborted = True
-            return
+            return False
+        log.warning("pool respawn %d/%d (%s): %d unfinished run(s) "
+                    "requeued", self.respawns, self.policy.max_pool_respawns,
+                    reason, requeued)
         if self.telemetry is not None:
             self.telemetry.record_pool_respawn(
-                respawns=self.respawns, reason=reason,
-                requeued=len(victims),
+                respawns=self.respawns, reason=reason, requeued=requeued,
                 error=str(exc) if exc is not None else None,
             )
-        if exc is not None and len(victims) == 1:
-            # The broken pool held exactly one run — a proven culprit.
-            flight = victims[0]
-            flight.isolated = True
-            self._handle_failure(flight, exc)
-        elif isolate:
-            # Culprit unknown: rerun all victims one at a time so the
-            # next break identifies it. No attempt charge.
-            log.warning("pool respawn %d/%d (%s): requeuing %d in-flight "
-                        "run(s) for isolated execution", self.respawns,
-                        self.policy.max_pool_respawns, reason, len(victims))
-            for flight in victims:
-                self.suspects.append((flight.request, flight.attempt))
-        else:
-            # Bystanders of a hung-worker teardown: the hung run was
-            # already charged, so these rejoin the normal queue.
-            log.warning("pool respawn %d/%d (%s): requeuing %d innocent "
-                        "in-flight run(s)", self.respawns,
-                        self.policy.max_pool_respawns, reason, len(victims))
-            for flight in victims:
-                self.work.appendleft((flight.request, flight.attempt))
         self._ensure_pool()
+        return True
 
     def _force_fail(self, request: RunRequest, attempts: int,
                     note: str) -> None:
@@ -664,21 +747,21 @@ class _PlanExecutor:
         self._record_terminal(failure)
 
 
-#: Accepted values for ``execute_plan(batching=...)``: ``off`` keeps
-#: the per-run tier only, ``auto`` batches cohorts of two or more runs
-#: (singletons gain nothing from batching), ``force`` batches every
-#: cohort, including singletons.
-BATCHING_MODES = ("off", "auto", "force")
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def execute_plan(
     requests: Iterable[RunRequest],
     jobs: int = 1,
     *,
-    max_pending: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
     force: bool = False,
-    batching: str = "off",
 ) -> Dict[str, object]:
     """Warm the run caches for ``requests`` using ``jobs`` workers.
 
@@ -687,8 +770,9 @@ def execute_plan(
     ``computed`` results, plus the supervision counters — ``failed``,
     ``retried``, ``quarantined``, ``timeouts``, ``pool_respawns`` — and
     a ``failures`` list (one record per terminal failure, mirroring the
-    manifest's ``run_failure`` records). Failed runs never unwind the
-    plan; they are recorded here, registered with
+    manifest's ``run_failure`` records). ``batch_cohorts`` counts the
+    cohort tasks that finished on a worker. Failed runs never unwind
+    the plan; they are recorded here, registered with
     :func:`~repro.experiments.base.mark_run_failed`, and surface as
     :class:`~repro.errors.RunFailedError` if an experiment needs them.
 
@@ -700,26 +784,10 @@ def execute_plan(
     supervision (retries, watchdog, crash containment) regardless of
     parallelism.
 
-    ``batching`` engages the cohort tier (:mod:`repro.experiments.
-    batch`): structurally-identical runs execute together on one worker
-    so the expensive trace-generation pass is paid once per cohort
-    instead of once per run. ``auto`` batches cohorts of ≥ 2 runs,
-    ``force`` batches everything, ``off`` (the default) keeps today's
-    per-run execution. Results are byte-identical either way; a
-    batching mode other than ``off`` implies ``force`` (an explicit
-    batching request executes the plan even at ``jobs=1``). Cohort
-    supervision counters land in the summary as ``batch_cohorts`` /
-    ``batch_runs`` / ``batch_bisections`` / ``batch_fallbacks``.
-
     ``KeyboardInterrupt`` propagates after the pool is torn down and
     ``summary["interrupted"]`` is set — every already-computed result
     stays in the caches.
     """
-    if batching not in BATCHING_MODES:
-        raise ValueError(
-            f"unknown batching mode {batching!r}; choose from "
-            f"{BATCHING_MODES}"
-        )
     planned = list(requests)
     unique = dedupe_requests(planned)
     summary: Dict[str, object] = {
@@ -734,9 +802,6 @@ def execute_plan(
         "timeouts": 0,
         "pool_respawns": 0,
         "batch_cohorts": 0,
-        "batch_runs": 0,
-        "batch_bisections": 0,
-        "batch_fallbacks": 0,
         "interrupted": False,
         "failures": [],
     }
@@ -759,45 +824,26 @@ def execute_plan(
                 continue
         pending.append(request)
 
-    if not pending or (jobs <= 1 and not force and batching == "off"):
+    if not pending or (jobs <= 1 and not force):
         return summary
 
-    jobs = max(jobs, 1)
-    policy = policy or RetryPolicy()
-    env = _WorkerEnv()
-    n_workers = min(jobs, len(pending))
-    log.debug("prefetching %d runs on %d workers (%d memory hits, "
-              "%d disk hits, batching=%s)", len(pending), n_workers,
-              summary["memory"], summary["disk"], batching)
-
-    def _execute(pending: List[RunRequest]) -> None:
-        if batching != "off":
-            from .batch import run_batched
-
-            pending = run_batched(pending, jobs=jobs, policy=policy,
-                                  summary=summary, mode=batching, env=env)
-        if not pending:
-            return
-        # Bound the submission queue so a huge plan doesn't hold every
-        # pickled config in flight at once.
-        window = (max_pending if max_pending is not None
-                  else 4 * min(jobs, len(pending)))
-        _PlanExecutor(pending, jobs, window, policy, summary,
-                      env=env).run()
-
-    telemetry = env.telemetry
-    try:
-        if telemetry is not None:
-            with telemetry.tracer.span(
-                "plan.execute",
-                attrs={"pending": len(pending), "unique": len(unique),
-                       "jobs": n_workers, "batching": batching},
-            ):
-                _execute(pending)
-        else:
-            _execute(pending)
-    finally:
-        env.cleanup()
+    n_workers = min(max(jobs, 1), len(pending))
+    cohorts = partition_cohorts(pending, min(n_workers, _usable_cpus()))
+    n_workers = min(n_workers, len(cohorts))  # no worker without a cohort
+    log.debug("prefetching %d runs as %d cohort(s) on %d workers "
+              "(%d memory hits, %d disk hits)", len(pending), len(cohorts),
+              n_workers, summary["memory"], summary["disk"])
+    plan = _PlanSupervisor(cohorts, n_workers, policy or RetryPolicy(),
+                           summary)
+    if plan.telemetry is None:
+        plan.run()
+    else:
+        with plan.telemetry.tracer.span(
+            "plan.execute",
+            attrs={"pending": len(pending), "unique": len(unique),
+                   "jobs": n_workers, "cohorts": len(cohorts)},
+        ):
+            plan.run()
     return summary
 
 
@@ -806,7 +852,6 @@ def plan_outcomes(
     jobs: int = 1,
     *,
     policy: Optional[RetryPolicy] = None,
-    batching: str = "off",
     summary_out: Optional[Dict[str, object]] = None,
 ) -> Dict[str, Tuple[object, str]]:
     """Execute ``requests`` under full supervision and report each
@@ -823,10 +868,9 @@ def plan_outcomes(
     service request is the same thing), or ``failed`` with the terminal
     failure message as the result.
 
-    ``batching`` is forwarded to :func:`execute_plan`; with a
-    ``summary_out`` dict the plan summary (including the
-    ``batch_*`` supervision counters) is copied into it so callers like
-    the service gateway can export them as metrics.
+    With a ``summary_out`` dict the plan summary is copied into it so
+    callers like the service gateway can export its counters as
+    metrics.
     """
     requests = list(requests)
     disk = active_disk_cache()
@@ -835,8 +879,7 @@ def plan_outcomes(
         for request in requests
         if disk is not None and request.fingerprint in disk
     }
-    summary = execute_plan(requests, jobs=jobs, policy=policy, force=True,
-                           batching=batching)
+    summary = execute_plan(requests, jobs=jobs, policy=policy, force=True)
     if summary_out is not None:
         summary_out.update(summary)
     failures = failed_runs()

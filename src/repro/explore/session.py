@@ -3,7 +3,7 @@
 An :class:`ExploreSession` turns a ``(space, strategy, budget, seed)``
 tuple into a stream of ordinary fingerprinted runs: each probed point
 lowers to a ``RunRequest``, so it inherits the SimCache, the engine's
-resilience/batching, telemetry and service coverage unchanged. The
+resilience and cohorts, telemetry and service coverage unchanged. The
 session's own state is a **journal** — one JSON line per evaluated
 point (mirroring the manifest v9 ``explore_point`` record) in a file
 named by the deterministic session id — so a killed exploration
@@ -35,7 +35,7 @@ from ..experiments.base import (
     active_telemetry,
     fetch,
 )
-from ..experiments.engine import BATCHING_MODES, dedupe_requests, execute_plan
+from ..experiments.engine import dedupe_requests, execute_plan
 from ..testing.faults import maybe_inject
 from ..util.seeds import derive_key
 from .pareto import DEFAULT_OBJECTIVES, extract_objectives, pareto_frontier
@@ -58,7 +58,6 @@ class ExploreSettings:
     scheme: str = "fpb"
     scale: RunScale = QUICK
     jobs: int = 1
-    batching: str = "off"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -69,11 +68,6 @@ class ExploreSettings:
         if self.budget_points < 1:
             raise ExploreError(
                 f"budget_points must be >= 1, got {self.budget_points}"
-            )
-        if self.batching not in BATCHING_MODES:
-            raise ExploreError(
-                f"batching must be one of {list(BATCHING_MODES)}, got "
-                f"{self.batching!r}"
             )
         if self.jobs < 1:
             raise ExploreError(f"jobs must be >= 1, got {self.jobs}")
@@ -357,12 +351,11 @@ class ExploreSession:
             if entry[2] is not None
             and entry[2].fingerprint not in restored
         )
-        if pending and (settings.jobs > 1 or settings.batching != "off"):
+        if pending and settings.jobs > 1:
             # Warm the caches through the supervised engine (pool
-            # parallelism and/or structure-sharing batch cohorts); the
-            # serial loop below then resolves every point as a hit.
-            execute_plan(pending, settings.jobs, policy=self.policy,
-                         batching=settings.batching)
+            # parallelism over structure-sharing cohorts); the serial
+            # loop below then resolves every point as a hit.
+            execute_plan(pending, settings.jobs, policy=self.policy)
 
         records: List[_PointRecord] = []
         disk = active_disk_cache()

@@ -105,7 +105,11 @@ from typing import Dict, Iterable, List, Optional, Union
 #: vector or error) and ``explore_frontier`` (one Pareto-frontier
 #: snapshot per generation: session id, generation, size, member run
 #: fingerprints) — see :mod:`repro.explore` and docs/exploration.md.
-MANIFEST_SCHEMA_VERSION = 9
+#: v10: one plan supervisor over cohorts — ``batch_cohort`` actions are
+#: ``executed`` and ``dissolved`` (``bisect``/``fallback`` are gone),
+#: and ``plan_summary`` keeps ``batch_cohorts`` but drops
+#: ``batch_runs``, ``batch_bisections`` and ``batch_fallbacks``.
+MANIFEST_SCHEMA_VERSION = 10
 
 
 def _jsonable(value):

@@ -397,12 +397,13 @@ class Telemetry:
     def record_batch_cohort(self, *, action: str, key: str, size: int,
                             delivered: Optional[int] = None,
                             detail: Optional[str] = None) -> None:
-        """Record one batched-execution cohort event (manifest
-        ``batch_cohort`` record, schema v8). ``action`` is ``executed``
-        (the cohort ran on one worker; ``delivered`` of ``size`` runs
-        produced results), ``bisect`` (the cohort's worker died or hung,
-        so it was split in half for retry) or ``fallback`` (its runs
-        were handed back to the per-run execution tier)."""
+        """Record one cohort task of plan execution (manifest
+        ``batch_cohort`` record, schema v10). ``action`` is ``executed``
+        (the worker wrote every member's outcome; ``delivered`` of
+        ``size`` runs produced results) or ``dissolved`` (a task of
+        several runs was cut short — its worker died, hung or failed —
+        so its finished members were kept and the rest requeued;
+        ``detail`` names the reason)."""
         self.resilience_events.append({
             "type": "batch_cohort",
             "action": action,

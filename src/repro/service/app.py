@@ -71,11 +71,7 @@ from ..experiments.base import (
     active_checkpoints,
     cache_get,
 )
-from ..experiments.engine import (
-    BATCHING_MODES,
-    dedupe_requests,
-    plan_outcomes,
-)
+from ..experiments.engine import dedupe_requests, plan_outcomes
 from ..experiments.registry import describe_experiments, get_experiment
 from ..experiments.resilience import RetryPolicy
 from ..obs.logging import get_logger, log_context
@@ -188,7 +184,6 @@ class Gateway:
                  drain_timeout_s: float = 30.0,
                  watch_tick_s: float = 0.5,
                  replicas: int = 0,
-                 batching: str = "off",
                  fleet: Optional[FleetConfig] = None,
                  telemetry=None, manifest_path=None, cache=None,
                  registry: Optional[MetricsRegistry] = None):
@@ -197,15 +192,6 @@ class Gateway:
         self.jobs = max(1, jobs)
         self.batch_max = max(1, batch_max)
         self.memory_cache_limit = memory_cache_limit
-        #: Cohort batching mode for in-process dispatches (``serve
-        #: --batching``): coalesced cold misses that share simulation
-        #: structure execute together (see docs/performance.md).
-        if batching not in BATCHING_MODES:
-            raise ValueError(
-                f"unknown batching mode {batching!r}; choose from "
-                f"{BATCHING_MODES}"
-            )
-        self.batching = batching
         self.policy = policy or RetryPolicy()
         self.drain_timeout_s = drain_timeout_s
         self.watch_tick_s = watch_tick_s
@@ -278,17 +264,7 @@ class Gateway:
             "service_batches", "engine dispatch batches")
         self._c_batch_cohorts = reg.counter(
             "service_batch_cohorts",
-            "structure-sharing cohorts executed by the batched tier")
-        self._c_batch_runs = reg.counter(
-            "service_batch_runs",
-            "runs computed inside batched cohorts")
-        self._c_batch_bisections = reg.counter(
-            "service_batch_bisections",
-            "failing cohorts split in half to isolate a culprit run")
-        self._c_batch_fallbacks = reg.counter(
-            "service_batch_fallbacks",
-            "runs handed back from the batched tier to per-run "
-            "execution")
+            "structure-sharing cohorts executed by the engine")
         self._c_ewma_rejected = reg.counter(
             "service_ewma_rejected_samples",
             "non-positive service-time samples refused by the "
@@ -614,22 +590,13 @@ class Gateway:
         supervised engine over the batch and report each fingerprint's
         outcome as ``(result, source)`` or ``(error message,
         "failed")`` (:func:`repro.experiments.engine.plan_outcomes` —
-        the same code path fleet replicas run on their side). Under
-        ``--batching`` the plan's structure-sharing runs execute as
-        cohorts; the cohort-supervision counts surface as
-        ``service_batch_*`` counters."""
+        the same code path fleet replicas run on their side). The
+        plan's structure-sharing runs execute as cohorts, counted by
+        ``service_batch_cohorts``."""
         summary: Dict[str, object] = {}
         outcomes = plan_outcomes(requests, jobs=self.jobs,
-                                 policy=self.policy,
-                                 batching=self.batching,
-                                 summary_out=summary)
-        if summary:
-            self._c_batch_cohorts.inc(int(summary.get("batch_cohorts", 0)))
-            self._c_batch_runs.inc(int(summary.get("batch_runs", 0)))
-            self._c_batch_bisections.inc(
-                int(summary.get("batch_bisections", 0)))
-            self._c_batch_fallbacks.inc(
-                int(summary.get("batch_fallbacks", 0)))
+                                 policy=self.policy, summary_out=summary)
+        self._c_batch_cohorts.inc(int(summary.get("batch_cohorts", 0)))
         return outcomes
 
     async def _execute_batch_fleet(self, requests: List[RunRequest]

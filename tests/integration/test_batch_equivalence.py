@@ -1,25 +1,21 @@
-"""Differential-equivalence harness for batched plan execution.
+"""Differential-equivalence harness for cohort plan execution.
 
-The batched tier's entire correctness claim is *indistinguishable from
-serial*: grouping a plan into structure-sharing cohorts and executing
-each in one worker pass must change throughput only — never a byte of
-any result. These tests drive the claim end to end:
+The engine's cohorts must be *indistinguishable from serial*: grouping
+a plan into structure-sharing cohorts and executing each in one worker
+pass must change throughput only — never a byte of any result. These
+tests drive the claim end to end:
 
 * **Full-registry sweep**: the union of every registered experiment's
-  plan, on both kernels, executed serial / pooled (per-run engine) /
-  batched — asserting byte-identical ``SimResult``s and identical
-  golden ``result_fingerprint``s across all three.
-* **Partition accounting**: ``auto`` declines singleton cohorts but
-  batches multi-run ones; ``force`` batches everything; the summary's
-  ``batch_*`` counters account for exactly the runs batched.
-* **Chaos**: a fault-injected crash inside a cohort bisects down to
-  the culprit run, hands it to the per-run tier (where supervision
-  charges it a terminal failure), and every innocent run in the plan
-  still completes byte-identically.
+  plan, on both kernels, executed serial and pooled — asserting
+  byte-identical ``SimResult``s and identical golden
+  ``result_fingerprint``s.
+* **Chaos**: a fault-injected crash inside a cohort dissolves it into
+  runs executed alone, the culprit is charged a terminal failure, and
+  every innocent run in the plan still completes byte-identically.
 
-Scale is micro (30 writes) so the three-way sweep stays tier-1 cheap;
-the full 224-run quick-scale corpus gets the same treatment in CI via
-``golden --check --batching force``.
+Scale is micro (30 writes) so the sweep stays tier-1 cheap; the full
+224-run quick-scale corpus gets the same treatment in CI via
+``golden --check --jobs 2``.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from ..conftest import make_tiny_config
 
 #: Tiny runs: the equivalence claim is structural, not scale-dependent.
 MICRO = RunScale("micro", 30, 8_000, ("tig_m",))
-MICRO_MULTI = RunScale("micro", 30, 8_000, ("tig_m", "mcf_m"))
 
 
 @pytest.fixture(autouse=True)
@@ -94,14 +89,12 @@ def test_batched_equals_serial_and_pooled_for_every_experiment(kernel):
 
     pooled, pooled_summary = executed_results(requests, jobs=2)
     batched, batched_summary = executed_results(
-        requests, jobs=2, batching="force")
+        requests, jobs=2)
 
     assert pooled_summary["computed"] == len(requests)
     assert batched_summary["computed"] == len(requests)
     assert batched_summary["batch_cohorts"] >= 1
-    assert batched_summary["batch_runs"] == len(requests)
     assert batched_summary["failed"] == 0
-    assert batched_summary["batch_fallbacks"] == 0
 
     for request in requests:
         key = request.fingerprint
@@ -117,7 +110,7 @@ def test_kernels_agree_batched():
     by_kernel = {}
     for kernel in KERNELS:
         requests = registry_plan(kernel)
-        results, _ = executed_results(requests, jobs=2, batching="force")
+        results, _ = executed_results(requests, jobs=2)
         by_kernel[kernel] = {
             (request.workload, request.scheme): results[
                 request.fingerprint].result_fingerprint()
@@ -138,49 +131,12 @@ def sweep_plan(n_budgets: int = 4, workloads=("tig_m",)):
     ]
 
 
-def singleton_plan():
-    """Structurally-distinct runs: every cohort has exactly one run."""
-    return [RunRequest(make_tiny_config(), workload, "fpb", MICRO_MULTI)
-            for workload in MICRO_MULTI.workloads]
-
-
-def test_auto_batches_cohorts_and_declines_singletons():
-    sweep = sweep_plan()
-    truth = serial_truth(sweep)
-    results, summary = executed_results(sweep, jobs=2, batching="auto")
-    assert summary["batch_cohorts"] == 1
-    assert summary["batch_runs"] == len(sweep)
-    assert all(results[k] == truth[k] for k in truth)
-
-    singles = singleton_plan()
-    truth = serial_truth(singles)
-    results, summary = executed_results(singles, jobs=2, batching="auto")
-    assert summary["batch_cohorts"] == 0
-    assert summary["batch_runs"] == 0
-    assert summary["computed"] == len(singles)  # per-run tier took them
-    assert all(results[k] == truth[k] for k in truth)
-
-
-def test_force_batches_singletons():
-    singles = singleton_plan()
-    truth = serial_truth(singles)
-    results, summary = executed_results(singles, jobs=2, batching="force")
-    assert summary["batch_cohorts"] == len(singles)
-    assert summary["batch_runs"] == len(singles)
-    assert all(results[k] == truth[k] for k in truth)
-
-
-def test_unknown_batching_mode_rejected():
-    with pytest.raises(ValueError):
-        execute_plan(sweep_plan(), jobs=2, batching="always")
-
-
 def test_crash_in_cohort_bisects_to_culprit_and_plan_completes(
         monkeypatch):
-    """Chaos: one run in a 4-run cohort hard-crashes its worker every
-    time it executes. The cohort bisects down to the culprit, the
-    culprit falls back to the per-run tier (which charges it a terminal
-    failure), and the three innocent runs complete byte-identically."""
+    """Chaos: one run of a 4-run sweep hard-crashes its worker every
+    time it executes. Its cohort dissolves into runs executed alone,
+    the culprit is charged a terminal failure, and the three innocent
+    runs complete byte-identically."""
     sweep = sweep_plan(n_budgets=4)
     assert len(partition_cohorts(sweep)) == 1
     doomed = sweep[2]
@@ -194,10 +150,8 @@ def test_crash_in_cohort_bisects_to_culprit_and_plan_completes(
     policy = RetryPolicy(max_attempts=2, deterministic_attempts=1,
                          backoff_base_s=0.01, backoff_cap_s=0.05,
                          max_pool_respawns=8)
-    summary = execute_plan(sweep, jobs=2, batching="force", policy=policy)
+    summary = execute_plan(sweep, jobs=2, policy=policy)
 
-    assert summary["batch_bisections"] >= 1
-    assert summary["batch_fallbacks"] >= 1
     assert summary["failed"] == 1
     assert summary["computed"] == len(innocents)
     assert doomed.fingerprint in failed_runs()

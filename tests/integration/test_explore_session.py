@@ -4,7 +4,7 @@ The acceptance contract of :mod:`repro.explore`:
 
 * the same ``(space, strategy, seed)`` yields a byte-identical point
   sequence and frontier report, across strategies and across ``--jobs``
-  / ``--batching`` execution modes;
+  execution modes;
 * an exploration killed mid-session (a deterministic ``explore_point``
   fault) resumed from its journal converges to the identical frontier
   while **re-executing zero** already-cached fingerprints — asserted on
@@ -96,7 +96,7 @@ class TestDeterminism:
                                                     tmp_sim_cache):
         serial = run_session(settings(), tmp_path, "serial")[1]
         clear_sim_cache()
-        batched = run_session(settings(batching="force"), tmp_path,
+        batched = run_session(settings(), tmp_path,
                               "batched")[1]
         clear_sim_cache()
         parallel = run_session(settings(jobs=2), tmp_path,
@@ -191,7 +191,7 @@ class TestTelemetry:
     def test_manifest_roundtrip(self, tmp_path, tmp_sim_cache):
         from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, read_manifest
 
-        assert MANIFEST_SCHEMA_VERSION == 9
+        assert MANIFEST_SCHEMA_VERSION == 10
         telemetry = Telemetry()
         run_session(settings(), tmp_path, "man", telemetry=telemetry)
         path = tmp_path / "manifest.jsonl"

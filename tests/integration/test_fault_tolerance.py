@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.errors import RunFailedError
+from repro.experiments import engine
 from repro.experiments.base import (
     RunRequest,
     RunScale,
@@ -33,10 +34,13 @@ from repro.experiments.base import (
     mark_run_failed,
     sim,
     use_disk_cache,
+    use_telemetry,
 )
+from repro.experiments.batch import partition_cohorts
 from repro.experiments.engine import dedupe_requests, execute_plan
 from repro.experiments.fig17_mr_split import Fig17MRSplit
 from repro.experiments.resilience import RetryPolicy
+from repro.obs import Telemetry
 from repro.sim.simcache import SimCache
 from repro.testing.faults import (
     ENV_VAR,
@@ -72,6 +76,63 @@ def serial_truth(config, requests):
         )
     clear_sim_cache()
     return truth
+
+
+def budget_sweep(n_budgets: int = 4):
+    """A ``tig_m`` DIMM-budget sweep: one trace structure, so a single
+    worker runs it as one cohort."""
+    config = make_tiny_config()
+    return [RunRequest(config.with_dimm_tokens(400.0 + 66.0 * i),
+                       "tig_m", "fpb", MICRO)
+            for i in range(n_budgets)]
+
+
+def sweep_truth(requests):
+    """Ground truth per fingerprint for requests with their own
+    configs, computed serially and uncached."""
+    clear_sim_cache()
+    use_disk_cache(None)
+    truth = {}
+    for request in requests:
+        result = sim(request.config, request.workload, request.scheme,
+                     MICRO)
+        truth[request.fingerprint] = (
+            result.cycles, result.cpi, result.stats.snapshot(),
+        )
+    clear_sim_cache()
+    return truth
+
+
+def count_worker_runs(monkeypatch, path):
+    """Append the key of every run a worker starts to ``path``.
+
+    Wraps the worker's fault-injection hook, which fires once per run
+    execution; patched before the pool forks, so every worker inherits
+    it and the count spans processes."""
+    inject = engine.maybe_inject
+
+    def counting(point, key=""):
+        if point == "worker_run":
+            with open(path, "a") as log:
+                log.write(key + "\n")
+        inject(point, key=key)
+
+    monkeypatch.setattr(engine, "maybe_inject", counting)
+
+
+class UnpicklableError(RuntimeError):
+    """An exception that cannot cross a process boundary."""
+
+    def __reduce__(self):
+        raise TypeError("UnpicklableError cannot be pickled")
+
+
+def wait_for_no_children(timeout_s: float = 10.0):
+    deadline = time.monotonic() + timeout_s
+    while (multiprocessing.active_children()
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    return multiprocessing.active_children()
 
 
 class TestWorkerCrash:
@@ -145,6 +206,38 @@ class TestWorkerCrash:
         assert stamp.exists()
         assert failed_runs() == {}
 
+    def test_crash_in_a_cohort_charges_the_member_running(self, tmp_path,
+                                                         monkeypatch):
+        """One worker runs a 4-run cohort whose second member kills it
+        on every attempt. Only that member was running, so it is the
+        proven culprit and is charged; the member finished before it is
+        kept and the two after it run once each."""
+        requests = budget_sweep()
+        [cohort] = partition_cohorts(requests, 1)
+        target = cohort.members[1]
+        executions = tmp_path / "executions.log"
+        count_worker_runs(monkeypatch, executions)
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "crash",
+            "match": target.fingerprint,
+        }]))
+        use_disk_cache(SimCache(tmp_path / "cache"))
+        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
+                             backoff_cap_s=0.05)
+        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+
+        assert summary["computed"] == 3
+        assert summary["failed"] == 1
+        assert summary["retried"] == 1
+        assert summary["pool_respawns"] == 2    # the break + its retry
+        [failure] = summary["failures"]
+        assert failure["fingerprint"] == target.fingerprint
+        assert failure["error_type"] == "BrokenProcessPool"
+        keys = executions.read_text().splitlines()
+        for request in requests:
+            runs = sum(request.fingerprint in key for key in keys)
+            assert runs == (2 if request is target else 1)
+
 
 class TestRespawnBudget:
     def test_budget_exhaustion_fails_outstanding_not_hangs(self, tmp_path,
@@ -200,11 +293,176 @@ class TestHungWorker:
 
         # "Abandoned" must mean killed: a worker left sleeping would
         # stall interpreter exit until its (long) sleep finishes.
-        deadline = time.monotonic() + 10.0
-        while (multiprocessing.active_children()
-               and time.monotonic() < deadline):
-            time.sleep(0.05)
-        assert multiprocessing.active_children() == []
+        assert wait_for_no_children() == []
+
+    def test_hang_inside_a_cohort_costs_one_deadline(self, tmp_path,
+                                                     monkeypatch):
+        """On one worker the innocent and the hung run form one cohort.
+        The worker reports each member as it finishes, so the watchdog
+        names the hung member itself: one timeout, one pool respawn,
+        the same as a hung run alone."""
+        config = make_tiny_config()
+        innocent = RunRequest(config, "tig_m", "dimm+chip", MICRO)
+        hung = RunRequest(config, "tig_m", "ipm+mr3", MICRO)
+        assert len(partition_cohorts([innocent, hung], 1)) == 1
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "hang", "hang_s": 120.0,
+            "match": hung.fingerprint,
+        }]))
+        use_disk_cache(SimCache(tmp_path / "cache"))
+        telemetry = Telemetry()
+        use_telemetry(telemetry)
+        policy = RetryPolicy(max_attempts=1, run_timeout_s=3.0,
+                             backoff_base_s=0.01)
+        summary = execute_plan([innocent, hung], jobs=1, force=True,
+                               policy=policy)
+
+        assert summary["computed"] == 1
+        assert innocent.fingerprint in _SIM_CACHE
+        assert summary["timeouts"] == 1
+        assert summary["failed"] == 1
+        assert summary["pool_respawns"] == 1
+        [failure] = summary["failures"]
+        assert failure["fingerprint"] == hung.fingerprint
+        assert failure["error_type"] == "WorkerTimeoutError"
+        actions = [r["action"] for r in telemetry.resilience_events
+                   if r["type"] == "batch_cohort"]
+        assert actions.count("dissolved") == 1
+        assert wait_for_no_children() == []
+
+    def test_hang_in_a_large_cohort_is_reaped_after_one_budget(
+            self, tmp_path, monkeypatch):
+        """A 4-run cohort whose second member hangs. The budget restarts
+        as each member finishes, so the hang is reaped one budget after
+        it began, not four; the member that finished before it is kept,
+        and the two after it run once each in the fresh pool."""
+        requests = budget_sweep()
+        [cohort] = partition_cohorts(requests, 1)
+        hung = cohort.members[1]
+        truth = sweep_truth([r for r in requests if r is not hung])
+        executions = tmp_path / "executions.log"
+        count_worker_runs(monkeypatch, executions)
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "hang", "hang_s": 120.0,
+            "match": hung.fingerprint,
+        }]))
+        use_disk_cache(SimCache(tmp_path / "cache"))
+        budget = 3.0
+        policy = RetryPolicy(max_attempts=1, run_timeout_s=budget)
+        start = time.monotonic()
+        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+        elapsed = time.monotonic() - start
+
+        assert elapsed < 3 * budget   # a cohort-sized budget is 4 × 3 s
+        assert summary["computed"] == 3
+        assert summary["timeouts"] == summary["failed"] == 1
+        assert summary["pool_respawns"] == 1
+        [failure] = summary["failures"]
+        assert failure["fingerprint"] == hung.fingerprint
+        keys = executions.read_text().splitlines()
+        for request in requests:
+            assert sum(request.fingerprint in key for key in keys) == 1
+        for fingerprint, (cycles, cpi, snapshot) in truth.items():
+            got = _SIM_CACHE[fingerprint]
+            assert (got.cycles, got.cpi) == (cycles, cpi)
+            assert got.stats.snapshot() == snapshot
+        assert wait_for_no_children() == []
+
+
+class TestQueueTime:
+    def test_deadline_starts_when_a_worker_takes_the_run(self, tmp_path,
+                                                         monkeypatch):
+        """Four runs of one second each on one worker under a 2.5 s
+        per-run budget: each run's clock starts when the worker takes
+        it, so none is charged for the time it spent queued."""
+        requests = [RunRequest(make_tiny_config(seed=seed), "tig_m", "fpb",
+                               MICRO)
+                    for seed in (1, 2, 3, 4)]
+        assert len(partition_cohorts(requests, 1)) == 4
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "hang", "hang_s": 1.0,
+        }]))
+        use_disk_cache(SimCache(tmp_path / "cache"))
+        policy = RetryPolicy(max_attempts=1, run_timeout_s=2.5)
+        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+        assert summary["timeouts"] == 0
+        assert summary["computed"] == 4
+
+
+class TestMemberFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_member_is_judged_once_per_execution(self, tmp_path,
+                                                         monkeypatch, jobs):
+        """One member of a budget sweep raises a deterministic
+        RuntimeError. Its exception comes back from the cohort and the
+        supervisor judges it directly: a confirmation retry, then
+        quarantine — exactly two executions. The other runs of its
+        cohort complete bit-identical to serial."""
+        requests = budget_sweep()
+        target = requests[1]
+        survivors = [r for r in requests if r is not target]
+        truth = sweep_truth(survivors)
+        executions = tmp_path / "executions.log"
+        count_worker_runs(monkeypatch, executions)
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "error", "error": "RuntimeError",
+            "match": target.fingerprint,
+        }]))
+        use_disk_cache(SimCache(tmp_path / "cache"))
+        policy = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
+        summary = execute_plan(requests, jobs=jobs, force=True,
+                               policy=policy)
+
+        assert summary["quarantined"] == 1
+        assert summary["failed"] == 0
+        assert summary["computed"] == 3
+        [failure] = summary["failures"]
+        assert failure["fingerprint"] == target.fingerprint
+        assert failure["error_type"] == "RuntimeError"
+        assert failure["verdict"] == "quarantine"
+        keys = executions.read_text().splitlines()
+        assert sum(target.fingerprint in key for key in keys) == 2
+        for fingerprint, (cycles, cpi, snapshot) in truth.items():
+            got = _SIM_CACHE[fingerprint]
+            assert (got.cycles, got.cpi) == (cycles, cpi)
+            assert got.stats.snapshot() == snapshot
+
+    def test_member_exception_that_cannot_cross_processes(self, tmp_path,
+                                                          monkeypatch):
+        """A member's exception that will not pickle ends its cohort
+        task at that member: the cohort dissolves, the member is charged
+        the pickling error and quarantined, and the other runs complete
+        bit-identical to serial."""
+        requests = budget_sweep()
+        target = requests[2]
+        survivors = [r for r in requests if r is not target]
+        truth = sweep_truth(survivors)
+        execute_one = engine._execute_one
+
+        def execute_or_fail(request, obs, ckpt):
+            if request.fingerprint == target.fingerprint:
+                raise UnpicklableError("injected")
+            return execute_one(request, obs, ckpt)
+
+        monkeypatch.setattr(engine, "_execute_one", execute_or_fail)
+        use_disk_cache(SimCache(tmp_path / "cache"))
+        telemetry = Telemetry()
+        use_telemetry(telemetry)
+        policy = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
+        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+
+        assert summary["computed"] == 3
+        assert summary["quarantined"] == 1
+        [failure] = summary["failures"]
+        assert failure["fingerprint"] == target.fingerprint
+        assert failure["error_type"] == "TypeError"
+        actions = [r["action"] for r in telemetry.resilience_events
+                   if r["type"] == "batch_cohort"]
+        assert actions.count("dissolved") == 1
+        for fingerprint, (cycles, cpi, snapshot) in truth.items():
+            got = _SIM_CACHE[fingerprint]
+            assert (got.cycles, got.cpi) == (cycles, cpi)
+            assert got.stats.snapshot() == snapshot
 
 
 class TestCorruptedStoreDuringParallelRun:

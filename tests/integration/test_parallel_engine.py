@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import engine
 from repro.experiments.base import (
     RunRequest,
     RunScale,
@@ -106,6 +107,22 @@ class TestParallelEquivalence:
         assert recomputed.cycles == original.cycles
         assert recomputed.cpi == original.cpi
         assert recomputed.stats.snapshot() == original.stats.snapshot()
+
+
+class TestCohortSizing:
+    @pytest.mark.parametrize("cpus, cohorts", [(1, 1), (2, 2), (8, 4)])
+    def test_cohorts_follow_jobs_capped_at_usable_cpus(self, monkeypatch,
+                                                       cpus, cohorts):
+        """Fig. 17's four runs share one trace structure. At ``jobs=4``
+        they split into one cohort per worker, but never into more
+        cohorts than there are CPUs to run them: a worker beyond the
+        CPUs adds no parallelism, and its cohort would generate the
+        shared trace once more."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        requests = Fig17MRSplit().plan(make_tiny_config(), MICRO)
+        summary = execute_plan(requests, jobs=4)
+        assert summary["computed"] == 4
+        assert summary["batch_cohorts"] == cohorts
 
 
 class TestPlanDedupe:

@@ -1,18 +1,20 @@
-"""Property tests: cohort partitioning invariants for batched execution.
+"""Property tests: cohort partitioning invariants for plan execution.
 
-:func:`repro.experiments.batch.partition_cohorts` feeds the batched
-execution tier, so its contract is load-bearing for correctness, not
+:func:`repro.experiments.batch.partition_cohorts` feeds the engine's
+plan supervisor, so its contract is load-bearing for correctness, not
 just throughput: a run placed in the wrong cohort would execute under a
 foreign structure, and a run duplicated or dropped would diverge from
 serial execution. Under randomly generated plans (mixed workloads,
-kernels, seeds, cache geometries, schemes, power budgets) the partition
-must
+kernels, seeds, cache geometries, schemes, power budgets) and worker
+counts ``w`` the partition must
 
 * cover every unique run exactly once (a true partition),
 * be deterministic under any permutation of the input plan,
-* never mix structurally-incompatible runs into one cohort, and
+* never mix structurally-incompatible runs into one cohort,
 * keep fingerprints unique within and disjoint across cohorts, so
-  scattering cohort outcomes back by fingerprint round-trips.
+  scattering cohort outcomes back by fingerprint round-trips, and
+* keep ``w`` workers busy: for ``n`` unique runs no cohort exceeds
+  ⌈n/w⌉ runs, and there are at least ``min(w, n)`` cohorts.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ llc_sizes = st.sampled_from((1 * 1024 * 1024, 2 * 1024 * 1024))
 schemes = st.sampled_from(("fpb", "dimm+chip"))
 tokens = st.sampled_from((400.0, 466.0, 532.0))
 
+#: Engine worker counts.
+worker_counts = st.integers(1, 8)
+
 
 def make_request(workload, kernel, seed, llc, scheme, budget):
     config = (make_tiny_config(seed=seed).with_kernel(kernel)
@@ -64,38 +69,47 @@ def structure(request: RunRequest):
 
 
 class TestPartitionProperties:
-    @given(requests=requests_st)
+    @given(requests=requests_st, w=worker_counts)
     @settings(max_examples=60, deadline=None)
-    def test_true_partition(self, requests):
-        cohorts = partition_cohorts(requests)
+    def test_true_partition(self, requests, w):
+        cohorts = partition_cohorts(requests, w)
         members = [m for c in cohorts for m in c.members]
         assert sorted(m.fingerprint for m in members) == sorted(
             {r.fingerprint for r in requests})
 
-    @given(requests=requests_st, rnd=st.randoms(use_true_random=False))
+    @given(requests=requests_st, w=worker_counts,
+           rnd=st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_deterministic_under_permutation(self, requests, rnd):
+    def test_deterministic_under_permutation(self, requests, w, rnd):
         shuffled = list(requests)
         rnd.shuffle(shuffled)
-        original = partition_cohorts(requests)
-        permuted = partition_cohorts(shuffled)
+        original = partition_cohorts(requests, w)
+        permuted = partition_cohorts(shuffled, w)
         assert [c.key for c in original] == [c.key for c in permuted]
         assert ([[m.fingerprint for m in c.members] for c in original]
                 == [[m.fingerprint for m in c.members] for c in permuted])
 
-    @given(requests=requests_st)
+    @given(requests=requests_st, w=worker_counts)
     @settings(max_examples=60, deadline=None)
-    def test_never_mixes_incompatible_structures(self, requests):
-        for cohort in partition_cohorts(requests):
+    def test_never_mixes_incompatible_structures(self, requests, w):
+        for cohort in partition_cohorts(requests, w):
             shapes = {structure(m) for m in cohort.members}
             assert len(shapes) == 1, shapes
             assert all(cohort_key(m) == cohort.key
                        for m in cohort.members)
 
-    @given(requests=requests_st)
+    @given(requests=requests_st, w=worker_counts)
     @settings(max_examples=60, deadline=None)
-    def test_scatter_by_fingerprint_round_trips(self, requests):
-        cohorts = partition_cohorts(requests)
+    def test_cohorts_keep_every_worker_busy(self, requests, w):
+        n = len({r.fingerprint for r in requests})
+        cohorts = partition_cohorts(requests, w)
+        assert max(c.size for c in cohorts) <= -(-n // w)
+        assert len(cohorts) >= min(w, n)
+
+    @given(requests=requests_st, w=worker_counts)
+    @settings(max_examples=60, deadline=None)
+    def test_scatter_by_fingerprint_round_trips(self, requests, w):
+        cohorts = partition_cohorts(requests, w)
         seen = set()
         for cohort in cohorts:
             prints = [m.fingerprint for m in cohort.members]
@@ -108,14 +122,19 @@ class TestPartitionProperties:
             assert [outcomes[m.fingerprint] for m in cohort.members] \
                 == list(outcomes.values())
 
-    @given(workload=workloads, kernel=kernels, seed=seeds, llc=llc_sizes)
+    @given(workload=workloads, kernel=kernels, seed=seeds, llc=llc_sizes,
+           w=worker_counts)
     @settings(max_examples=30, deadline=None)
     def test_sweeps_over_scalars_share_one_cohort(self, workload, kernel,
-                                                  seed, llc):
+                                                  seed, llc, w):
+        """A sweep over scalars shares one cohort per worker: one with
+        a single worker, never more than the workers it keeps busy."""
         sweep = [make_request(workload, kernel, seed, llc, scheme, budget)
                  for scheme in ("fpb", "dimm+chip")
                  for budget in (400.0, 466.0, 532.0)]
-        assert len(partition_cohorts(sweep)) == 1
+        cohorts = partition_cohorts(sweep, w)
+        assert len(cohorts) == min(w, len(sweep))
+        assert len({c.key for c in cohorts}) == 1
 
     @given(base=st.builds(make_request, workloads, kernels, seeds,
                           llc_sizes, schemes, tokens))
