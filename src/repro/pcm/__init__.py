@@ -1,11 +1,8 @@
 """MLC PCM device models: cells, write model, mapping, chips, banks."""
 
 from .bank import PCMBank
-from .drift import DriftModel
-from .ecc import DecodeResult, LineECC, decode_word, encode_word
 from .endurance import DEFAULT_MLC_ENDURANCE, WearTracker
 from .flipnwrite import FlipNWrite, FlipResult, flip_savings_sample
-from .startgap import StartGap
 from .cells import (
     MLC_LEVEL_NAMES,
     bytes_to_levels,
@@ -16,7 +13,6 @@ from .cells import (
 from .chip import PCMChip, TOKEN_EPS
 from .contents import LineStore
 from .dimm import DIMM
-from .morphable import MorphableMemory, MorphStats, PageMode
 from .mapping import (
     BIMMapping,
     CellMapping,
@@ -36,11 +32,6 @@ from .write_model import (
 __all__ = [
     "BIMMapping",
     "DEFAULT_MLC_ENDURANCE",
-    "DecodeResult",
-    "DriftModel",
-    "LineECC",
-    "decode_word",
-    "encode_word",
     "FlipNWrite",
     "FlipResult",
     "WearTracker",
@@ -51,14 +42,10 @@ __all__ = [
     "IterationSampler",
     "LineStore",
     "MLC_LEVEL_NAMES",
-    "MorphStats",
-    "MorphableMemory",
-    "PageMode",
     "NaiveMapping",
     "PCMBank",
     "PCMChip",
     "PCMTiming",
-    "StartGap",
     "TOKEN_EPS",
     "VIMMapping",
     "active_cells_per_chip_iteration",

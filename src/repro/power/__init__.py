@@ -1,11 +1,5 @@
-"""Power budgeting substrate: token pools, charge pumps, budgets."""
+"""Power budgeting substrate: token pools and charge pumps."""
 
-from .budget import (
-    borrow_needed_for_output,
-    dimm_budget_identity,
-    gcp_tokens_from_borrow,
-    lcp_tokens_per_chip,
-)
 from .charge_pump import (
     ChargePumpDesign,
     area_overhead_fraction,
@@ -20,9 +14,5 @@ __all__ = [
     "GlobalChargePump",
     "TokenPool",
     "area_overhead_fraction",
-    "borrow_needed_for_output",
-    "dimm_budget_identity",
-    "gcp_tokens_from_borrow",
-    "lcp_tokens_per_chip",
     "pump_input_tokens",
 ]

@@ -8,7 +8,6 @@ from .checkpoint import (
     CheckpointStore,
 )
 from .cpu import Core
-from .debug import Timeline, TimelineEvent
 from .events import SimEngine
 from .memory_system import MemorySystem, ReadRequest, WriteJob
 from .runner import SimResult, run_schemes, run_simulation
@@ -30,8 +29,6 @@ __all__ = [
     "SimResult",
     "SimStats",
     "run_fingerprint",
-    "Timeline",
-    "TimelineEvent",
     "WriteJob",
     "run_schemes",
     "run_simulation",

@@ -1,6 +1,5 @@
 """Trace substrate: records, synthetic workloads, generation."""
 
-from .formats import load_trace, save_trace
 from .generator import clear_trace_cache, generate_trace
 from .records import PCMAccess, READ, Trace, TraceStats, WRITE
 from .workloads import (
@@ -24,6 +23,4 @@ __all__ = [
     "clear_trace_cache",
     "generate_trace",
     "get_workload",
-    "load_trace",
-    "save_trace",
 ]

@@ -79,34 +79,30 @@ def executed_results(requests, **plan_kwargs):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_batched_equals_serial_and_pooled_for_every_experiment(kernel):
-    """Every run any experiment plans: serial, pooled per-run, and
-    batched execution produce byte-identical results and identical
-    golden result fingerprints."""
+def test_pooled_equals_serial_for_every_experiment(kernel):
+    """Every run any experiment plans: serial and pooled cohort
+    execution produce byte-identical results and identical golden
+    result fingerprints."""
     requests = registry_plan(kernel)
     assert len(requests) >= 20  # the registry really is covered
     truth = serial_truth(requests)
 
     pooled, pooled_summary = executed_results(requests, jobs=2)
-    batched, batched_summary = executed_results(
-        requests, jobs=2)
 
     assert pooled_summary["computed"] == len(requests)
-    assert batched_summary["computed"] == len(requests)
-    assert batched_summary["batch_cohorts"] >= 1
-    assert batched_summary["failed"] == 0
+    assert pooled_summary["batch_cohorts"] >= 1
+    assert pooled_summary["failed"] == 0
 
     for request in requests:
         key = request.fingerprint
         assert pooled[key] == truth[key], request
-        assert batched[key] == truth[key], request
-        assert (batched[key].result_fingerprint()
+        assert (pooled[key].result_fingerprint()
                 == truth[key].result_fingerprint()), request
 
 
-def test_kernels_agree_batched():
-    """Golden contract under batching: both kernels' batched runs of
-    the same simulation share one result fingerprint."""
+def test_kernels_agree_pooled():
+    """Golden contract under cohort execution: both kernels' pooled
+    runs of the same simulation share one result fingerprint."""
     by_kernel = {}
     for kernel in KERNELS:
         requests = registry_plan(kernel)
@@ -131,7 +127,7 @@ def sweep_plan(n_budgets: int = 4, workloads=("tig_m",)):
     ]
 
 
-def test_crash_in_cohort_bisects_to_culprit_and_plan_completes(
+def test_crash_in_cohort_charges_culprit_and_plan_completes(
         monkeypatch):
     """Chaos: one run of a 4-run sweep hard-crashes its worker every
     time it executes. Its cohort dissolves into runs executed alone,

@@ -92,17 +92,12 @@ class TestDeterminism:
         assert a.session_id == b.session_id
         assert a.session_id != c.session_id
 
-    def test_jobs_and_batching_equivalent_to_serial(self, tmp_path,
-                                                    tmp_sim_cache):
+    def test_jobs_equivalent_to_serial(self, tmp_path, tmp_sim_cache):
         serial = run_session(settings(), tmp_path, "serial")[1]
-        clear_sim_cache()
-        batched = run_session(settings(), tmp_path,
-                              "batched")[1]
         clear_sim_cache()
         parallel = run_session(settings(jobs=2), tmp_path,
                                "parallel")[1]
-        assert (frontier_bytes(serial) == frontier_bytes(batched)
-                == frontier_bytes(parallel))
+        assert frontier_bytes(serial) == frontier_bytes(parallel)
 
 
 class TestResume:

@@ -8,8 +8,9 @@ import pytest
 
 from repro.config.system import SchedulerConfig
 from repro.core.policies.registry import get_scheme
+from repro.obs import Telemetry
 from repro.pcm.dimm import DIMM
-from repro.sim import Core, MemorySystem, SimEngine, Timeline
+from repro.sim import Core, MemorySystem, SimEngine
 from repro.sim.stats import SimStats
 from repro.trace.records import PCMAccess, READ, WRITE
 
@@ -39,23 +40,28 @@ def read_rec(addr, gap=100, core=1):
                      gap_instr=gap, gap_hit_cycles=0)
 
 
-def run(streams, config=None, scheme="fpb", with_timeline=False):
+def run(streams, config=None, scheme="fpb", with_telemetry=False):
     config = config or wp_config()
     spec = get_scheme(scheme)
     cfg = spec.apply_to_config(config)
     engine = SimEngine()
     stats = SimStats()
     dimm = DIMM(cfg)
-    mem = MemorySystem(cfg, dimm, spec.build_manager(cfg, dimm),
-                       engine, stats)
-    timeline = Timeline().attach(mem) if with_timeline else None
+    manager = spec.build_manager(cfg, dimm)
+    mem = MemorySystem(cfg, dimm, manager, engine, stats)
+    telemetry = None
+    if with_telemetry:
+        telemetry = Telemetry()
+        telemetry.attach(cfg, scheme, "pause", engine, mem, manager)
     cores = [Core(i, s, engine, mem) for i, s in enumerate(streams)]
     for core in cores:
         core.start()
     end = engine.run()
     assert not mem.work_outstanding
     mem.finalize(end)
-    return stats, timeline
+    if with_telemetry:
+        telemetry.finish_run(stats, end)
+    return stats, telemetry
 
 
 class TestPauseResume:
@@ -64,16 +70,16 @@ class TestPauseResume:
             [write_rec(0, iters=12)],
             [read_rec(8 * LINE, gap=1200)],  # same bank, mid-write
         ]
-        stats, timeline = run(streams, with_timeline=True)
+        stats, telemetry = run(streams, with_telemetry=True)
         assert stats.write_pauses >= 1
         assert stats.writes_done == 1
         assert stats.reads_done == 1
-        kinds = [e.kind for e in timeline.events]
-        assert "write_paused" in kinds
-        # The pause happened before the read was served.
-        pause_t = timeline.of_kind("write_paused")[0].time
-        read_t = timeline.of_kind("read_issue")[-1].time
-        assert pause_t <= read_t
+        # The pause fell inside the write's round: the write yielded
+        # mid-flight, then resumed and finished that same round.
+        pause = telemetry.trace.events_named("write_pause")[0]
+        (round_,) = [e for e in telemetry.trace.events_named("write_round")
+                     if e["args"]["write"] == pause["args"]["write"]]
+        assert round_["ts"] < pause["ts"] < round_["ts"] + round_["dur"]
 
     def test_pause_speeds_up_the_read(self):
         streams_wp = [

@@ -1,11 +1,10 @@
-"""Property tests: drift model and line-content models."""
+"""Property tests: line-content models."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pcm.cells import changed_cells
-from repro.pcm.drift import DriftModel
 from repro.rng import make_rng
 from repro.trace.synthetic.data import (
     _DELTA_MODELS,
@@ -13,37 +12,6 @@ from repro.trace.synthetic.data import (
     make_line_block,
     make_line_pair,
 )
-
-MODEL = DriftModel()
-
-
-class TestDriftProperties:
-    @given(
-        level=st.integers(0, 3),
-        t1=st.floats(1e-9, 1e6),
-        t2=st.floats(1e-9, 1e6),
-    )
-    @settings(max_examples=80)
-    def test_resistance_monotone_in_time(self, level, t1, t2):
-        lo, hi = sorted((t1, t2))
-        assert MODEL.resistance_at(level, lo) <= MODEL.resistance_at(level, hi)
-
-    @given(level=st.integers(0, 3), t=st.floats(0.0, 1e3))
-    @settings(max_examples=80)
-    def test_resistance_at_least_nominal(self, level, t):
-        assert MODEL.resistance_at(level, t) >= MODEL.level_resistances[level]
-
-    @given(level=st.integers(0, 3))
-    @settings(max_examples=20)
-    def test_nominal_sensing_is_identity(self, level):
-        assert MODEL.sensed_level(MODEL.level_resistances[level]) == level
-
-    @given(level=st.integers(0, 2), t=st.floats(1e-9, 1e9))
-    @settings(max_examples=60)
-    def test_margin_in_unit_range_until_misread(self, level, t):
-        horizon = MODEL.time_to_misread(level)
-        if t < horizon:
-            assert 0.0 <= MODEL.margin_consumed(level, t) <= 1.0 + 1e-9
 
 
 class TestLineModelProperties:

@@ -1,51 +1,10 @@
-"""Property tests: ECC codec and Flip-N-Write invariants."""
+"""Property tests: Flip-N-Write invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pcm.ecc import TOTAL_BITS, decode_word, encode_word
 from repro.pcm.flipnwrite import FlipNWrite
-
-words = st.integers(0, (1 << 64) - 1)
-
-
-class TestECCProperties:
-    @given(value=words)
-    @settings(max_examples=80)
-    def test_roundtrip(self, value):
-        assert decode_word(encode_word(value)).data == value
-
-    @given(value=words, bit=st.integers(0, TOTAL_BITS - 1))
-    @settings(max_examples=80)
-    def test_single_flip_corrected(self, value, bit):
-        result = decode_word(encode_word(value) ^ (1 << bit))
-        assert result.data == value
-        assert result.corrected
-        assert not result.detected_uncorrectable
-
-    @given(
-        value=words,
-        bits=st.lists(
-            st.integers(0, TOTAL_BITS - 1), min_size=2, max_size=2,
-            unique=True,
-        ),
-    )
-    @settings(max_examples=80)
-    def test_double_flip_detected(self, value, bits):
-        codeword = encode_word(value)
-        for bit in bits:
-            codeword ^= 1 << bit
-        result = decode_word(codeword)
-        assert result.detected_uncorrectable
-        assert not result.corrected
-
-    @given(a=words, b=words)
-    @settings(max_examples=60)
-    def test_distinct_data_distinct_codewords(self, a, b):
-        if a != b:
-            assert encode_word(a) != encode_word(b)
-
 
 line_pairs = st.tuples(
     st.binary(min_size=64, max_size=64), st.binary(min_size=64, max_size=64)

@@ -1,9 +1,8 @@
 """Property: observation must not perturb the simulation.
 
 Attaching a :class:`repro.obs.Telemetry` (probe sampling + hot-path
-hooks) and a :class:`repro.sim.debug.Timeline` (method wrapping) to a
-run must leave every deterministic statistic bit-identical to the bare
-run, for any workload shape and scheme, under a fixed seed.
+hooks) to a run must leave every deterministic statistic bit-identical
+to the bare run, for any workload shape and scheme, under a fixed seed.
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ from repro.core.policies.registry import get_scheme
 from repro.obs import Telemetry
 from repro.pcm.dimm import DIMM
 from repro.sim.cpu import Core
-from repro.sim.debug import Timeline
 from repro.sim.events import SimEngine
 from repro.sim.memory_system import MemorySystem
 from repro.sim.stats import SimStats
@@ -60,44 +58,41 @@ def run_once(streams, scheme, observe):
     dimm = DIMM(cfg)
     manager = spec.build_manager(cfg, dimm)
     mem = MemorySystem(cfg, dimm, manager, engine, stats)
-    telemetry = timeline = None
+    telemetry = None
     if observe:
         telemetry = Telemetry(sample_interval=500)
         telemetry.attach(cfg, scheme, "prop", engine, mem, manager)
-        timeline = Timeline().attach(mem)
     for i, stream in enumerate(streams):
         Core(i, stream, engine, mem).start()
     end = engine.run()
     mem.finalize(end)
     if observe:
         telemetry.finish_run(stats, end)
-        timeline.detach()
-    return end, stats, telemetry, timeline
+    return end, stats, telemetry
 
 
 @settings(max_examples=20, deadline=None)
 @given(streams=access_streams(),
        scheme=st.sampled_from(["dimm+chip", "fpb", "ideal", "2xlocal"]))
 def test_observation_does_not_perturb_results(streams, scheme):
-    bare_end, bare_stats, _, _ = run_once(streams, scheme, observe=False)
-    obs_end, obs_stats, telemetry, timeline = run_once(
-        streams, scheme, observe=True)
+    bare_end, bare_stats, _ = run_once(streams, scheme, observe=False)
+    obs_end, obs_stats, telemetry = run_once(streams, scheme, observe=True)
 
     assert obs_end == bare_end
     assert obs_stats.snapshot() == bare_stats.snapshot()
 
-    # The observers really saw the run they claim not to have changed.
+    # The observer really saw the run it claims not to have changed.
     assert telemetry.registry.get("writes_done").value == \
         obs_stats.writes_done
-    assert len(timeline.of_kind("write_round_done")) + \
-        len(timeline.of_kind("write_cancelled")) >= 1
+    assert len(telemetry.trace.events_named("write_round")) + \
+        len(telemetry.trace.events_named("write_round (cancelled)")) >= 1
 
 
 @settings(max_examples=10, deadline=None)
 @given(streams=access_streams())
 def test_observed_run_is_self_consistent(streams):
     """Trace scope counts agree with the stats of the same run."""
-    _, stats, telemetry, _ = run_once(streams, "fpb", observe=True)
+    _, stats, telemetry = run_once(streams, "fpb", observe=True)
     assert len(telemetry.trace.events_named("write_round")) == \
         stats.write_rounds_done
     assert telemetry.registry.get("write_cancellations").value == \

@@ -56,10 +56,6 @@ def test_errors_hierarchy():
 
 
 def test_extension_modules_reachable():
-    from repro.pcm import (
-        DriftModel, FlipNWrite, LineECC, MorphableMemory, StartGap,
-        WearTracker,
-    )
-    for cls in (DriftModel, FlipNWrite, LineECC, MorphableMemory,
-                StartGap, WearTracker):
+    from repro.pcm import FlipNWrite, WearTracker
+    for cls in (FlipNWrite, WearTracker):
         assert cls.__doc__
