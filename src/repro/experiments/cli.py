@@ -409,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--timeout", type=_positive_float, default=None, metavar="SECONDS",
         help="per-run wall-clock budget on engine workers, counted "
-             "from when a worker starts the run",
+             "from when a worker starts the run; also bounds each "
+             "replica job under --replicas",
     )
     serve.add_argument(
         "--retries", type=_non_negative_int, default=2, metavar="N",
@@ -437,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replica-restart-budget", type=_non_negative_int, default=3,
         metavar="N",
-        help="respawns allowed per replica before its slot is "
-             "permanently dead (default 3)",
+        help="respawns allowed per replica in a row, with no job "
+             "completed in between, before its slot is permanently "
+             "dead (default 3)",
     )
     serve.add_argument(
         "--heartbeat-interval", type=_positive_float, default=1.0,
@@ -449,9 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replica-job-timeout", type=_positive_float, default=300.0,
         metavar="SECONDS",
-        help="parent-side wall-clock deadline per replica job; past it "
-             "the replica is declared hung and its jobs fail over "
-             "(default 300)",
+        help="parent-side wall-clock deadline per replica job, counted "
+             "from when the replica starts it; past it the replica is "
+             "declared hung and its jobs fail over (default 300)",
     )
     return parser
 

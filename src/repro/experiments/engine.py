@@ -27,17 +27,15 @@ Correctness guarantees:
   the bytes the main process would, whichever cohort it runs in.
   Results cross the process boundary by pickling, which round-trips
   ints and IEEE doubles exactly.
-* **Telemetry crosses into workers by sidecar, never by sharing.**
+* **Telemetry crosses back in the outcome file, never by sharing.**
   When the parent has a :class:`~repro.obs.Telemetry`, each worker
-  attaches its own local one per run, runs instrumented, and spools a
-  JSON snapshot (run record, spans, metrics, trace events) to a
-  content-addressed sidecar file next to the run's ``SimCache``
-  entry; the parent merges it back into one manifest and one
-  multi-process Perfetto trace. Span trace ids derive from the run
-  fingerprint, so parent and worker agree without extra transport.
-  Sidecar failures degrade to the old uninstrumented ``sim_run``
-  record — they never fail the run. Attaching (or not attaching)
-  telemetry never changes simulation results.
+  attaches its own local one per run, runs instrumented, and puts a
+  JSON-safe snapshot (run record, spans, metrics, trace events) into
+  the member's outcome file; the parent merges it into one manifest
+  and one multi-process Perfetto trace. Span trace ids derive from the
+  run fingerprint, so parent and worker agree without extra transport.
+  Attaching (or not attaching) telemetry never changes simulation
+  results.
 * **Deterministic scheduling irrelevance.** Completion order only
   affects cache-fill order, never values; experiments read results by
   fingerprint.
@@ -82,7 +80,6 @@ mark_run_failed`; experiments that later ask for such a run get a
 from __future__ import annotations
 
 import heapq
-import json
 import os
 import pickle
 import shutil
@@ -98,13 +95,16 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import WorkerTimeoutError
 from ..obs import tracing
 from ..obs.logging import get_logger, log_context
 from ..obs.manifest import _jsonable
 from ..sim.checkpoint import CheckpointPlan, CheckpointStore
+from ..sim.simcache import write_atomic
 from ..testing.faults import maybe_inject
 from .base import (
     RunRequest,
@@ -149,14 +149,6 @@ def _checkpoint_plan(request: RunRequest,
     )
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so that a reader sees all of it or no
-    file at all, even if the writer dies midway."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def _worker_execute(
     spool: str, members: Sequence[RunRequest],
     obs: Optional[Dict[str, object]] = None,
@@ -168,37 +160,38 @@ def _worker_execute(
     The first member generates the cohort's shared trace; the rest
     reuse it from the worker-process trace memo. As each member
     finishes, its outcome ``(worker PID, seconds since the task began,
-    (result | None, exception | None, sidecar path | None))`` is pickled
-    to the file ``<spool>.<index>``. The parent reads these while the
-    task still runs, to restart the watchdog for each member, and after
-    the task dies, to keep the members that had finished. A member that
-    raises does not stop the others: its exception is its outcome, for
-    the parent's :class:`RunSupervisor` to judge. An outcome that will
-    not pickle ends the task at that member, and the parent charges it.
+    (result | None, exception | None, telemetry snapshot | None))`` is
+    pickled to the file ``<spool>.<index>``. The parent reads these
+    while the task still runs, to restart the watchdog for each member,
+    and after the task dies, to keep the members that had finished. A
+    member that raises does not stop the others: its exception is its
+    outcome, for the parent's :class:`RunSupervisor` to judge. An
+    outcome that will not pickle ends the task at that member, and the
+    parent charges it.
     """
     start = time.monotonic()
     for index, request in enumerate(members):
         try:
-            result, sidecar = _execute_one(request, obs, ckpt)
-            outcome = (result, None, sidecar)
+            result, snapshot = _execute_one(request, obs, ckpt)
+            outcome = (result, None, snapshot)
         except Exception as exc:
             outcome = (None, exc, None)
-        _write_atomic(Path(f"{spool}.{index}"), pickle.dumps(
+        write_atomic(Path(f"{spool}.{index}"), pickle.dumps(
             (os.getpid(), time.monotonic() - start, outcome)))
 
 
 def _execute_one(
     request: RunRequest, obs: Optional[Dict[str, object]],
     ckpt: Optional[Dict[str, object]],
-) -> Tuple[object, Optional[str]]:
-    """One run inside a worker: ``(result, sidecar path)``.
+) -> Tuple[object, Optional[Dict[str, object]]]:
+    """One run in this process, uncached — the member body of engine
+    workers and fleet replicas: ``(result, telemetry snapshot)``.
 
-    With an ``obs`` spec (``spool_dir`` / ``sample_interval`` /
-    ``parent_span_id``) the run executes under a worker-local
-    :class:`~repro.obs.Telemetry` whose snapshot is spooled to a
-    content-addressed sidecar file (the path is ``None`` when capture
-    is off or spooling failed — sidecar trouble must never fail the
-    run).
+    With an ``obs`` spec (``sample_interval`` /
+    ``max_samples_per_series`` / ``parent_span_id``) the run executes
+    under a process-local :class:`~repro.obs.Telemetry` whose JSON-safe
+    :meth:`~repro.obs.Telemetry.worker_snapshot` comes back for the
+    parent to merge; without one the snapshot is ``None``.
 
     With a ``ckpt`` spec (``dir`` / ``every_writes``) the run
     checkpoints its state as it goes and — the resume half of the
@@ -230,27 +223,7 @@ def _execute_one(
         ):
             result = execute_request(request, telemetry=telemetry,
                                      checkpoint=plan)
-    sidecar = _spool_sidecar(telemetry, fingerprint,
-                             str(obs.get("spool_dir") or ""))
-    return result, sidecar
-
-
-def _spool_sidecar(telemetry, fingerprint: str,
-                   spool_dir: str) -> Optional[str]:
-    """Write the worker's telemetry snapshot next to the run's cache
-    entry (``<spool_dir>/<aa>/<fingerprint>.obs.json``), atomically and
-    best-effort."""
-    if not spool_dir:
-        return None
-    try:
-        payload = _jsonable(telemetry.worker_snapshot(fingerprint))
-        directory = Path(spool_dir) / fingerprint[:2]
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{fingerprint}.obs.json"
-        _write_atomic(path, json.dumps(payload).encode("utf-8"))
-        return str(path)
-    except OSError:
-        return None
+    return result, _jsonable(telemetry.worker_snapshot(fingerprint))
 
 
 @dataclass
@@ -300,8 +273,7 @@ class _PlanSupervisor:
         self.pool: Optional[ProcessPoolExecutor] = None
         self.respawns = 0
         self.aborted = False
-        #: Outcome files of the plan's tasks (and worker telemetry
-        #: sidecars when there is no disk cache); removed after the plan.
+        #: Outcome files of the plan's tasks; removed after the plan.
         self.scratch = tempfile.mkdtemp(prefix="repro-plan-")
 
         self.disk = active_disk_cache()
@@ -320,23 +292,14 @@ class _PlanSupervisor:
                 "dir": str(store.root),
                 "every_writes": every_writes,
             }
-        # Worker-side telemetry capture: sidecars land next to the disk
-        # cache entries when there is a disk cache (content-addressed
-        # artifacts worth keeping), else in the plan's scratch directory.
-        self.spool_dir: Optional[str] = None
-        if (self.telemetry is not None
-                and getattr(self.telemetry, "capture_workers", False)):
-            self.spool_dir = (str(self.disk.root) if self.disk is not None
-                              else self.scratch)
 
     def _obs_spec(self) -> Optional[Dict[str, object]]:
         """The per-submission telemetry spec workers run under, or
-        ``None`` when worker capture is off."""
-        if self.spool_dir is None:
+        ``None`` when the parent has no telemetry."""
+        if self.telemetry is None:
             return None
         context = tracing.current_context()
         return {
-            "spool_dir": self.spool_dir,
             "sample_interval": self.telemetry.sample_interval,
             "max_samples_per_series":
                 self.telemetry.max_samples_per_series,
@@ -461,12 +424,12 @@ class _PlanSupervisor:
             request = flight.running
             flight.done += 1
             try:
-                pid, flight.elapsed, (result, exc, sidecar) = \
+                pid, flight.elapsed, (result, exc, snapshot) = \
                     pickle.loads(data)
             except Exception as error:  # an outcome that won't unpickle
                 exc = error
             if exc is None:
-                self._publish(request, result, pid, sidecar)
+                self._publish(request, result, pid, snapshot)
                 flight.delivered += 1
             else:
                 self._handle_failure(flight, request, exc)
@@ -492,7 +455,7 @@ class _PlanSupervisor:
             self._retire(flight, f"{type(exc).__name__}: {exc}")
 
     def _publish(self, request: RunRequest, result, worker_pid: int,
-                 sidecar: Optional[str]) -> None:
+                 snapshot: Optional[Dict[str, object]]) -> None:
         """Deliver one run's result to the memory cache, disk cache,
         manifest and telemetry."""
         key = request.fingerprint
@@ -502,33 +465,8 @@ class _PlanSupervisor:
         record_cache_event(request, "computed", worker=worker_pid,
                            prefetch=True)
         if self.telemetry is not None:
-            merged = False
-            if sidecar is not None:
-                try:
-                    payload = json.loads(Path(sidecar).read_text())
-                    self.telemetry.merge_worker_telemetry(payload,
-                                                          sidecar=sidecar)
-                    merged = True
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    log.warning("discarding unreadable worker telemetry "
-                                "sidecar %s (%s: %s)", sidecar,
-                                type(exc).__name__, exc)
-            if not merged:
-                self.telemetry.record_external_run(result, worker=worker_pid)
+            self.telemetry.merge_worker_telemetry(snapshot)
         self.summary["computed"] += 1
-
-    def _checkpoint_progress(self, request: RunRequest) -> Optional[int]:
-        """Writes completed by the run's newest capsule, or ``None``.
-        Read from the capsule header only — cheap enough for the failure
-        path, and a lying header merely misjudges retry budget, never
-        correctness (the resume path fully validates)."""
-        if self.ckpt_store is None:
-            return None
-        meta = self.ckpt_store.latest_meta(request.fingerprint)
-        if meta is None:
-            return None
-        writes_done = meta.get("writes_done")
-        return int(writes_done) if isinstance(writes_done, int) else None
 
     def _charge(self, flight: _Flight, exc: BaseException) -> None:
         """Charge the member ``flight``'s worker was running with
@@ -541,9 +479,10 @@ class _PlanSupervisor:
                         exc: BaseException) -> None:
         """Judge one failed attempt of ``request``; a retry runs it as
         a cohort of one."""
-        verdict, delay = self.supervisor.on_failure(
-            request, exc, progress=self._checkpoint_progress(request),
-        )
+        progress = (self.ckpt_store.progress(request.fingerprint)
+                    if self.ckpt_store is not None else None)
+        verdict, delay = self.supervisor.on_failure(request, exc,
+                                                    progress=progress)
         if verdict == RETRY:
             self.summary["retried"] += 1
             attempt = flight.attempt + 1
@@ -574,10 +513,7 @@ class _PlanSupervisor:
                       "%s: %s", failure.workload, failure.scheme,
                       failure.attempts, failure.error_type, failure.error)
         self.summary["failures"].append(failure.as_record())
-        mark_run_failed(failure.fingerprint,
-                        f"{failure.error_type}: {failure.error} "
-                        f"({failure.verdict} after {failure.attempts} "
-                        f"attempt(s))")
+        mark_run_failed(failure.fingerprint, failure.message())
         if self.telemetry is not None:
             self.telemetry.record_run_failure(failure.as_record())
 
@@ -857,12 +793,13 @@ def plan_outcomes(
     """Execute ``requests`` under full supervision and report each
     fingerprint's outcome as ``(result, source)``.
 
-    The serving-side wrapper around :func:`execute_plan` shared by the
-    gateway's in-process dispatch and the replica fleet's worker
-    processes: always forced (``force=True`` — callers need the
-    engine's retries/watchdog/crash containment even at ``jobs=1``),
-    with the per-request provenance the service layer reports to
-    clients. ``source`` is ``disk`` (the run was already in the on-disk
+    The serving-side wrapper around :func:`execute_plan` behind the
+    gateway's in-process dispatch (fleet replicas report the same
+    outcomes one job at a time, through :func:`run_outcome`): always
+    forced (``force=True`` — callers need the engine's
+    retries/watchdog/crash containment even at ``jobs=1``), with the
+    per-request provenance the service layer reports to clients.
+    ``source`` is ``disk`` (the run was already in the on-disk
     cache before the plan), ``computed`` (freshly executed — or
     satisfied from this process's memory cache, which for a cold
     service request is the same thing), or ``failed`` with the terminal
@@ -897,3 +834,45 @@ def plan_outcomes(
                 "run neither completed nor failed (engine aborted "
                 "or interrupted)", "failed")
     return outcomes
+
+
+def run_outcome(request: RunRequest, policy: RetryPolicy,
+                clock: Callable[[bool], None] = lambda running: None,
+                ) -> Tuple[object, str]:
+    """One request's ``(result, source)`` as :func:`plan_outcomes`
+    reports it, computed in this process with no pool (a fleet
+    replica's job): ``disk`` from the disk cache, ``computed`` by the
+    member body and written through, or ``failed`` with the terminal
+    message once a :class:`RunSupervisor` stops retrying what the run
+    raised. A run that kills the process takes the caller with it.
+
+    ``clock(False)`` is called before each backoff sleep and
+    ``clock(True)`` after it, so a caller that times the attempts
+    leaves the sleeps out."""
+    key = request.fingerprint
+    disk = active_disk_cache()
+    if disk is not None:
+        result = disk.get(key)
+        if result is not None:
+            return result, "disk"
+    checkpoints = active_checkpoints()
+    supervisor = RunSupervisor(policy)
+    while True:
+        try:
+            result, _ = _execute_one(request, None, None)
+            break
+        except Exception as exc:
+            progress = (checkpoints[0].progress(key)
+                        if checkpoints is not None else None)
+            verdict, delay = supervisor.on_failure(request, exc,
+                                                   progress=progress)
+            log.warning("run %s/%s failed (%s: %s) — %s", request.workload,
+                        request.scheme, type(exc).__name__, exc, verdict)
+            if verdict != RETRY:
+                return supervisor.failures[-1].message(), "failed"
+            clock(False)
+            time.sleep(delay)
+            clock(True)
+    if disk is not None:
+        disk.put(key, result)
+    return result, "computed"

@@ -152,6 +152,12 @@ class RunFailure:
             "verdict": self.verdict,
         }
 
+    def message(self) -> str:
+        """The one line a caller of a failed run is told, e.g.
+        ``ValueError: boom (quarantine after 2 attempt(s))``."""
+        return (f"{self.error_type}: {self.error} "
+                f"({self.verdict} after {self.attempts} attempt(s))")
+
 
 class RunSupervisor:
     """Per-run attempt accounting and retry/quarantine verdicts.

@@ -11,8 +11,7 @@ Every record carries a ``type`` tag; the two core types are:
 ``sim_run``
     One per simulation: scheme, workload, cycles, CPI, wall time, the
     :class:`SimStats` snapshot and the metrics-registry snapshot. Runs
-    computed by engine worker processes carry ``instrumented: false``
-    and the worker's PID.
+    computed by engine worker processes carry the worker's PID.
 
 ``cache_event``
     One per run acquisition through the experiment-layer run cache:
@@ -38,8 +37,8 @@ The tracing plane (v5) adds ``span`` (one wall-clock span: name,
 trace_id/span_id/parent_id, pid, kind, start/duration in microseconds,
 attributes — trace ids derive deterministically from run fingerprints,
 see :mod:`repro.obs.tracing`) and ``worker_telemetry`` (one per worker
-sidecar merged into the parent: fingerprint, worker pid, trace id,
-assigned parent pid, span count, sidecar path). Worker-computed
+snapshot merged into the parent: fingerprint, worker pid, trace id,
+assigned parent pid, span count). Worker-computed
 ``sim_run`` records are now fully instrumented and carry
 ``fingerprint``/``trace_id``; ``sim_run.series`` entries gain a
 ``dropped`` count and runs a ``samples_dropped`` total.
@@ -64,6 +63,9 @@ point's parameter values, composed scheme, acquisition ``source`` and
 objective vector or error) and ``explore_frontier`` (one per strategy
 generation: the Pareto frontier's size and member fingerprints) — see
 :mod:`repro.explore` and docs/exploration.md.
+
+Worker snapshots travel in the engine's outcome files (v11), so
+``worker_telemetry`` records no longer carry a ``sidecar`` path.
 
 See docs/observability.md and docs/service.md for the full schema.
 """
@@ -90,7 +92,7 @@ from typing import Dict, Iterable, List, Optional, Union
 #: v6: ``checkpoint`` records — one per capsule lifecycle step
 #: (``action`` save/resume/discard, fingerprint, writes_done, cycle,
 #: capsule path or discard error) — emitted by the checkpoint/resume
-#: plane, including from engine workers via sidecar merge.
+#: plane, including from engine workers via the snapshot merge.
 #: v7: ``replica`` records — one per fleet lifecycle step (``action``
 #: spawn/respawn/down/dead/breaker_open/breaker_close/routed/failover/
 #: stranded/poisoned, replica name, fingerprint, detail) — plus the
@@ -109,7 +111,9 @@ from typing import Dict, Iterable, List, Optional, Union
 #: ``executed`` and ``dissolved`` (``bisect``/``fallback`` are gone),
 #: and ``plan_summary`` keeps ``batch_cohorts`` but drops
 #: ``batch_runs``, ``batch_bisections`` and ``batch_fallbacks``.
-MANIFEST_SCHEMA_VERSION = 10
+#: v11: worker telemetry rides in the outcome file — ``worker_telemetry``
+#: records drop their ``sidecar`` field.
+MANIFEST_SCHEMA_VERSION = 11
 
 
 def _jsonable(value):

@@ -32,9 +32,9 @@ Two timestamp domains coexist in one builder:
   trace starts near zero.
 
 :meth:`merge` folds another builder (or its :meth:`to_state` dict, the
-JSON-safe form workers spool to sidecar files) into this one, with an
-optional pid remap so each worker's logical run pids land on fresh
-parent pids. Duplicate process/thread name metadata is deduplicated at
+JSON-safe form workers return in their outcome files) into this one,
+with an optional pid remap so each worker's logical run pids land on
+fresh parent pids. Duplicate process/thread name metadata is deduplicated at
 export, last registration wins — so a merged worker process can be
 renamed by simply registering the pid again.
 """
@@ -145,7 +145,8 @@ class TraceBuilder:
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
         """The builder's raw contents as a JSON-safe dict (timestamps
-        still in their native domain), for sidecar-file transport."""
+        still in their native domain), for transport in a worker's
+        outcome file."""
         return {
             "events": [dict(e) for e in self._events],
             "meta": [dict(m) for m in self._meta],

@@ -15,8 +15,8 @@ each run becomes its own Perfetto process and its own ``sim_run``
 manifest record.
 
 Cross-process capture: an engine worker builds its own ``Telemetry``,
-runs one simulation under it, and spools :meth:`worker_snapshot` to a
-sidecar file; the parent folds that back in with
+runs one simulation under it, and returns :meth:`worker_snapshot` in
+the run's outcome file; the parent folds that back in with
 :meth:`merge_worker_telemetry` — run records keep full series
 summaries, spans land in the shared :class:`~repro.obs.tracing.Tracer`,
 trace events merge into one multi-process Perfetto export, and worker
@@ -38,7 +38,7 @@ from .tracing import Tracer, trace_id_for
 
 log = get_logger("obs.telemetry")
 
-#: Version of the worker sidecar payload (:meth:`Telemetry.worker_snapshot`).
+#: Version of the worker snapshot payload (:meth:`Telemetry.worker_snapshot`).
 WORKER_SNAPSHOT_SCHEMA = 1
 
 
@@ -81,10 +81,8 @@ class Telemetry:
         #: trace and as manifest ``span`` records.
         self.tracer = Tracer()
         #: ``worker_telemetry`` manifest records: one per merged worker
-        #: sidecar (provenance of the cross-process merge).
+        #: snapshot (provenance of the cross-process merge).
         self.worker_telemetry: List[Dict[str, object]] = []
-        #: When False the engine skips worker-side capture entirely.
-        self.capture_workers = True
         #: Optional live-event hook ``(kind, record) -> None`` invoked
         #: on retry / run_failure records as they happen (the gateway's
         #: ``/watch`` stream taps this); exceptions are swallowed so a
@@ -223,28 +221,11 @@ class Telemetry:
         """Drop the in-progress run context (aborted simulation)."""
         self._run = None
 
-    def record_external_run(self, result, worker: Optional[int] = None) -> None:
-        """Record a run computed outside this process's instrumentation
-        (an engine worker). Carries full stats and worker provenance but
-        no trace events or time series — telemetry stays attached
-        per-process."""
-        self.runs.append({
-            "type": "sim_run",
-            "pid": None,
-            "scheme": result.scheme,
-            "workload": result.workload,
-            "cycles": result.cycles,
-            "cpi": result.cpi,
-            "worker": worker,
-            "instrumented": False,
-            "stats": result.stats.snapshot(),
-        })
-
     def worker_snapshot(self, fingerprint: str) -> Dict[str, object]:
         """Everything a worker process observed for one run, as a
         JSON-safe payload the parent can
-        :meth:`merge_worker_telemetry`. Spooled to a content-addressed
-        sidecar file next to the run's ``SimCache`` entry."""
+        :meth:`merge_worker_telemetry`. It travels in the run's outcome
+        file."""
         return {
             "schema": WORKER_SNAPSHOT_SCHEMA,
             "fingerprint": fingerprint,
@@ -260,8 +241,7 @@ class Telemetry:
             "events": list(self.resilience_events),
         }
 
-    def merge_worker_telemetry(self, payload: Dict[str, object],
-                               sidecar: Optional[str] = None) -> None:
+    def merge_worker_telemetry(self, payload: Dict[str, object]) -> None:
         """Fold one worker's :meth:`worker_snapshot` into this
         telemetry: the run record (re-pid'd onto a fresh parent pid,
         stamped with worker provenance and trace id), its spans, its
@@ -325,7 +305,6 @@ class Telemetry:
             "spans": adopted,
             "samples_dropped": (run.get("samples_dropped", 0)
                                 if isinstance(run, dict) else 0),
-            "sidecar": sidecar,
         })
 
     def record_sim_request(self, *, workload: str, scheme: str,

@@ -201,7 +201,7 @@ class Tracer:
     # ------------------------------------------------------------------
     def absorb(self, records: Iterable[Dict[str, object]]) -> int:
         """Adopt span records produced by another tracer (a worker's
-        sidecar). Records keep their original pids and ids — the merge
+        snapshot). Records keep their original pids and ids — the merge
         is pure concatenation, correlation lives in the trace ids."""
         adopted = 0
         for record in records:

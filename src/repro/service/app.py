@@ -183,7 +183,6 @@ class Gateway:
                  policy: Optional[RetryPolicy] = None,
                  drain_timeout_s: float = 30.0,
                  watch_tick_s: float = 0.5,
-                 replicas: int = 0,
                  fleet: Optional[FleetConfig] = None,
                  telemetry=None, manifest_path=None, cache=None,
                  registry: Optional[MetricsRegistry] = None):
@@ -198,12 +197,9 @@ class Gateway:
         self.telemetry = telemetry
         self.manifest_path = manifest_path
         self.cache = cache
-        #: Replica fleet (``--replicas N``): constructed in
-        #: :meth:`start` (it needs the running loop), from an explicit
-        #: ``fleet`` config or a default one sized by ``replicas``.
+        #: Replica fleet (``--replicas N``): constructed from ``fleet``
+        #: in :meth:`start` (it needs the running loop).
         self.fleet: Optional[Fleet] = None
-        if fleet is None and replicas > 0:
-            fleet = FleetConfig(replicas=replicas)
         if fleet is not None:
             # Fill in the shared-state fields the replicas inherit from
             # this gateway unless the caller pinned them explicitly.
@@ -589,10 +585,10 @@ class Gateway:
         """Worker-thread half of an in-process dispatch: run the
         supervised engine over the batch and report each fingerprint's
         outcome as ``(result, source)`` or ``(error message,
-        "failed")`` (:func:`repro.experiments.engine.plan_outcomes` —
-        the same code path fleet replicas run on their side). The
-        plan's structure-sharing runs execute as cohorts, counted by
-        ``service_batch_cohorts``."""
+        "failed")`` (:func:`repro.experiments.engine.plan_outcomes`;
+        fleet replicas report theirs the same way, one job at a time).
+        The plan's structure-sharing runs execute as cohorts, counted
+        by ``service_batch_cohorts``."""
         summary: Dict[str, object] = {}
         outcomes = plan_outcomes(requests, jobs=self.jobs,
                                  policy=self.policy, summary_out=summary)
@@ -617,9 +613,8 @@ class Gateway:
             for key, (result, source) in fallback.items():
                 outcomes[key] = (
                     result, "degraded" if source != "failed" else source)
-        # Replica-computed results live in the replica's memory and the
-        # shared disk cache; mirror them into this process's hot cache
-        # so follow-up requests hit ``source: "memory"`` as before.
+        # Replicas keep no results; mirror them into this process's hot
+        # cache so follow-up requests hit ``source: "memory"``.
         for key, (result, source) in outcomes.items():
             if source in ("computed", "disk") and key not in _SIM_CACHE:
                 _SIM_CACHE[key] = result

@@ -1,11 +1,14 @@
 """Supervised replica fleet: health-checked scale-out of the gateway.
 
-The gateway's dispatcher (PR 5) feeds one local engine — a single point
-of failure and a throughput ceiling. This module shards cold-run
-execution across N *replicas*: long-lived worker processes, each owning
-a bounded supervised engine (:func:`repro.experiments.engine.
-plan_outcomes` with retries, watchdog and crash containment) over the
-shared content-addressed :class:`~repro.sim.simcache.SimCache`.
+The gateway's dispatcher feeds one local engine — a single point of
+failure and a throughput ceiling. This module shards cold-run
+execution across N *replicas*: long-lived daemonic processes that
+compute their jobs in-process, one at a time, through the engine's
+member body (:func:`repro.experiments.engine.run_outcome`) over the
+shared content-addressed :class:`~repro.sim.simcache.SimCache` and
+checkpoint store. No engine pool runs inside a replica, so the fleet's
+heartbeats, deadlines, breakers and poison rule are the only process
+supervision above a run.
 
 Topology — the FPB idiom of globally budgeted, locally supervised
 resources, applied to serving capacity::
@@ -14,9 +17,9 @@ resources, applied to serving capacity::
         │  consistent-hash ring on canonical fingerprints
         ▼
     ┌── r0 ──┐   ┌── r1 ──┐   ┌── r2 ──┐      every replica:
-    │ engine │   │ engine │   │ engine │      · inbox/outbox queues
+    │  run   │   │  run   │   │  run   │      · inbox/outbox queues
     │ + ckpt │   │ + ckpt │   │ + ckpt │      · heartbeat thread
-    └────────┘   └────────┘   └────────┘      · its own inner pool
+    └────────┘   └────────┘   └────────┘      · one job at a time
         ▲             ▲            ▲
         └──── supervisor: heartbeats, job deadlines, breakers,
               respawn under a restart budget, failover re-routing
@@ -29,8 +32,11 @@ test_fleet_chaos``):
   exact: one fingerprint maps to one replica, and the coalescer in
   front of the fleet already guarantees one in-flight run per
   fingerprint. Results are byte-identical to single-process execution
-  — replicas run the very same supervised engine over the very same
-  cache.
+  — replicas run the very same member body over the very same cache.
+* **Failures keep the engine's rules.** A run that raises is retried,
+  failed or quarantined under the replica's :class:`RetryPolicy`, with
+  the engine's own message. A run that kills its process takes its
+  replica down and fails over like any other orphan.
 * **No waiter is ever stranded.** The parent keeps the authoritative
   copy of every outstanding job. When a replica dies (process exit,
   missed heartbeats, or a job blowing its fleet deadline), its breaker
@@ -41,9 +47,13 @@ test_fleet_chaos``):
   ``stranded`` so the gateway can serve them on its degraded in-process
   path instead of 500ing.
 * **Supervision is budgeted.** Each replica slot respawns at most
-  ``restart_budget`` times; past the budget the slot is ``dead`` and
-  the ring routes around it. A respawned replica re-enters *half-open*
-  and must complete a job to close its breaker.
+  ``restart_budget`` times in a row without completing a job — a crash
+  loop; past the budget the slot is ``dead`` and the ring routes
+  around it. A respawned replica re-enters *half-open* and must
+  complete a job to close its breaker.
+* **Deadlines time attempts, not queues.** The parent's job deadline
+  runs from when a replica reports starting the job and stops for each
+  backoff sleep: a job waiting in a replica's inbox is not charged.
 
 Circuit breaker per replica::
 
@@ -55,8 +65,9 @@ Circuit breaker per replica::
 Fault points (``repro.testing.faults``): ``replica_crash`` and
 ``replica_hang`` fire in the replica's job loop (key = the run's
 ``workload/scheme/fingerprint``), ``heartbeat_drop`` fires in its
-heartbeat thread (key = the replica name, e.g. ``r0``); all three
-reach replicas through the ``REPRO_FAULTS`` environment.
+heartbeat thread (key = the replica name, e.g. ``r0``); these and the
+engine's run-level points (``worker_run``, ``sim_progress``) reach
+replicas through the ``REPRO_FAULTS`` environment.
 
 Single-loop discipline: like the coalescer and admission queue, all
 ``Fleet`` methods run on the gateway's event-loop thread; replica
@@ -68,6 +79,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import ctypes
 import hashlib
 import multiprocessing
 import os
@@ -79,11 +91,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..experiments.base import RunRequest, request_key
+from ..experiments.base import (
+    RunRequest,
+    request_key,
+    use_checkpoints,
+    use_disk_cache,
+)
+from ..experiments.engine import run_outcome
 from ..experiments.resilience import RetryPolicy
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry
+from ..sim.checkpoint import CheckpointStore
+from ..sim.simcache import SimCache
 from ..testing.faults import maybe_inject
+from ..trace.generator import clear_trace_cache
 
 log = get_logger("service.fleet")
 
@@ -268,11 +289,12 @@ class FleetConfig:
     #: ``heartbeat_miss_limit`` consecutive beats is declared down.
     heartbeat_interval_s: float = 1.0
     heartbeat_miss_limit: int = 3
-    #: Respawns allowed per slot before it is permanently ``dead``.
+    #: Respawns a slot may make in a row, without a job completed in
+    #: between, before it is permanently ``dead``.
     restart_budget: int = 3
-    #: Parent-side wall-clock deadline per dispatched job (``None``
-    #: disables it — the replica's own engine watchdog still applies
-    #: when the policy sets ``run_timeout_s``).
+    #: Parent-side wall-clock deadline per job attempt, counted from
+    #: when the replica starts it; a smaller ``policy.run_timeout_s``
+    #: takes its place (:attr:`job_deadline_s`).
     job_timeout_s: Optional[float] = 300.0
     #: Replica deaths one job may cause before it is contained as a
     #: poison job (``replica_failed``) rather than re-routed again.
@@ -287,24 +309,23 @@ class FleetConfig:
     cache_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     checkpoint_every: int = 0
-    #: Engine supervision inside each replica (``None`` → defaults).
+    #: Retry rules for the runs inside each replica (``None`` → defaults).
     policy: Optional[RetryPolicy] = None
-    #: Bound on each replica's in-process result cache (they also write
-    #: through to the shared disk cache when one is configured).
-    replica_cache_limit: int = 512
     vnodes: int = 32
+
+    @property
+    def job_deadline_s(self) -> Optional[float]:
+        """The parent's wall-clock budget per job attempt: the smaller of
+        :attr:`job_timeout_s` and ``policy.run_timeout_s``, or whichever
+        is set (``None``: no deadline)."""
+        budgets = (self.job_timeout_s,
+                   self.policy.run_timeout_s if self.policy else None)
+        return min((t for t in budgets if t is not None), default=None)
 
 
 # ======================================================================
 # Replica child process
 # ======================================================================
-def _trim_mapping(mapping: Dict[str, object], limit: int) -> None:
-    excess = len(mapping) - limit
-    if excess > 0:
-        for key in list(mapping)[:excess]:
-            del mapping[key]
-
-
 def _close_inherited_sockets() -> None:
     """Close every socket FD a forked replica inherited.
 
@@ -327,93 +348,52 @@ def _close_inherited_sockets() -> None:
             continue
 
 
-def _kill_tree(process) -> None:
-    """SIGKILL a replica *and every process in its group* — the replica
-    leads its own group (see :func:`_replica_main`), so this reaps the
-    inner engine pool workers it forked. A worker that survives its
-    replica blocks in ``queue.get()`` forever and pins every inherited
-    pipe FD open (the hung-pytest failure mode this exists to prevent).
-    """
-    pid = process.pid
-    if pid is not None and hasattr(os, "killpg"):
-        try:
-            os.killpg(pid, signal.SIGKILL)
-        except (OSError, ProcessLookupError):
-            pass
+def _trim_heap() -> None:
+    """Hand freed heap pages back to the OS (glibc ``malloc_trim``; a
+    no-op elsewhere). Without it a replica would stay at its largest
+    run's allocator high-water mark for the rest of its life."""
     try:
-        process.kill()
-    except (OSError, ValueError):
-        pass
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return  # not glibc
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
 
 
-def _replica_main(name: str, spec: Dict[str, object],
-                  inbox, outbox) -> None:
-    """Entry point of one replica process: rebuild the shared stores,
-    start the heartbeat thread, then loop jobs until ``shutdown`` (or
-    the parent disappears).
-
-    Every job runs under the full engine supervision stack
-    (:func:`~repro.experiments.engine.plan_outcomes` → ``execute_plan``
-    with ``force=True``): retries, watchdog, inner-pool crash
-    containment. A crash that escapes *that* — or an injected
-    ``replica_crash``/``replica_hang`` — is exactly what the parent's
-    heartbeat/deadline supervision exists to catch.
-    """
+def _replica_main(name: str, config: FleetConfig, inbox, outbox) -> None:
+    """Entry point of one replica process: install the shared stores,
+    start the heartbeat thread, then run jobs one at a time through
+    :func:`~repro.experiments.engine.run_outcome` until ``shutdown`` (or
+    the parent disappears)."""
     # The parent handles SIGINT (Ctrl-C drains the gateway); replicas
     # must not die to a forwarded terminal signal mid-job.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # Lead a fresh process group: the engine pool workers this replica
-    # forks join it, so the parent can reap the whole tree with one
-    # killpg when the replica is declared down. Without this, a
-    # SIGTERM'd/SIGKILL'd replica (no atexit) orphans pool workers
-    # blocked in queue.get() forever — and they hold every inherited
-    # pipe FD open.
-    try:
-        os.setpgid(0, 0)
-    except (OSError, AttributeError):
-        pass
     _close_inherited_sockets()
 
-    from ..experiments.base import (
-        _SIM_CACHE,
-        use_checkpoints,
-        use_disk_cache,
-    )
-    from ..experiments.engine import plan_outcomes
+    if config.cache_dir:
+        use_disk_cache(SimCache(config.cache_dir))
+    if config.checkpoint_dir:
+        use_checkpoints(CheckpointStore(config.checkpoint_dir),
+                        config.checkpoint_every)
+    policy = config.policy or RetryPolicy()
 
-    if spec.get("cache_dir"):
-        from ..sim.simcache import SimCache
-        use_disk_cache(SimCache(str(spec["cache_dir"])))
-    if spec.get("checkpoint_dir"):
-        from ..sim.checkpoint import CheckpointStore
-        use_checkpoints(CheckpointStore(str(spec["checkpoint_dir"])),
-                        int(spec.get("checkpoint_every") or 0))
-    policy: Optional[RetryPolicy] = spec.get("policy")
-    cache_limit = int(spec.get("replica_cache_limit") or 512)
-    heartbeat_interval = float(spec.get("heartbeat_interval_s") or 1.0)
-
-    state = {"busy": None, "jobs_done": 0}
-    state_lock = threading.Lock()
     stop = threading.Event()
 
     def heartbeat() -> None:
-        seq = 0
         while not stop.is_set():
             try:
                 maybe_inject("heartbeat_drop", key=name)
             except Exception:
                 # The beat is dropped, not the replica: liveness
                 # detection is the parent's job.
-                stop.wait(heartbeat_interval)
+                stop.wait(config.heartbeat_interval_s)
                 continue
-            with state_lock:
-                busy, jobs_done = state["busy"], state["jobs_done"]
             try:
-                outbox.put(("heartbeat", name, seq, busy, jobs_done))
+                outbox.put(("heartbeat",))
             except (OSError, ValueError):
                 return  # parent (or its queue) is gone
-            seq += 1
-            stop.wait(heartbeat_interval)
+            stop.wait(config.heartbeat_interval_s)
 
     threading.Thread(target=heartbeat, name=f"{name}-heartbeat",
                      daemon=True).start()
@@ -429,28 +409,28 @@ def _replica_main(name: str, spec: Dict[str, object],
                 return
             _, job_id, request = message
             key = request_key(request)
-            with state_lock:
-                state["busy"] = request.fingerprint
-            # Chaos hooks: a crash here is a replica death the engine's
-            # inner supervision never sees; a hang starves the job past
-            # its parent-side fleet deadline while heartbeats continue.
+
+            def clock(running: bool) -> None:
+                # The parent times each attempt on its own clock from
+                # these reports: neither the wait in this inbox nor a
+                # backoff sleep counts against the job's deadline.
+                outbox.put(("clock", job_id, running))
+
+            clock(True)
+            # Chaos hooks: a crash here is a replica death before the
+            # run starts; a hang starves the job past its parent-side
+            # fleet deadline while heartbeats continue.
             maybe_inject("replica_crash", key=key)
             maybe_inject("replica_hang", key=key)
+            result, source = run_outcome(request, policy, clock=clock)
+            # A replica keeps no trace and no freed heap between jobs,
+            # so its idle memory stays flat whatever it has served.
+            clear_trace_cache()
+            _trim_heap()
             try:
-                outcome = plan_outcomes([request], jobs=1, policy=policy)
-                result, source = outcome[request.fingerprint]
-            except BaseException as exc:
-                result = f"replica engine error: {type(exc).__name__}: {exc}"
-                source = "failed"
-            with state_lock:
-                state["busy"] = None
-                state["jobs_done"] += 1
-            try:
-                outbox.put(("result", name, job_id, request.fingerprint,
-                            source, result))
+                outbox.put(("result", job_id, source, result))
             except (OSError, ValueError):
                 return
-            _trim_mapping(_SIM_CACHE, cache_limit)
     finally:
         stop.set()
 
@@ -474,8 +454,8 @@ class _Replica:
         #: heartbeat window to come up before it can be declared down.
         self.last_beat = time.monotonic()
         self.beats = 0
+        #: Fingerprint of the job it last reported starting, if any.
         self.busy: Optional[str] = None
-        self.jobs_done = 0
 
 
 class _Slot:
@@ -487,6 +467,9 @@ class _Slot:
         self.replica: Optional[_Replica] = None
         self.spawns = 0
         self.restarts = 0
+        #: Respawns since this slot last completed a job; the restart
+        #: budget caps this, so only a crash loop kills the slot.
+        self.crash_loop = 0
         self.deaths = 0
         self.jobs_ok = 0
         self.jobs_failed = 0
@@ -506,6 +489,8 @@ class _Job:
     request: RunRequest
     future: "asyncio.Future"
     slot: Optional[int] = None
+    #: Parent-clock deadline of the attempt the replica is running;
+    #: ``None`` until it reports starting one, and during backoff.
     deadline: Optional[float] = None
     reroutes: int = 0
     death_reasons: List[str] = field(default_factory=list)
@@ -624,12 +609,8 @@ class Fleet:
         for replica in victims:
             replica.process.join(max(0.1, deadline - time.monotonic()))
             if replica.process.is_alive():
-                _kill_tree(replica.process)
+                replica.process.kill()
                 replica.process.join(1.0)
-            elif replica.process.exitcode != 0:
-                # Died by signal or crashed: atexit never ran, so the
-                # replica's inner pool workers may still be alive.
-                _kill_tree(replica.process)
             self._drop_queues(replica)
         for process in self._graveyard:
             process.join(0.5)
@@ -642,29 +623,13 @@ class Fleet:
         slot.spawns += 1
         inbox = self._mp.Queue()
         outbox = self._mp.Queue()
-        spec = {
-            "cache_dir": self.config.cache_dir,
-            "checkpoint_dir": self.config.checkpoint_dir,
-            "checkpoint_every": self.config.checkpoint_every,
-            "policy": self.config.policy,
-            "replica_cache_limit": self.config.replica_cache_limit,
-            "heartbeat_interval_s": self.config.heartbeat_interval_s,
-        }
-        # Non-daemon on purpose: replicas spawn their own inner engine
-        # pools, which daemonic processes are not allowed to do.
+        # Daemonic: a replica computes in-process, and the runtime
+        # refuses any child process it might try to start.
         process = self._mp.Process(
             target=_replica_main,
-            args=(slot.name, spec, inbox, outbox),
-            name=f"fleet-{slot.name}-g{generation}", daemon=False)
+            args=(slot.name, self.config, inbox, outbox),
+            name=f"fleet-{slot.name}-g{generation}", daemon=True)
         process.start()
-        # Both sides setpgid (classic double-set): whichever runs first
-        # wins, so _kill_tree can group-kill even a replica that dies
-        # before its own _replica_main prologue executes.
-        if hasattr(os, "setpgid") and process.pid is not None:
-            try:
-                os.setpgid(process.pid, process.pid)
-            except OSError:
-                pass
         replica = _Replica(slot.index, generation, slot.name,
                            process, inbox, outbox)
         slot.replica = replica
@@ -707,22 +672,32 @@ class Fleet:
         current = slot.replica is replica
         kind = message[0]
         if kind == "heartbeat":
-            if not current:
-                return  # a late beat from a replaced incarnation
-            _, _name, seq, busy, jobs_done = message
-            replica.last_beat = time.monotonic()
-            replica.beats += 1
-            replica.busy = busy
-            replica.jobs_done = jobs_done
+            if current:  # not a late beat from a replaced incarnation
+                replica.last_beat = time.monotonic()
+                replica.beats += 1
+            return
+        if kind == "clock":
+            _, job_id, running = message
+            job = self._jobs.get(job_id)
+            budget = self.config.job_deadline_s
+            if current and job is not None and job.slot == replica.slot:
+                replica.busy = job.request.fingerprint
+                # Parent's clock on purpose: the deadline must not trust
+                # a replica that may be wedged (or lying about time).
+                job.deadline = (time.monotonic() + budget
+                                if running and budget is not None
+                                else None)
             return
         if kind != "result":
             return
-        _, _name, job_id, fingerprint, source, payload = message
+        _, job_id, source, payload = message
         job = self._jobs.pop(job_id, None)
         if job is None or job.future.done():
             return  # already failed over; the reroute's result wins
         if current:
             replica.last_beat = time.monotonic()  # results prove liveness
+            replica.busy = None
+            slot.crash_loop = 0
         if source == "failed":
             slot.jobs_failed += 1
             if current and slot.breaker.record_failure():
@@ -771,17 +746,15 @@ class Fleet:
                     f"no heartbeat for {age:.2f}s "
                     f"(window {window:.2f}s)")
                 continue
-            if self.config.job_timeout_s is not None:
-                expired = [job for job in self._jobs.values()
-                           if job.slot == slot.index
-                           and job.deadline is not None
-                           and now >= job.deadline]
-                if expired:
-                    self._replica_down(
-                        slot, "job_timeout",
-                        f"{len(expired)} job(s) blew the "
-                        f"{self.config.job_timeout_s:.1f}s fleet "
-                        f"deadline")
+            expired = [job for job in self._jobs.values()
+                       if job.slot == slot.index
+                       and job.deadline is not None
+                       and now >= job.deadline]
+            if expired:
+                self._replica_down(
+                    slot, "job_timeout",
+                    f"{len(expired)} job(s) blew the "
+                    f"{self.config.job_deadline_s:.1f}s fleet deadline")
         for process in list(self._graveyard):
             process.join(0)
             if not process.is_alive():
@@ -808,9 +781,8 @@ class Fleet:
         if replica is not None:
             replica.stop.set()
             # Force, not terminate: a down replica is crashed, hung, or
-            # heartbeat-dead — group-kill it so its inner pool workers
-            # die with it (SIGTERM skips atexit and would orphan them).
-            _kill_tree(replica.process)
+            # heartbeat-dead.
+            replica.process.kill()
             self._graveyard.append(replica.process)
             self._drop_queues(replica)
         # Failover before respawn: orphans must land on the *next live*
@@ -846,14 +818,16 @@ class Fleet:
                     fingerprint=job.request.fingerprint,
                     attrs={"from": slot.name, "reroutes": job.reroutes})
             self._dispatch(job)
-        if slot.restarts < self.config.restart_budget:
+        if slot.crash_loop < self.config.restart_budget:
             slot.restarts += 1
+            slot.crash_loop += 1
             self._c_restarts.inc()
             self._spawn(slot)
         else:
             slot.breaker.kill()
-            log.error("replica %s: restart budget (%d) exhausted; slot "
-                      "is dead", slot.name, self.config.restart_budget)
+            log.error("replica %s: restart budget (%d) exhausted with no "
+                      "job completed; slot is dead", slot.name,
+                      self.config.restart_budget)
             self._event(None, "dead", slot,
                         restart_budget=self.config.restart_budget)
         self._refresh_live()
@@ -886,8 +860,8 @@ class Fleet:
     def submit(self, request: RunRequest) -> "asyncio.Future":
         """Route one run onto the ring; the returned future resolves to
         ``(payload, source)`` — never an exception — where source is
-        ``computed``/``disk``/``failed`` from the replica's engine, or
-        the fleet's own ``stranded``/``replica_failed``."""
+        ``computed``/``disk``/``failed`` from the replica, or the
+        fleet's own ``stranded``/``replica_failed``."""
         assert self._loop is not None, "fleet not started"
         self._job_seq += 1
         job = _Job(self._job_seq, request, self._loop.create_future())
@@ -915,10 +889,7 @@ class Fleet:
             return
         slot = self.slots[index]
         job.slot = index
-        # Parent's clock on purpose: the deadline must not trust a
-        # replica that may be wedged (or lying about time).
-        job.deadline = (time.monotonic() + self.config.job_timeout_s
-                        if self.config.job_timeout_s is not None else None)
+        job.deadline = None  # starts when the replica reports the job
         self._jobs[job.job_id] = job
         try:
             slot.replica.inbox.put(("job", job.job_id, job.request))

@@ -23,13 +23,14 @@ they are self-verifying and best-effort:
 
 * file layout ``<root>/<aa>/<fingerprint>/<writes>-<cycle>.ckpt``; the
   file is a one-line JSON header (for cheap progress peeks) followed by
-  a SHA-256 digest and a pickled record embedding
-  :data:`CKPT_SCHEMA_VERSION`, :data:`SIM_SCHEMA_VERSION` and the
-  fingerprint. A truncated, corrupted, mis-keyed or stale-schema
-  capsule is detected on load, deleted, and the run restarts clean from
-  write 0 — never resumed blindly;
-* writes are atomic (temp file + ``os.replace``) and *best-effort*: a
-  failing disk degrades checkpointing, never the simulation;
+  a pickled record embedding :data:`CKPT_SCHEMA_VERSION`,
+  :data:`SIM_SCHEMA_VERSION` and the fingerprint, sealed behind its
+  SHA-256 digest like a cache entry (:func:`~repro.sim.simcache.seal`).
+  A truncated, corrupted, mis-keyed or stale-schema capsule is detected
+  on load, deleted, and the run restarts clean from write 0 — never
+  resumed blindly;
+* writes are atomic (:func:`~repro.sim.simcache.write_atomic`) and
+  *best-effort*: a failing disk degrades checkpointing, not the run;
 * the store keeps the newest :attr:`CheckpointStore.keep_per_run`
   capsules per fingerprint and drops a run's capsules once it
   completes, so healthy runs leave nothing behind (``repro.experiments
@@ -45,11 +46,8 @@ exact mid-interval write.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
@@ -57,7 +55,13 @@ from typing import Callable, Dict, List, Optional, Union
 from ..obs.logging import get_logger
 from ..testing.faults import corrupt_payload, maybe_inject
 from .events import SimEngine
-from .simcache import DEFAULT_CACHE_DIR, SIM_SCHEMA_VERSION
+from .simcache import (
+    DEFAULT_CACHE_DIR,
+    SIM_SCHEMA_VERSION,
+    seal,
+    unseal,
+    write_atomic,
+)
 
 log = get_logger("sim.checkpoint")
 
@@ -69,8 +73,6 @@ CKPT_SCHEMA_VERSION = 2
 
 #: Default capsule root, next to the result cache's entries.
 DEFAULT_CKPT_DIR = str(Path(DEFAULT_CACHE_DIR) / "ckpt")
-
-_DIGEST_BYTES = hashlib.sha256().digest_size
 
 
 @dataclass
@@ -136,40 +138,23 @@ class CheckpointStore:
             },
             sort_keys=True,
         ).encode("utf-8")
-        blob = hashlib.sha256(payload).digest() + payload
-        blob = corrupt_payload("ckpt_corrupt", fingerprint, blob)
+        blob = corrupt_payload("ckpt_corrupt", fingerprint, seal(payload))
         directory = self.dir_for(fingerprint)
         path = directory / f"{writes_done:012d}-{cycle:015d}.ckpt"
-        tmp = None
         try:
             maybe_inject("ckpt_put", key=f"{fingerprint}:{writes_done}")
             directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header + b"\n" + blob)
-            os.replace(tmp, path)
+            write_atomic(path, header + b"\n" + blob)
         except OSError as exc:
             self.store_errors += 1
             log.warning(
                 "checkpoint store failed for %s… @ write %d (%s: %s) — "
                 "continuing without this capsule", fingerprint[:12],
                 writes_done, type(exc).__name__, exc)
-            self._unlink_tmp(tmp)
             return None
-        except BaseException:
-            self._unlink_tmp(tmp)
-            raise
         self.stores += 1
         self._prune(fingerprint, keep=self.keep_per_run)
         return path
-
-    @staticmethod
-    def _unlink_tmp(tmp: Optional[str]) -> None:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
 
     def _capsule_paths(self, fingerprint: str) -> List[Path]:
         """Capsule files for one run, oldest first (filename-ordered:
@@ -225,6 +210,14 @@ class CheckpointStore:
                 return meta
         return None
 
+    def progress(self, fingerprint: str) -> Optional[int]:
+        """Writes completed by the run's newest capsule, or ``None``:
+        a cheap header read, so a lying header can misjudge retry budget
+        but never correctness (resuming fully validates)."""
+        meta = self.latest_meta(fingerprint)
+        writes_done = meta.get("writes_done") if meta is not None else None
+        return writes_done if isinstance(writes_done, int) else None
+
     def _decode(self, path: Path, fingerprint: str) -> Optional[Capsule]:
         try:
             raw = path.read_bytes()
@@ -233,11 +226,8 @@ class CheckpointStore:
         newline = raw.find(b"\n")
         if newline < 0:
             return None
-        blob = raw[newline + 1:]
-        if len(blob) <= _DIGEST_BYTES:
-            return None
-        digest, payload = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
+        payload = unseal(raw[newline + 1:])
+        if payload is None:
             return None
         try:
             record = pickle.loads(payload)

@@ -14,12 +14,13 @@ the *canonical* form of everything that determines its outcome:
 :class:`SimCache` stores one pickled :class:`~repro.sim.runner.SimResult`
 per fingerprint under ``<root>/<aa>/<fingerprint>.pkl`` (two-level
 fan-out keeps directories small). Entries are self-verifying: the file
-starts with a SHA-256 digest of the payload, and the payload embeds the
-fingerprint and schema version. A truncated, corrupted, mis-keyed or
-stale-schema entry is detected on load, deleted, and reported as a miss
-— never deserialized blindly into an experiment.
+starts with a SHA-256 digest of the payload (:func:`seal`, shared with
+checkpoint capsules), and the payload embeds the fingerprint and
+schema version. A truncated, corrupted, mis-keyed or stale-schema entry
+is detected on load, deleted, and reported as a miss — never
+deserialized blindly into an experiment.
 
-Writes are atomic (temp file + ``os.replace``), so concurrent processes
+Writes are atomic (:func:`write_atomic`), so concurrent processes
 sharing one cache directory can race without ever exposing a partial
 entry.
 
@@ -56,6 +57,37 @@ SIM_SCHEMA_VERSION = 2
 DEFAULT_CACHE_DIR = ".simcache"
 
 _DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that a reader sees all of it or no
+    file at all, even if the writer dies midway."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def seal(payload: bytes) -> bytes:
+    """``payload`` behind its SHA-256 digest: the self-verifying layout
+    of cache entries and checkpoint capsules."""
+    return hashlib.sha256(payload).digest() + payload
+
+
+def unseal(blob: bytes) -> Optional[bytes]:
+    """The payload :func:`seal` wrapped in ``blob``, or ``None`` when
+    the blob is truncated or its digest does not match."""
+    digest, payload = blob[:_DIGEST_BYTES], blob[_DIGEST_BYTES:]
+    if not payload or hashlib.sha256(payload).digest() != digest:
+        return None
+    return payload
 
 
 def run_fingerprint(config, workload: str, scheme: str, *,
@@ -126,44 +158,25 @@ class SimCache:
             {"schema": SIM_SCHEMA_VERSION, "key": key, "result": result},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        blob = hashlib.sha256(payload).digest() + payload
-        blob = corrupt_payload("cache_corrupt", key, blob)
+        blob = corrupt_payload("cache_corrupt", key, seal(payload))
         path = self.path_for(key)
-        tmp = None
         try:
             maybe_inject("cache_put", key=key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
+            write_atomic(path, blob)
         except OSError as exc:
             self.store_errors += 1
             log.warning("cache store failed for %s… (%s: %s) — result "
                         "kept in memory, continuing", key[:12],
                         type(exc).__name__, exc)
-            self._unlink_tmp(tmp)
             return False
-        except BaseException:
-            self._unlink_tmp(tmp)
-            raise
         self.stores += 1
         return True
 
     @staticmethod
-    def _unlink_tmp(tmp: Optional[str]) -> None:
-        if tmp is not None:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    @staticmethod
     def _decode(raw: bytes, key: str):
-        if len(raw) <= _DIGEST_BYTES:
-            return None
-        digest, payload = raw[:_DIGEST_BYTES], raw[_DIGEST_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
+        payload = unseal(raw)
+        if payload is None:
             return None
         try:
             record = pickle.loads(payload)
@@ -192,9 +205,7 @@ class SimCache:
             raw = self.path_for(key).read_bytes()
         except OSError:
             return False
-        if len(raw) <= _DIGEST_BYTES:
-            return False
-        return hashlib.sha256(raw[_DIGEST_BYTES:]).digest() == raw[:_DIGEST_BYTES]
+        return unseal(raw) is not None
 
     def __len__(self) -> int:
         if not self.root.is_dir():

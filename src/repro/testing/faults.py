@@ -25,7 +25,7 @@ spec's ``match`` substring selects on):
 =============== ===================================== ==================
 point           fires from                            key
 =============== ===================================== ==================
-``worker_run``  engine worker, before the simulation  ``workload/scheme/fingerprint``
+``worker_run``  engine worker/replica, before the run ``workload/scheme/fingerprint``
 ``serial_run``  parent process, before a lazy run     ``workload/scheme/fingerprint``
 ``cache_put``   :meth:`SimCache.put`, before writing  cache key (fingerprint)
 ``cache_corrupt`` :meth:`SimCache.put`, on the bytes  cache key (fingerprint)
@@ -37,10 +37,10 @@ point           fires from                            key
                 Checkpointer`, once per completed
                 write (mid-run, between boundaries)
 ``replica_crash`` fleet replica job loop, before the  ``workload/scheme/fingerprint``
-                engine runs (``mode="crash"`` kills
+                run starts (``mode="crash"`` kills
                 the whole replica process)
 ``replica_hang`` fleet replica job loop, before the   ``workload/scheme/fingerprint``
-                engine runs (``mode="hang"`` starves
+                run starts (``mode="hang"`` starves
                 the job past its fleet deadline
                 while heartbeats continue)
 ``heartbeat_drop`` fleet replica heartbeat thread,    replica name (``r0``, ``r1``, …)

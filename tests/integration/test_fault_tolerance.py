@@ -389,6 +389,32 @@ class TestQueueTime:
         assert summary["computed"] == 4
 
 
+class TestInProcessRun:
+    def test_clock_stops_for_each_backoff_sleep(self, tmp_path):
+        """``run_outcome`` (a fleet replica's job) retries a transient
+        failure in this process. It stops the caller's attempt clock
+        for the backoff sleep and restarts it for the retry, and writes
+        the retried run through bit-identical to serial."""
+        config = make_tiny_config()
+        request = micro_plan(config)[0]
+        truth = serial_truth(config, [request])
+        cache = SimCache(tmp_path / "cache")
+        use_disk_cache(cache)
+        install_faults([FaultSpec(point="worker_run", error="OSError",
+                                  match=request.fingerprint, times=1)])
+        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
+                             backoff_cap_s=0.01)
+        ticks = []
+        result, source = engine.run_outcome(request, policy,
+                                            clock=ticks.append)
+        clear_faults()
+        assert source == "computed"
+        assert ticks == [False, True]
+        assert (result.cycles, result.cpi,
+                result.stats.snapshot()) == truth[request.fingerprint]
+        assert cache.get(request.fingerprint) is not None
+
+
 class TestMemberFailure:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_member_is_judged_once_per_execution(self, tmp_path,

@@ -18,6 +18,14 @@ gateway on real sockets with real replica processes:
 * **Health checks**: a replica whose heartbeats stop (wedged, not
   dead) is declared down by the heartbeat supervisor; a replica that
   hangs *inside* a job is caught by the parent-side job deadline.
+* **In-process runs**: replicas compute their jobs in their own
+  process, so a run that kills its process costs one replica and fails
+  over (resuming from the shared capsule store when checkpointing is
+  on), while a run that raises is retried and quarantined inside one
+  replica under the engine's rules.
+* **Fair deadlines and budgets**: a job's deadline counts from when its
+  replica starts it, not from when it was queued; the restart budget
+  caps a crash loop, not a slot's lifetime.
 
 Faults reach replica processes through ``REPRO_FAULTS`` (fork start
 method: children inherit the parent's environment); ``stamp`` files
@@ -32,8 +40,10 @@ import time
 
 import pytest
 
+from repro.experiments.base import clear_sim_cache
 from repro.experiments.resilience import RetryPolicy
 from repro.service.fleet import DEAD, FleetConfig
+from repro.sim.checkpoint import CheckpointStore
 from repro.service.schemas import SimRequest
 from repro.service.testing import GatewayHarness
 from repro.testing.faults import ENV_VAR
@@ -268,3 +278,138 @@ def test_hung_job_is_reaped_by_the_parent_deadline(monkeypatch,
         counters = counters_of(harness)
         assert counters["service_replica_deaths"] >= 1
         assert counters["service_replica_failovers"] >= 1
+
+
+@pytest.mark.parametrize("point", ["worker_run", "sim_progress"])
+def test_run_that_kills_its_process_costs_one_replica_and_fails_over(
+        monkeypatch, tmp_path, point):
+    """A run that kills its process takes its replica down: the job
+    fails over and the waiter gets the byte-identical result. Killed
+    at write 25 of 40 with a capsule every 10 writes, the failover
+    replica resumes from the shared capsule store, and the completed
+    run leaves no capsule behind."""
+    fields = run_fields("lbm_m", "fpb")
+    fingerprint = fingerprint_of(fields)
+    expected = serial_wire_payload(fields)
+    clear_sim_cache()  # the gateway must not serve it from memory
+    match = fingerprint if point == "worker_run" else f"{fingerprint}:25"
+    monkeypatch.setenv(ENV_VAR, json.dumps([{
+        "point": point, "mode": "crash", "match": match,
+        "stamp": str(tmp_path / "crash.stamp"),
+    }]))
+    ckpt_dir = tmp_path / "ckpt"
+    with GatewayHarness(jobs=1, queue_limit=64, batch_max=16,
+                        policy=fast_policy(),
+                        fleet=fast_fleet(replicas=2, restart_budget=1,
+                                         checkpoint_dir=str(ckpt_dir),
+                                         checkpoint_every=10)) as harness:
+        host, port = harness.gateway.host, harness.gateway.port
+        status, _, body = harness.submit(
+            raw_request(host, port, "POST", "/run",
+                        body=fields)).result(180)
+        assert status == 200
+        assert body.pop("source") == "computed"
+        assert body == expected
+
+        counters = counters_of(harness)
+        assert counters["service_replica_deaths"] >= 1
+        assert counters["service_replica_failovers"] >= 1
+    store = CheckpointStore(ckpt_dir)
+    assert not list(store.dir_for(fingerprint).glob("*.ckpt"))
+
+
+def test_deterministic_raise_is_quarantined_inside_one_replica(
+        monkeypatch):
+    """A run that raises the same error twice executes both attempts
+    in its replica and is quarantined with the engine's message; no
+    replica dies for it."""
+    fields = run_fields("mix_1", "dimm+chip")
+    monkeypatch.setenv(ENV_VAR, json.dumps([{
+        "point": "worker_run", "mode": "error", "error": "ValueError",
+        "match": fingerprint_of(fields),
+    }]))
+    with GatewayHarness(jobs=1, queue_limit=64, batch_max=16,
+                        policy=fast_policy(deterministic_attempts=2),
+                        fleet=fast_fleet(replicas=2)) as harness:
+        host, port = harness.gateway.host, harness.gateway.port
+        status, _, body = harness.submit(
+            raw_request(host, port, "POST", "/run",
+                        body=fields)).result(180)
+        assert status == 500
+        assert body["error"]["code"] == "run_failed"
+        assert body["error"]["message"].startswith("ValueError: ")
+        assert body["error"]["message"].endswith(
+            "(quarantine after 2 attempt(s))")
+        assert counters_of(harness)["service_replica_deaths"] == 0
+
+
+def test_run_deadline_counts_from_when_the_replica_starts_the_job(
+        monkeypatch):
+    """One replica runs a batch one job at a time, so jobs wait in its
+    inbox. Each run takes about half the per-run ``--timeout``; all
+    three still finish, because the deadline counts from when the
+    replica starts each job, not from when the batch was queued."""
+    jobs = [run_fields("tig_m", scheme)
+            for scheme in ("fpb", "ideal", "dimm+chip")]
+    monkeypatch.setenv(ENV_VAR, json.dumps([{
+        "point": "worker_run", "mode": "hang", "hang_s": 2.0, "match": "",
+    }]))
+    with GatewayHarness(jobs=1, queue_limit=64, batch_max=16,
+                        policy=fast_policy(run_timeout_s=4.0),
+                        fleet=fast_fleet(replicas=1)) as harness:
+        host, port = harness.gateway.host, harness.gateway.port
+        responses = harness.submit(_post_runs(host, port, jobs)).result(180)
+
+        assert [status for status, _, _ in responses] == [200] * len(jobs)
+        for (_, _, body), fields in zip(responses, jobs):
+            assert body.pop("source") == "computed"
+            assert body == serial_wire_payload(fields)
+        counters = counters_of(harness)
+        assert counters["service_replica_deaths"] == 0
+        assert counters["service_replica_failovers"] == 0
+
+
+def test_restart_budget_counts_a_crash_loop_not_a_lifetime(monkeypatch,
+                                                          tmp_path):
+    """The restart budget caps respawns in a row without a completed
+    job. A slot whose respawned replica completes a job between crashes
+    outlives more crashes than its budget, and keeps computing."""
+    budget = 1
+    crashing = [run_fields("tig_m", "fpb"), run_fields("mcf_m", "fpb")]
+    innocent = [run_fields("tig_m", "ideal"), run_fields("mcf_m", "ideal")]
+    assert len(crashing) == budget + 1
+    monkeypatch.setenv(ENV_VAR, json.dumps([{
+        "point": "replica_crash", "mode": "crash",
+        "match": fingerprint_of(fields),
+        "stamp": str(tmp_path / f"crash{i}.stamp"),
+    } for i, fields in enumerate(crashing)]))
+    with GatewayHarness(jobs=1, queue_limit=64, batch_max=16,
+                        policy=fast_policy(),
+                        fleet=fast_fleet(replicas=1,
+                                         restart_budget=budget)) as harness:
+        host, port = harness.gateway.host, harness.gateway.port
+        for doomed, fine in zip(crashing, innocent):
+            # The lone replica dies, so the gateway serves the job on
+            # its degraded in-process path...
+            status, _, body = harness.submit(
+                raw_request(host, port, "POST", "/run",
+                            body=doomed)).result(180)
+            assert status == 200
+            assert body.pop("source") == "degraded"
+            assert body == serial_wire_payload(doomed)
+            # ...and the respawned replica computes the next one.
+            status, _, body = harness.submit(
+                raw_request(host, port, "POST", "/run",
+                            body=fine)).result(180)
+            assert status == 200
+            assert body.pop("source") == "computed"
+            assert body == serial_wire_payload(fine)
+
+        counters = counters_of(harness)
+        assert counters["service_replica_deaths"] == budget + 1
+        assert counters["service_replica_restarts"] == budget + 1
+        status, _, health = harness.submit(
+            raw_request(host, port, "GET", "/healthz")).result(30)
+        assert health["fleet"]["live"] == 1
+        (member,) = health["fleet"]["members"]
+        assert member["alive"] and member["state"] != DEAD

@@ -1,18 +1,20 @@
-"""Units for the fleet's pure parts: the consistent-hash ring and the
-per-replica circuit breaker. Process supervision, failover and degraded
-serving are integration-tested in
+"""Units for the fleet's pure parts: the consistent-hash ring, the
+per-replica circuit breaker and the job deadline. Process supervision,
+failover and degraded serving are integration-tested in
 ``tests/integration/test_fleet_chaos``."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments.resilience import RetryPolicy
 from repro.service.fleet import (
     CLOSED,
     DEAD,
     HALF_OPEN,
     OPEN,
     CircuitBreaker,
+    FleetConfig,
     HashRing,
 )
 
@@ -179,3 +181,26 @@ class TestHashRing:
                 assert after[key] != dead
             else:
                 assert after[key] == before[key]
+
+
+class TestJobDeadline:
+    def test_smaller_budget_wins_when_both_are_set(self):
+        tight_run = RetryPolicy(run_timeout_s=2.0)
+        assert FleetConfig(job_timeout_s=5.0,
+                           policy=tight_run).job_deadline_s == 2.0
+        loose_run = RetryPolicy(run_timeout_s=9.0)
+        assert FleetConfig(job_timeout_s=5.0,
+                           policy=loose_run).job_deadline_s == 5.0
+
+    def test_whichever_budget_is_set_applies(self):
+        assert FleetConfig(job_timeout_s=5.0).job_deadline_s == 5.0
+        assert FleetConfig(job_timeout_s=5.0,
+                           policy=RetryPolicy()).job_deadline_s == 5.0
+        assert FleetConfig(
+            job_timeout_s=None,
+            policy=RetryPolicy(run_timeout_s=2.0)).job_deadline_s == 2.0
+
+    def test_no_budget_means_no_deadline(self):
+        assert FleetConfig(job_timeout_s=None).job_deadline_s is None
+        assert FleetConfig(job_timeout_s=None,
+                           policy=RetryPolicy()).job_deadline_s is None
