@@ -11,15 +11,13 @@ from .base import (
     RunScale,
     clear_sim_cache,
     sim,
-    speedup_plan,
     speedup_rows,
+    speedup_runs,
     use_disk_cache,
 )
 from .engine import execute_plan
 from .registry import available_experiments, get_experiment, plan_runs
 from .resilience import RetryPolicy, RunSupervisor, backoff_delay
-from . import ablations  # noqa: F401  (registers the ablation experiments)
-from . import worked_examples  # noqa: F401  (registers figs 3/5/6/8)
 
 __all__ = [
     "DEFAULT",
@@ -39,7 +37,7 @@ __all__ = [
     "get_experiment",
     "plan_runs",
     "sim",
-    "speedup_plan",
     "speedup_rows",
+    "speedup_runs",
     "use_disk_cache",
 ]

@@ -27,37 +27,24 @@ from ..trace.synthetic.data import LINE_KINDS, make_line_pair
 from .base import (
     Experiment,
     ExperimentResult,
+    Results,
     RunRequest,
     RunScale,
-    sim,
-    speedup_plan,
-    speedup_rows,
+    Runs,
+    SpeedupFigure,
 )
 
-MR_GROUPING_SCHEMES = ("ipm", "fpb", "fpb-mrchanged")
 
-
-class AblMRGrouping(Experiment):
+class AblMRGrouping(SpeedupFigure):
     exp_id = "abl_mr"
     title = "Ablation: Multi-RESET grouping strategy"
     paper_claim = (
         "Section 3.2: grouping the cells to be changed performs better; "
         "position grouping is cheaper and is what the paper builds."
     )
-
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return speedup_plan(config, scale, MR_GROUPING_SCHEMES,
-                            baseline="dimm+chip")
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        schemes = MR_GROUPING_SCHEMES
-        rows = speedup_rows(config, scale, schemes, baseline="dimm+chip")
-        return ExperimentResult(
-            self.exp_id, self.title, ["workload", *schemes], rows,
-            paper_claim=self.paper_claim,
-            notes="ipm = no Multi-RESET; fpb = position groups; "
-                  "fpb-mrchanged = changed-cell groups.",
-        )
+    schemes = ("ipm", "fpb", "fpb-mrchanged")
+    notes = ("ipm = no Multi-RESET; fpb = position groups; "
+             "fpb-mrchanged = changed-cell groups.")
 
 
 class AblPreRead(Experiment):
@@ -75,28 +62,26 @@ class AblPreRead(Experiment):
             scheduler=replace(config.scheduler, model_pre_write_read=False),
         )
 
-    def plan(self, config: SystemConfig, scale: RunScale):
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
         no_preread = self._no_preread(config)
-        requests = []
+        runs: Runs = {}
         for workload in scale.workloads:
-            requests.append(RunRequest(config, workload, "dimm+chip", scale))
-            requests.append(RunRequest(config, workload, "fpb", scale))
-            requests.append(RunRequest(no_preread, workload, "fpb", scale))
-        return tuple(requests)
+            runs[workload, "dimm+chip"] = RunRequest(
+                config, workload, "dimm+chip", scale)
+            runs[workload, "fpb"] = RunRequest(config, workload, "fpb", scale)
+            runs[workload, "fpb-free-read"] = RunRequest(
+                no_preread, workload, "fpb", scale)
+        return runs
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        no_preread = self._no_preread(config)
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         rows: List[Dict[str, object]] = []
         ratios: List[float] = []
         for workload in scale.workloads:
-            base = sim(config, workload, "dimm+chip", scale)
-            with_cost = sim(config, workload, "fpb", scale)
-            free = sim(no_preread, workload, "fpb", scale)
-            row = {
-                "workload": workload,
-                "fpb": with_cost.speedup_over(base),
-                "fpb-free-read": free.speedup_over(base),
-            }
+            base = results[workload, "dimm+chip"]
+            row: Dict[str, object] = {"workload": workload}
+            for column in ("fpb", "fpb-free-read"):
+                row[column] = results[workload, column].speedup_over(base)
             row["overhead_%"] = 100.0 * (
                 float(row["fpb-free-read"]) / max(1e-9, float(row["fpb"])) - 1.0
             )
@@ -122,7 +107,8 @@ class AblFlipNWrite(Experiment):
         "the ~halved worst case it provides for SLC."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         rng = make_rng(config.seed, "fnw")
         line_size = config.memory.line_size
         n_lines = min(400, max(50, scale.n_pcm_writes))
@@ -150,7 +136,7 @@ class AblFlipNWrite(Experiment):
         )
 
 
-class AblPreSET(Experiment):
+class AblPreSET(SpeedupFigure):
     exp_id = "abl_preset"
     title = "Ablation: PreSET-style writes under power budgets"
     paper_claim = (
@@ -158,6 +144,9 @@ class AblPreSET(Experiment):
         "writes that are fast but 'tend to increase the demand for "
         "power tokens' — a win without budgets, a loss with them."
     )
+    schemes = ("ideal", "ideal+preset", "fpb", "fpb+preset")
+    notes = ("preset = foreground writes are single-RESET pulses over "
+             "~75% of the line's cells (background SETs modeled free).")
 
     @staticmethod
     def _preset_config(config: SystemConfig) -> SystemConfig:
@@ -166,53 +155,14 @@ class AblPreSET(Experiment):
             scheduler=replace(config.scheduler, preset_writes=True),
         )
 
-    def plan(self, config: SystemConfig, scale: RunScale):
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
         preset_cfg = self._preset_config(config)
-        requests = []
+        runs: Runs = {}
         for workload in scale.workloads:
-            requests.append(RunRequest(config, workload, "dimm+chip", scale))
-            for cfg in (config, preset_cfg):
+            runs[workload, "dimm+chip"] = RunRequest(
+                config, workload, "dimm+chip", scale)
+            for cfg, suffix in ((config, ""), (preset_cfg, "+preset")):
                 for scheme in ("ideal", "fpb"):
-                    requests.append(RunRequest(cfg, workload, scheme, scale))
-        return tuple(requests)
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        preset_cfg = self._preset_config(config)
-        rows: List[Dict[str, object]] = []
-        cols = ("ideal", "ideal+preset", "fpb", "fpb+preset")
-        sums: Dict[str, List[float]] = {c: [] for c in cols}
-        for workload in scale.workloads:
-            base = sim(config, workload, "dimm+chip", scale)
-            row: Dict[str, object] = {"workload": workload}
-            row["ideal"] = sim(config, workload, "ideal", scale)\
-                .speedup_over(base)
-            row["ideal+preset"] = sim(preset_cfg, workload, "ideal", scale)\
-                .speedup_over(base)
-            row["fpb"] = sim(config, workload, "fpb", scale)\
-                .speedup_over(base)
-            row["fpb+preset"] = sim(preset_cfg, workload, "fpb", scale)\
-                .speedup_over(base)
-            rows.append(row)
-            for c in cols:
-                sums[c].append(float(row[c]))
-        from ..analysis.metrics import gmean
-        gmean_row: Dict[str, object] = {"workload": "gmean"}
-        for c in cols:
-            gmean_row[c] = gmean(sums[c])
-        rows.append(gmean_row)
-        return ExperimentResult(
-            self.exp_id, self.title, ["workload", *cols], rows,
-            paper_claim=self.paper_claim,
-            notes="preset = foreground writes are single-RESET pulses over "
-                  "~75% of the line's cells (background SETs modeled free).",
-        )
-
-
-def _register() -> None:
-    from . import registry
-
-    for cls in (AblMRGrouping, AblPreRead, AblFlipNWrite, AblPreSET):
-        registry._EXPERIMENTS[cls.exp_id] = cls
-
-
-_register()
+                    runs[workload, scheme + suffix] = RunRequest(
+                        cfg, workload, scheme, scale)
+        return runs

@@ -14,9 +14,15 @@ when a :class:`~repro.sim.simcache.SimCache` is installed via
 :func:`use_disk_cache`, in an on-disk content-addressed store.
 Experiments that share runs (Figures 11-14 all reuse the GCP sweeps)
 never repeat them — within a process, across processes, or across
-invocations. Experiments additionally *declare* their run set via
-:meth:`Experiment.plan` so the engine (:mod:`repro.experiments.engine`)
-can dedupe the union across figures and execute it on worker processes.
+invocations.
+
+An experiment names each simulation it reads exactly once, in
+:meth:`Experiment.runs`, and turns their results into rows in
+:meth:`Experiment.render`, which never simulates. The base class derives
+the rest: :meth:`Experiment.plan` hands the same requests to the engine
+(:mod:`repro.experiments.engine`), which dedupes the union across
+figures and executes it on worker processes, and :meth:`Experiment.run`
+fetches each result and renders.
 """
 
 from __future__ import annotations
@@ -25,7 +31,9 @@ import abc
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..analysis.metrics import gmean
 from ..analysis.report import render_table
@@ -82,6 +90,13 @@ class RunRequest:
         )
 
 
+#: An experiment's simulations, by the key its render reads each under.
+Runs = Dict[Hashable, RunRequest]
+
+#: The results of :data:`Runs`, under the same keys.
+Results = Mapping[Hashable, SimResult]
+
+
 @dataclass
 class ExperimentResult:
     """Rows of named columns plus provenance."""
@@ -132,28 +147,39 @@ class ExperimentResult:
 
 
 class Experiment(abc.ABC):
-    """One paper table/figure reproduction."""
+    """One paper table/figure reproduction.
+
+    A subclass names its simulations in :meth:`runs` and its rows in
+    :meth:`render`; :meth:`plan` and :meth:`run` derive from those two
+    and are not overridden.
+    """
 
     exp_id = "base"
     title = ""
     paper_claim = ""
 
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        """Every simulation :meth:`render` reads, by the key it reads
+        the result under. The default names none."""
+        return {}
+
     @abc.abstractmethod
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        """Execute the experiment and return its rows."""
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
+        """The experiment's rows, from the results of :meth:`runs`
+        (same keys). Never simulates."""
 
     def plan(self, config: SystemConfig,
              scale: RunScale) -> Tuple[RunRequest, ...]:
-        """The simulation runs :meth:`run` will request, declared up
-        front so the engine can dedupe the union across experiments and
-        execute it in parallel. ``run()`` then consumes warm cache hits.
+        """The requests of :meth:`runs`, for the engine to dedupe across
+        experiments and execute in parallel before :meth:`run`."""
+        return tuple(self.runs(config, scale).values())
 
-        The default declares nothing — such experiments still work, they
-        just compute their runs lazily (and serially) inside ``run()``.
-        A ``plan()`` may safely over- or under-declare: it is a prefetch
-        hint, never a source of results.
-        """
-        return ()
+    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+        """Fetch every run (cache, then compute), then render."""
+        results = {key: fetch(request)
+                   for key, request in self.runs(config, scale).items()}
+        return self.render(config, scale, results)
 
     def __call__(
         self,
@@ -367,58 +393,124 @@ def sim(config: SystemConfig, workload: str, scheme: str,
     return fetch(RunRequest(config, workload, scheme, scale))
 
 
-def speedup_plan(
+def speedup_runs(
     config: SystemConfig,
     scale: RunScale,
     schemes: Sequence[str],
     *,
     baseline: str,
     workloads: Optional[Sequence[str]] = None,
-) -> Tuple[RunRequest, ...]:
-    """The run set of :func:`speedup_rows` — the matching ``plan()``."""
-    workloads = tuple(workloads or scale.workloads)
-    requests: List[RunRequest] = []
-    for workload in workloads:
-        requests.append(RunRequest(config, workload, baseline, scale))
-        for scheme in schemes:
-            requests.append(RunRequest(config, workload, scheme, scale))
-    return tuple(requests)
+) -> Dict[Tuple[str, str], RunRequest]:
+    """The runs :func:`speedup_rows` reads, keyed ``(workload, scheme)``."""
+    return {
+        (workload, scheme): RunRequest(config, workload, scheme, scale)
+        for workload in (workloads or scale.workloads)
+        for scheme in (baseline, *schemes)
+    }
+
+
+def gmean_row(rows: Sequence[Mapping[str, object]], columns: Sequence[str],
+              label: str = "gmean") -> Dict[str, object]:
+    """The summary row under ``rows``: each column's geometric mean."""
+    row: Dict[str, object] = {"workload": label}
+    for column in columns:
+        row[column] = gmean(float(r[column]) for r in rows)
+    return row
 
 
 def speedup_rows(
-    config: SystemConfig,
-    scale: RunScale,
-    schemes: Sequence[str],
+    results: Results,
+    workloads: Sequence[str],
+    columns: Sequence[str],
     *,
     baseline: str,
-    workloads: Optional[Sequence[str]] = None,
     metric: str = "cpi",
 ) -> List[Dict[str, object]]:
-    """One row per workload: each scheme's speedup (or throughput gain)
+    """One row per workload: each column's speedup (or throughput gain)
     over ``baseline``, plus a final gmean row — the shape of most of the
-    paper's figures."""
-    workloads = list(workloads or scale.workloads)
+    paper's figures. Reads ``results[workload, column]`` and
+    ``results[workload, baseline]``."""
     rows: List[Dict[str, object]] = []
-    per_scheme: Dict[str, List[float]] = {s: [] for s in schemes}
     for workload in workloads:
-        base = sim(config, workload, baseline, scale)
+        base = results[workload, baseline]
         row: Dict[str, object] = {"workload": workload}
-        for scheme in schemes:
-            result = sim(config, workload, scheme, scale)
+        for column in columns:
+            result = results[workload, column]
             if metric == "cpi":
-                value = result.speedup_over(base)
+                row[column] = result.speedup_over(base)
             elif metric == "throughput":
-                value = result.throughput_ratio(base)
+                row[column] = result.throughput_ratio(base)
             else:
                 raise ExperimentError(f"unknown metric {metric!r}")
-            row[scheme] = value
-            per_scheme[scheme].append(value)
         rows.append(row)
-    gmean_row: Dict[str, object] = {"workload": "gmean"}
-    for scheme in schemes:
-        gmean_row[scheme] = gmean(per_scheme[scheme])
-    rows.append(gmean_row)
+    rows.append(gmean_row(rows, columns))
     return rows
+
+
+class SpeedupFigure(Experiment):
+    """Each scheme's speedup (``metric="cpi"``) or write-throughput gain
+    (``"throughput"``) over ``baseline``, per workload, plus a gmean
+    row. A subclass whose columns are not plain schemes overrides
+    :meth:`runs`, keeping the ``(workload, column)`` keys."""
+
+    schemes: Tuple[str, ...] = ()
+    baseline = "dimm+chip"
+    metric = "cpi"
+    notes = ""
+
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return speedup_runs(config, scale, self.schemes,
+                            baseline=self.baseline)
+
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
+        rows = speedup_rows(results, scale.workloads, self.schemes,
+                            baseline=self.baseline, metric=self.metric)
+        return ExperimentResult(
+            self.exp_id, self.title, ["workload", *self.schemes], rows,
+            paper_claim=self.paper_claim, notes=self.notes,
+        )
+
+
+class ConfigSweep(Experiment):
+    """FPB's speedup over DIMM+chip at each value of one config axis,
+    per workload, plus a gmean row. Each column is normalized to
+    DIMM+chip at the same value."""
+
+    values: Tuple[object, ...] = ()
+    notes = ""
+
+    @abc.abstractmethod
+    def configure(self, config: SystemConfig, value) -> SystemConfig:
+        """``config`` with the swept axis set to ``value``."""
+
+    def label(self, value) -> str:
+        return str(value)
+
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return {
+            (workload, value, scheme): RunRequest(
+                self.configure(config, value), workload, scheme, scale)
+            for workload in scale.workloads
+            for value in self.values
+            for scheme in ("dimm+chip", "fpb")
+        }
+
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
+        columns = [self.label(value) for value in self.values]
+        rows: List[Dict[str, object]] = []
+        for workload in scale.workloads:
+            row: Dict[str, object] = {"workload": workload}
+            for value, column in zip(self.values, columns):
+                row[column] = results[workload, value, "fpb"].speedup_over(
+                    results[workload, value, "dimm+chip"])
+            rows.append(row)
+        rows.append(gmean_row(rows, columns))
+        return ExperimentResult(
+            self.exp_id, self.title, ["workload", *columns], rows,
+            paper_claim=self.paper_claim, notes=self.notes,
+        )
 
 
 def trace_for(config: SystemConfig, workload: str, scale: RunScale):
@@ -427,12 +519,3 @@ def trace_for(config: SystemConfig, workload: str, scale: RunScale):
         n_pcm_writes=scale.n_pcm_writes,
         max_refs_per_core=scale.max_refs_per_core,
     )
-
-
-def gmean_of_column(rows: Iterable[Mapping[str, object]], column: str,
-                    skip_label: str = "gmean") -> float:
-    values = [
-        float(row[column]) for row in rows
-        if row.get("workload") != skip_label and column in row
-    ]
-    return gmean(values)

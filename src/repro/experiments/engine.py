@@ -4,9 +4,8 @@ The engine takes the union of every experiment's declared run set
 (:meth:`Experiment.plan`), deduplicates it by canonical run fingerprint,
 strips out runs already satisfiable from the in-memory or on-disk cache,
 and fans the remainder across a :class:`~concurrent.futures.
-ProcessPoolExecutor`. Results land in the shared caches, so the
-experiments' ``run()`` methods — unchanged and strictly sequential —
-consume warm hits.
+ProcessPoolExecutor`. Results land in the shared caches, so each
+experiment's ``run()`` fetches warm hits and renders its rows from them.
 
 The unit of work is a **cohort** (:func:`repro.experiments.batch.
 partition_cohorts`): runs sharing a trace structure execute in one
@@ -713,7 +712,7 @@ def execute_plan(
     :class:`~repro.errors.RunFailedError` if an experiment needs them.
 
     With ``jobs <= 1`` nothing is prefetched (the serial lazy path in
-    :func:`repro.experiments.base.sim` is already optimal) — only the
+    :func:`repro.experiments.base.fetch` is already optimal) — only the
     dedupe/disk-probe bookkeeping runs. Pass ``force=True`` to execute
     the pending runs even then, on a single supervised worker process —
     callers like the service gateway need the engine's failure

@@ -13,7 +13,7 @@ from typing import Dict, List
 from ..analysis.metrics import gmean
 from ..config.presets import LINE_SIZE_SWEEP
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunScale, trace_for
+from .base import Experiment, ExperimentResult, Results, RunScale, trace_for
 
 
 class Fig02CellChanges(Experiment):
@@ -24,7 +24,8 @@ class Fig02CellChanges(Experiment):
         "change more cells (Figure 2)."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         columns = ["workload"]
         for line in LINE_SIZE_SWEEP:
             columns += [f"{line}B-mlc", f"{line}B-slc"]

@@ -9,25 +9,10 @@ write queues (sche-24/48/96) barely help.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..config.system import SystemConfig
-from .base import (
-    Experiment,
-    ExperimentResult,
-    RunRequest,
-    RunScale,
-    speedup_plan,
-    speedup_rows,
-)
-
-SCHEMES = (
-    "ideal", "dimm-only", "dimm+chip", "pwl",
-    "1.5xlocal", "2xlocal", "sche24", "sche48", "sche96",
-)
+from .base import SpeedupFigure
 
 
-class Fig04Heuristics(Experiment):
+class Fig04Heuristics(SpeedupFigure):
     exp_id = "fig4"
     title = "Performance of power-management heuristics (normalized to Ideal)"
     paper_claim = (
@@ -35,17 +20,9 @@ class Fig04Heuristics(Experiment):
         "DIMM+chip; 2xlocal ~ DIMM-only, 1.5xlocal still 20% below; "
         "sche-X has little effect (Figure 4)."
     )
-
-    def plan(self, config: SystemConfig,
-             scale: RunScale) -> Tuple[RunRequest, ...]:
-        return speedup_plan(config, scale, SCHEMES, baseline="ideal")
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        rows = speedup_rows(
-            config, scale, SCHEMES, baseline="ideal",
-        )
-        return ExperimentResult(
-            self.exp_id, self.title, ["workload", *SCHEMES], rows,
-            paper_claim=self.paper_claim,
-            notes="values are speedups relative to Ideal (<= 1.0).",
-        )
+    schemes = (
+        "ideal", "dimm-only", "dimm+chip", "pwl",
+        "1.5xlocal", "2xlocal", "sche24", "sche48", "sche96",
+    )
+    baseline = "ideal"
+    notes = "values are speedups relative to Ideal (<= 1.0)."

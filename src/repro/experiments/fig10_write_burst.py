@@ -10,7 +10,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import (
+    Experiment,
+    ExperimentResult,
+    Results,
+    RunRequest,
+    RunScale,
+    Runs,
+)
 
 
 class Fig10WriteBurst(Experiment):
@@ -21,17 +28,16 @@ class Fig10WriteBurst(Experiment):
         "under the baseline (Figure 10)."
     )
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config, workload, "dimm+chip", scale)
-            for workload in scale.workloads
-        )
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return {workload: RunRequest(config, workload, "dimm+chip", scale)
+                for workload in scale.workloads}
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         rows: List[Dict[str, object]] = []
         fractions: List[float] = []
         for workload in scale.workloads:
-            result = sim(config, workload, "dimm+chip", scale)
+            result = results[workload]
             frac = result.stats.burst_fraction
             rows.append({
                 "workload": workload,

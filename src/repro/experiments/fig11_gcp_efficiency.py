@@ -7,36 +7,14 @@ GCP-NE-0.5 almost nothing (+2.8%).
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..config.system import SystemConfig
-from .base import (
-    Experiment,
-    ExperimentResult,
-    RunRequest,
-    RunScale,
-    speedup_plan,
-    speedup_rows,
-)
-
-SCHEMES = ("dimm-only", "gcp-ne-0.95", "gcp-ne-0.7", "gcp-ne-0.5")
+from .base import SpeedupFigure
 
 
-class Fig11GCPEfficiency(Experiment):
+class Fig11GCPEfficiency(SpeedupFigure):
     exp_id = "fig11"
     title = "FPB-GCP speedup vs GCP power efficiency (naive mapping)"
     paper_claim = (
         "GCP-NE-0.95 +36.3% over DIMM+chip (= DIMM-only); "
         "GCP-NE-0.7 +23.7%; GCP-NE-0.5 +2.8% (Figure 11)."
     )
-
-    def plan(self, config: SystemConfig,
-             scale: RunScale) -> Tuple[RunRequest, ...]:
-        return speedup_plan(config, scale, SCHEMES, baseline="dimm+chip")
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        rows = speedup_rows(config, scale, SCHEMES, baseline="dimm+chip")
-        return ExperimentResult(
-            self.exp_id, self.title, ["workload", *SCHEMES], rows,
-            paper_claim=self.paper_claim,
-        )
+    schemes = ("dimm-only", "gcp-ne-0.95", "gcp-ne-0.7", "gcp-ne-0.5")

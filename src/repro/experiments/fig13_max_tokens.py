@@ -10,7 +10,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import (
+    Experiment,
+    ExperimentResult,
+    Results,
+    RunRequest,
+    RunScale,
+    Runs,
+)
 
 COMBOS = (
     ("ne", 0.7), ("ne", 0.5),
@@ -18,9 +25,18 @@ COMBOS = (
     ("bim", 0.7), ("bim", 0.5),
 )
 
+#: One column per mapping/efficiency combo, e.g. ``NE-0.7``.
+COLUMNS = tuple(f"{mapping.upper()}-{eff}" for mapping, eff in COMBOS)
 
-def combo_scheme(mapping: str, efficiency: float) -> str:
-    return f"gcp-{mapping}-{efficiency}"
+
+def combo_runs(config: SystemConfig, scale: RunScale) -> Runs:
+    """The GCP runs of Figures 13 and 14, keyed ``(workload, column)``."""
+    return {
+        (workload, column): RunRequest(
+            config, workload, f"gcp-{mapping}-{eff}", scale)
+        for workload in scale.workloads
+        for (mapping, eff), column in zip(COMBOS, COLUMNS)
+    }
 
 
 class Fig13MaxTokens(Experiment):
@@ -31,25 +47,18 @@ class Fig13MaxTokens(Experiment):
         "mappings need a much smaller global pump (Figure 13)."
     )
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config, workload, combo_scheme(mapping, eff), scale)
-            for workload in scale.workloads
-            for mapping, eff in COMBOS
-        )
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return combo_runs(config, scale)
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload"] + [
-            f"{m.upper()}-{e}" for m, e in COMBOS
-        ]
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
+        columns = ["workload", *COLUMNS]
         rows: List[Dict[str, object]] = []
-        maxima: Dict[str, float] = {c: 0.0 for c in columns[1:]}
+        maxima: Dict[str, float] = {c: 0.0 for c in COLUMNS}
         for workload in scale.workloads:
             row: Dict[str, object] = {"workload": workload}
-            for mapping, eff in COMBOS:
-                col = f"{mapping.upper()}-{eff}"
-                result = sim(config, workload, combo_scheme(mapping, eff), scale)
-                peak = result.stats.gcp_peak_output
+            for col in COLUMNS:
+                peak = results[workload, col].stats.gcp_peak_output
                 row[col] = peak
                 maxima[col] = max(maxima[col], peak)
             rows.append(row)

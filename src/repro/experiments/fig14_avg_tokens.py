@@ -11,8 +11,8 @@ from typing import Dict, List
 
 from ..analysis.metrics import percent_change
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
-from .fig13_max_tokens import COMBOS, combo_scheme
+from .base import Experiment, ExperimentResult, Results, RunScale, Runs
+from .fig13_max_tokens import COLUMNS, combo_runs
 
 
 class Fig14AvgTokens(Experiment):
@@ -23,23 +23,18 @@ class Fig14AvgTokens(Experiment):
         "and 64.4% vs the naive mapping at 70% efficiency (Figure 14)."
     )
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config, workload, combo_scheme(mapping, eff), scale)
-            for workload in scale.workloads
-            for mapping, eff in COMBOS
-        )
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return combo_runs(config, scale)
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload"] + [f"{m.upper()}-{e}" for m, e in COMBOS]
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
+        columns = ["workload", *COLUMNS]
         rows: List[Dict[str, object]] = []
-        sums: Dict[str, float] = {c: 0.0 for c in columns[1:]}
+        sums: Dict[str, float] = {c: 0.0 for c in COLUMNS}
         for workload in scale.workloads:
             row: Dict[str, object] = {"workload": workload}
-            for mapping, eff in COMBOS:
-                col = f"{mapping.upper()}-{eff}"
-                result = sim(config, workload, combo_scheme(mapping, eff), scale)
-                avg = result.stats.mean_gcp_tokens_per_write
+            for col in COLUMNS:
+                avg = results[workload, col].stats.mean_gcp_tokens_per_write
                 row[col] = avg
                 sums[col] += avg
             rows.append(row)

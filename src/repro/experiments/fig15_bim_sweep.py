@@ -10,7 +10,14 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import (
+    Experiment,
+    ExperimentResult,
+    Results,
+    RunScale,
+    Runs,
+    speedup_runs,
+)
 
 EFFICIENCIES = (0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 WORKLOADS = ("ast_m", "mcf_m", "mix_1")
@@ -30,24 +37,22 @@ class Fig15BIMSweep(Experiment):
             scale.workloads[:2]
         )
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config, workload, scheme, scale)
-            for workload in self._workloads(scale)
-            for scheme in (
-                "dimm+chip", *(f"gcp-bim-{eff}" for eff in EFFICIENCIES),
-            )
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return speedup_runs(
+            config, scale, [f"gcp-bim-{eff}" for eff in EFFICIENCIES],
+            baseline="dimm+chip", workloads=self._workloads(scale),
         )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         workloads = self._workloads(scale)
         columns = ["efficiency", *workloads]
         rows: List[Dict[str, object]] = []
         for eff in EFFICIENCIES:
             row: Dict[str, object] = {"efficiency": eff}
             for workload in workloads:
-                base = sim(config, workload, "dimm+chip", scale)
-                result = sim(config, workload, f"gcp-bim-{eff}", scale)
+                base = results[workload, "dimm+chip"]
+                result = results[workload, f"gcp-bim-{eff}"]
                 row[workload] = result.speedup_over(base)
             rows.append(row)
         return ExperimentResult(

@@ -6,36 +6,14 @@ is best; 4 loses ~2% to the longer write latency.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from ..config.system import SystemConfig
-from .base import (
-    Experiment,
-    ExperimentResult,
-    RunRequest,
-    RunScale,
-    speedup_plan,
-    speedup_rows,
-)
-
-SCHEMES = ("ipm+mr2", "ipm+mr3", "ipm+mr4")
+from .base import SpeedupFigure
 
 
-class Fig17MRSplit(Experiment):
+class Fig17MRSplit(SpeedupFigure):
     exp_id = "fig17"
     title = "Multi-RESET iteration split limit (2 vs 3 vs 4)"
     paper_claim = (
         "Best improvement at 3 RESET splits; 4 splits lose ~2% to the "
         "longer write latency (Figure 17)."
     )
-
-    def plan(self, config: SystemConfig,
-             scale: RunScale) -> Tuple[RunRequest, ...]:
-        return speedup_plan(config, scale, SCHEMES, baseline="dimm+chip")
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        rows = speedup_rows(config, scale, SCHEMES, baseline="dimm+chip")
-        return ExperimentResult(
-            self.exp_id, self.title, ["workload", *SCHEMES], rows,
-            paper_claim=self.paper_claim,
-        )
+    schemes = ("ipm+mr2", "ipm+mr3", "ipm+mr4")

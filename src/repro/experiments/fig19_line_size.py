@@ -8,50 +8,23 @@ and stress the budgets harder.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..analysis.metrics import gmean
 from ..config.presets import LINE_SIZE_SWEEP
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import ConfigSweep
 
 
-class Fig19LineSize(Experiment):
+class Fig19LineSize(ConfigSweep):
     exp_id = "fig19"
     title = "FPB speedup for 64/128/256-byte lines"
     paper_claim = (
         "FPB gains 41.3% / 61.8% / 75.6% for 64B / 128B / 256B lines "
         "(Figure 19)."
     )
+    values = LINE_SIZE_SWEEP
+    notes = "each column normalized to DIMM+chip at the same line size."
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config.with_line_size(line), workload, scheme, scale)
-            for workload in scale.workloads
-            for line in LINE_SIZE_SWEEP
-            for scheme in ("dimm+chip", "fpb")
-        )
+    def configure(self, config: SystemConfig, line: int) -> SystemConfig:
+        return config.with_line_size(line)
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload"] + [f"{line}B" for line in LINE_SIZE_SWEEP]
-        rows: List[Dict[str, object]] = []
-        per_col: Dict[str, List[float]] = {c: [] for c in columns[1:]}
-        for workload in scale.workloads:
-            row: Dict[str, object] = {"workload": workload}
-            for line in LINE_SIZE_SWEEP:
-                cfg = config.with_line_size(line)
-                base = sim(cfg, workload, "dimm+chip", scale)
-                fpb = sim(cfg, workload, "fpb", scale)
-                value = fpb.speedup_over(base)
-                row[f"{line}B"] = value
-                per_col[f"{line}B"].append(value)
-            rows.append(row)
-        gmean_row: Dict[str, object] = {"workload": "gmean"}
-        for col, values in per_col.items():
-            gmean_row[col] = gmean(values)
-        rows.append(gmean_row)
-        return ExperimentResult(
-            self.exp_id, self.title, columns, rows,
-            paper_claim=self.paper_claim,
-            notes="each column normalized to DIMM+chip at the same line size.",
-        )
+    def label(self, line: int) -> str:
+        return f"{line}B"

@@ -7,54 +7,23 @@ a reduced 23.4% at 128M (off-chip traffic largely disappears).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..analysis.metrics import gmean
 from ..config.presets import LLC_SWEEP_BYTES
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import ConfigSweep
 
 
-def _label(size_bytes: int) -> str:
-    return f"{size_bytes // (1024 * 1024)}M"
-
-
-class Fig20LLC(Experiment):
+class Fig20LLC(ConfigSweep):
     exp_id = "fig20"
     title = "FPB speedup for 8/16/32/128 MB per-core LLCs"
     paper_claim = (
         "FPB gains 39.9% / 62.1% / 75.6% for 8/16/32 MB LLCs; the gain "
         "drops to 23.4% at 128 MB (Figure 20)."
     )
+    values = LLC_SWEEP_BYTES
+    notes = "each column normalized to DIMM+chip at the same LLC size."
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config.with_llc_size(size), workload, scheme, scale)
-            for workload in scale.workloads
-            for size in LLC_SWEEP_BYTES
-            for scheme in ("dimm+chip", "fpb")
-        )
+    def configure(self, config: SystemConfig, size: int) -> SystemConfig:
+        return config.with_llc_size(size)
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload"] + [_label(s) for s in LLC_SWEEP_BYTES]
-        rows: List[Dict[str, object]] = []
-        per_col: Dict[str, List[float]] = {c: [] for c in columns[1:]}
-        for workload in scale.workloads:
-            row: Dict[str, object] = {"workload": workload}
-            for size in LLC_SWEEP_BYTES:
-                cfg = config.with_llc_size(size)
-                base = sim(cfg, workload, "dimm+chip", scale)
-                fpb = sim(cfg, workload, "fpb", scale)
-                value = fpb.speedup_over(base)
-                row[_label(size)] = value
-                per_col[_label(size)].append(value)
-            rows.append(row)
-        gmean_row: Dict[str, object] = {"workload": "gmean"}
-        for col, values in per_col.items():
-            gmean_row[col] = gmean(values)
-        rows.append(gmean_row)
-        return ExperimentResult(
-            self.exp_id, self.title, columns, rows,
-            paper_claim=self.paper_claim,
-            notes="each column normalized to DIMM+chip at the same LLC size.",
-        )
+    def label(self, size: int) -> str:
+        return f"{size // (1024 * 1024)}M"

@@ -7,51 +7,20 @@ saturate at 96 (burstier flushes request more tokens at once).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..analysis.metrics import gmean
 from ..config.presets import WRITE_QUEUE_SWEEP
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import ConfigSweep
 
 
-class Fig21WriteQueue(Experiment):
+class Fig21WriteQueue(ConfigSweep):
     exp_id = "fig21"
     title = "FPB speedup for 24/48/96-entry write queues"
     paper_claim = (
         "FPB gains 75.6% / 85.2% / 88.1% for 24/48/96 WRQ entries; "
         "saturates at 48 (Figure 21)."
     )
+    values = WRITE_QUEUE_SWEEP
+    notes = "each column normalized to DIMM+chip with the same WRQ depth."
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config.with_write_queue(entries), workload, scheme,
-                       scale)
-            for workload in scale.workloads
-            for entries in WRITE_QUEUE_SWEEP
-            for scheme in ("dimm+chip", "fpb")
-        )
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload"] + [str(n) for n in WRITE_QUEUE_SWEEP]
-        rows: List[Dict[str, object]] = []
-        per_col: Dict[str, List[float]] = {c: [] for c in columns[1:]}
-        for workload in scale.workloads:
-            row: Dict[str, object] = {"workload": workload}
-            for entries in WRITE_QUEUE_SWEEP:
-                cfg = config.with_write_queue(entries)
-                base = sim(cfg, workload, "dimm+chip", scale)
-                fpb = sim(cfg, workload, "fpb", scale)
-                value = fpb.speedup_over(base)
-                row[str(entries)] = value
-                per_col[str(entries)].append(value)
-            rows.append(row)
-        gmean_row: Dict[str, object] = {"workload": "gmean"}
-        for col, values in per_col.items():
-            gmean_row[col] = gmean(values)
-        rows.append(gmean_row)
-        return ExperimentResult(
-            self.exp_id, self.title, columns, rows,
-            paper_claim=self.paper_claim,
-            notes="each column normalized to DIMM+chip with the same WRQ depth.",
-        )
+    def configure(self, config: SystemConfig, entries: int) -> SystemConfig:
+        return config.with_write_queue(entries)

@@ -8,50 +8,22 @@ power is scarce.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..analysis.metrics import gmean
 from ..config.presets import POWER_TOKEN_SWEEP
 from ..config.system import SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import ConfigSweep
 
 
-class Fig22Tokens(Experiment):
+class Fig22Tokens(ConfigSweep):
     exp_id = "fig22"
     title = "FPB speedup for 466/532/598 DIMM power tokens"
     paper_claim = (
         "FPB helps more when the power budget is tighter (Figure 22)."
     )
+    values = POWER_TOKEN_SWEEP
+    notes = "each column normalized to DIMM+chip with the same budget."
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        return tuple(
-            RunRequest(config.with_dimm_tokens(tokens), workload, scheme,
-                       scale)
-            for workload in scale.workloads
-            for tokens in POWER_TOKEN_SWEEP
-            for scheme in ("dimm+chip", "fpb")
-        )
+    def configure(self, config: SystemConfig, tokens: float) -> SystemConfig:
+        return config.with_dimm_tokens(tokens)
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload"] + [str(int(t)) for t in POWER_TOKEN_SWEEP]
-        rows: List[Dict[str, object]] = []
-        per_col: Dict[str, List[float]] = {c: [] for c in columns[1:]}
-        for workload in scale.workloads:
-            row: Dict[str, object] = {"workload": workload}
-            for tokens in POWER_TOKEN_SWEEP:
-                cfg = config.with_dimm_tokens(tokens)
-                base = sim(cfg, workload, "dimm+chip", scale)
-                fpb = sim(cfg, workload, "fpb", scale)
-                value = fpb.speedup_over(base)
-                row[str(int(tokens))] = value
-                per_col[str(int(tokens))].append(value)
-            rows.append(row)
-        gmean_row: Dict[str, object] = {"workload": "gmean"}
-        for col, values in per_col.items():
-            gmean_row[col] = gmean(values)
-        rows.append(gmean_row)
-        return ExperimentResult(
-            self.exp_id, self.title, columns, rows,
-            paper_claim=self.paper_claim,
-            notes="each column normalized to DIMM+chip with the same budget.",
-        )
+    def label(self, tokens: float) -> str:
+        return str(int(tokens))

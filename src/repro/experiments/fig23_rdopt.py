@@ -10,11 +10,9 @@ DIMM+chip, a further 57% over FPB alone.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
 
-from ..analysis.metrics import gmean
 from ..config.system import SchedulerConfig, SystemConfig
-from .base import Experiment, ExperimentResult, RunRequest, RunScale, sim
+from .base import RunRequest, RunScale, Runs, SpeedupFigure
 
 VARIANTS = ("FPB", "FPB+WC", "FPB+WC+WP", "FPB+WC+WP+WT")
 
@@ -33,42 +31,21 @@ def variant_config(config: SystemConfig, variant: str) -> SystemConfig:
     return replace(config, scheduler=scheduler)
 
 
-class Fig23RdOpt(Experiment):
+class Fig23RdOpt(SpeedupFigure):
     exp_id = "fig23"
     title = "FPB with write cancellation, pausing and truncation"
     paper_claim = (
         "FPB+WC+WP+WT reaches +175.8% over DIMM+chip — 57% over FPB "
         "alone; the designs are orthogonal (Figure 23)."
     )
+    schemes = VARIANTS
 
-    def plan(self, config: SystemConfig, scale: RunScale):
-        requests = []
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        runs: Runs = {}
         for workload in scale.workloads:
-            requests.append(RunRequest(config, workload, "dimm+chip", scale))
+            runs[workload, "dimm+chip"] = RunRequest(
+                config, workload, "dimm+chip", scale)
             for variant in VARIANTS:
-                requests.append(RunRequest(
-                    variant_config(config, variant), workload, "fpb", scale))
-        return tuple(requests)
-
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        columns = ["workload", *VARIANTS]
-        rows: List[Dict[str, object]] = []
-        per_col: Dict[str, List[float]] = {v: [] for v in VARIANTS}
-        for workload in scale.workloads:
-            base = sim(config, workload, "dimm+chip", scale)
-            row: Dict[str, object] = {"workload": workload}
-            for variant in VARIANTS:
-                cfg = variant_config(config, variant)
-                result = sim(cfg, workload, "fpb", scale)
-                value = result.speedup_over(base)
-                row[variant] = value
-                per_col[variant].append(value)
-            rows.append(row)
-        gmean_row: Dict[str, object] = {"workload": "gmean"}
-        for variant in VARIANTS:
-            gmean_row[variant] = gmean(per_col[variant])
-        rows.append(gmean_row)
-        return ExperimentResult(
-            self.exp_id, self.title, columns, rows,
-            paper_claim=self.paper_claim,
-        )
+                runs[workload, variant] = RunRequest(
+                    variant_config(config, variant), workload, "fpb", scale)
+        return runs

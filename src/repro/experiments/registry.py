@@ -6,6 +6,7 @@ from typing import Dict, Iterable, List, Tuple, Type
 
 from ..config.system import SystemConfig
 from ..errors import ExperimentError
+from .ablations import AblFlipNWrite, AblMRGrouping, AblPreRead, AblPreSET
 from .base import Experiment, RunRequest, RunScale
 from .fig02_cell_changes import Fig02CellChanges
 from .fig04_heuristics import Fig04Heuristics
@@ -24,6 +25,12 @@ from .fig21_write_queue import Fig21WriteQueue
 from .fig22_tokens import Fig22Tokens
 from .fig23_rdopt import Fig23RdOpt
 from .tables import Tab1Config, Tab2Workloads, Tab3Area
+from .worked_examples import (
+    Fig03ChipBlockingExample,
+    Fig05IPMExample,
+    Fig06MultiResetExample,
+    Fig08GCPExample,
+)
 
 _EXPERIMENTS: Dict[str, Type[Experiment]] = {
     cls.exp_id: cls
@@ -47,6 +54,14 @@ _EXPERIMENTS: Dict[str, Type[Experiment]] = {
         Tab1Config,
         Tab2Workloads,
         Tab3Area,
+        AblMRGrouping,
+        AblPreRead,
+        AblFlipNWrite,
+        AblPreSET,
+        Fig03ChipBlockingExample,
+        Fig05IPMExample,
+        Fig06MultiResetExample,
+        Fig08GCPExample,
     )
 }
 

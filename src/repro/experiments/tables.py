@@ -13,8 +13,15 @@ from typing import Dict, List
 from ..config.system import SystemConfig
 from ..power.charge_pump import area_overhead_fraction, pump_input_tokens
 from ..trace.workloads import get_workload
-from .base import Experiment, ExperimentResult, RunScale, trace_for
-from .fig13_max_tokens import Fig13MaxTokens
+from .base import (
+    Experiment,
+    ExperimentResult,
+    Results,
+    RunScale,
+    Runs,
+    trace_for,
+)
+from .fig13_max_tokens import Fig13MaxTokens, combo_runs
 
 
 class Tab1Config(Experiment):
@@ -22,7 +29,8 @@ class Tab1Config(Experiment):
     title = "Baseline configuration (Table 1)"
     paper_claim = "Exact echo of the simulated baseline parameters."
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         freq = config.cpu.freq_ghz
         rows_src = {
             "CPU": f"{config.cpu.cores}-core, {freq:g}GHz, single-issue, in-order",
@@ -73,7 +81,8 @@ class Tab2Workloads(Experiment):
         "L3 filtering)."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         columns = [
             "workload", "description", "table_rpki", "table_wpki",
             "pcm_rpki", "pcm_wpki", "cells_per_write",
@@ -106,9 +115,13 @@ class Tab3Area(Experiment):
         "proportional to its peak current (Eq. 1)."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def runs(self, config: SystemConfig, scale: RunScale) -> Runs:
+        return combo_runs(config, scale)
+
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         baseline_tokens = config.power.dimm_tokens
-        fig13 = Fig13MaxTokens().run(config, scale)
+        fig13 = Fig13MaxTokens().render(config, scale, results)
         max_row = fig13.row_by("workload", "max")
         rows: List[Dict[str, object]] = [
             {

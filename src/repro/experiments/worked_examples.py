@@ -9,7 +9,6 @@ are locked down exactly in ``tests/paper/``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -26,7 +25,7 @@ from ..config.system import (
 from ..core.policies.base import PowerManager, SRC_GCP, SRC_LCP
 from ..core.write_op import WriteOperation
 from ..pcm.dimm import DIMM
-from .base import Experiment, ExperimentResult, RunScale
+from .base import Experiment, ExperimentResult, Results, RunScale
 
 
 def _figure5_system() -> "tuple[SystemConfig, DIMM]":
@@ -67,7 +66,8 @@ class Fig05IPMExample(Experiment):
         "and WR-B (40 cells) overlapping under IPM."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         cfg, dimm = _figure5_system()
         manager = PowerManager(
             cfg, dimm, enforce_dimm=True, enforce_chip=False, ipm=True,
@@ -115,7 +115,8 @@ class Fig06MultiResetExample(Experiment):
         "the RESET splits into 30-cell groups and overlaps WR-A."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         rows: List[Dict[str, object]] = []
         for use_mr in (False, True):
             cfg, dimm = _figure5_system()
@@ -187,7 +188,8 @@ class Fig03ChipBlockingExample(Experiment):
         "budget but WR-B exceeds chip 1's budget and must wait."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         _, dimm, manager = _figure8_system()
         manager.gcp = None  # Figure 3 has no GCP yet
         manager.gcp_enabled = False
@@ -215,7 +217,8 @@ class Fig08GCPExample(Experiment):
         "WR-A; WR-C still waits because the GCP is exhausted."
     )
 
-    def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
+    def render(self, config: SystemConfig, scale: RunScale,
+               results: Results) -> ExperimentResult:
         _, dimm, manager = _figure8_system()
         wr_a = _chip_demand_write(dimm, 1, 0, [2, 2, 4])
         wr_b = _chip_demand_write(dimm, 2, 1, [2, 3, 0])
@@ -242,14 +245,3 @@ class Fig08GCPExample(Experiment):
             ["write", "issues", "segment sources", "GCP in use"], rows,
             paper_claim=self.paper_claim,
         )
-
-
-def _register() -> None:
-    from . import registry
-
-    for cls in (Fig03ChipBlockingExample, Fig05IPMExample,
-                Fig06MultiResetExample, Fig08GCPExample):
-        registry._EXPERIMENTS[cls.exp_id] = cls
-
-
-_register()

@@ -701,13 +701,21 @@ class Gateway:
         experiment = get_experiment(exp_request.exp_id)
         config = exp_request.config()
         scale = exp_request.scale
-        plan = dedupe_requests(experiment.plan(config, scale))
-        sources: Dict[str, int] = {}
+        runs = experiment.runs(config, scale)
+        plan = dedupe_requests(runs.values())
         waits = [self._resolve_run(request) for request in plan]
-        for resolved in await asyncio.gather(*waits):
-            _, source = resolved
+        resolved = dict(zip((request.fingerprint for request in plan),
+                            await asyncio.gather(*waits)))
+        sources: Dict[str, int] = {}
+        for _, source in resolved.values():
             sources[source] = sources.get(source, 0) + 1
-        result = await asyncio.to_thread(experiment, config, scale)
+        # Render from what admission resolved, never the memory cache:
+        # a run evicted since would be recomputed in this process.
+        results = {key: resolved[request.fingerprint][0]
+                   for key, request in runs.items()}
+        started = time.monotonic()
+        result = await asyncio.to_thread(
+            experiment.render, config, scale, results)
         return {
             "experiment": result.exp_id,
             "title": result.title,
@@ -716,7 +724,7 @@ class Gateway:
             "columns": result.columns,
             "rows": config_to_dict(result.rows),
             "paper_claim": result.paper_claim,
-            "elapsed_seconds": result.elapsed_seconds,
+            "elapsed_seconds": time.monotonic() - started,
             "planned_runs": {"total": len(plan), "by_source": sources},
         }
 

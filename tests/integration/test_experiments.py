@@ -3,8 +3,9 @@ scale on the tiny system and produces well-formed results."""
 
 import pytest
 
-from repro.experiments.base import RunScale
+from repro.experiments.base import RunScale, clear_sim_cache, fetch
 from repro.experiments.registry import available_experiments, get_experiment
+from repro.testing.faults import FaultSpec, clear_faults, install_faults
 from repro.trace.generator import clear_trace_cache
 
 from ..conftest import make_tiny_config, reset_run_state
@@ -56,6 +57,24 @@ def test_experiment_runs_and_renders(exp_id):
     # Every row provides every column's key or renders blank cleanly.
     for row in result.rows:
         assert isinstance(row, dict)
+
+
+@pytest.mark.parametrize("exp_id", available_experiments())
+def test_render_reads_only_planned_runs(exp_id):
+    """Once every planned run is fetched, the experiment renders without
+    a single further simulation: its plan names everything it reads."""
+    experiment = get_experiment(exp_id)
+    config = make_tiny_config()
+    clear_sim_cache()
+    for request in experiment.plan(config, MICRO):
+        fetch(request)
+    install_faults([FaultSpec(point="serial_run", error="RuntimeError",
+                              message="unplanned run")])
+    try:
+        result = experiment(config, MICRO)
+    finally:
+        clear_faults()
+    assert result.rows
 
 
 def test_speedup_figures_have_gmean_row():

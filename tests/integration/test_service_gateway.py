@@ -33,10 +33,22 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.base import _SIM_CACHE, clear_sim_cache, fetch
+from repro.experiments.registry import get_experiment
+from repro.obs.manifest import config_to_dict
 from repro.service.client import GatewayClient
-from repro.service.schemas import InvalidRequestError, SimRequest, SimResponse
+from repro.service.schemas import (
+    ExperimentRequest,
+    InvalidRequestError,
+    SimRequest,
+    SimResponse,
+)
 from repro.service.testing import GatewayHarness
-from repro.testing.faults import ENV_VAR
+from repro.testing.faults import (
+    ENV_VAR,
+    FaultSpec,
+    clear_faults,
+    install_faults,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -383,3 +395,31 @@ def test_memory_cache_stays_bounded():
             payload = client.run(**run_fields(workload, scheme))
             assert payload["source"] in ("computed", "memory")
             assert len(_SIM_CACHE) <= 2
+
+
+@pytest.mark.parametrize("exp_id, gateway_kwargs, n_runs", [
+    ("tab3", {}, 24),
+    ("fig17", {"memory_cache_limit": 1}, 16),
+])
+def test_experiment_renders_without_simulating_in_the_gateway(
+        exp_id, gateway_kwargs, n_runs):
+    """``POST /experiment`` computes every run through admission and the
+    engine, then renders from exactly those results: a run missing from
+    the plan (tab3 reads Figure 13's runs) or evicted from the memory
+    cache meanwhile (fig17 under a 1-entry bound) is never simulated in
+    the gateway process, where a serial run raises here."""
+    fields = {"scale": "quick", "n_pcm_writes": 20,
+              "max_refs_per_core": 4000}
+    install_faults([FaultSpec(point="serial_run", error="RuntimeError",
+                              message="simulated in the gateway")])
+    with GatewayHarness(jobs=1, **gateway_kwargs) as harness:
+        payload = harness.client().experiment(exp_id, **fields)
+        counters = harness.client().metrics()["metrics"]["counters"]
+    assert payload["planned_runs"]["total"] == n_runs
+    assert counters["service_runs_computed"] == n_runs
+
+    clear_faults()
+    request = ExperimentRequest.from_wire({"experiment": exp_id, **fields})
+    expected = get_experiment(exp_id)(request.config(), request.scale)
+    assert payload["rows"] == json.loads(
+        json.dumps(config_to_dict(expected.rows)))

@@ -10,9 +10,10 @@ from repro.experiments.base import (
     ExperimentResult,
     RunScale,
     SCALES,
-    gmean_of_column,
+    fetch,
     sim,
     speedup_rows,
+    speedup_runs,
 )
 
 from ..conftest import make_tiny_config
@@ -59,14 +60,6 @@ class TestExperimentResult:
         with pytest.raises(ExperimentError):
             self.make().row_by("workload", "nope")
 
-    def test_gmean_of_column_skips_summary(self):
-        rows = [
-            {"workload": "w1", "a": 2.0},
-            {"workload": "w2", "a": 8.0},
-            {"workload": "gmean", "a": 99.0},
-        ]
-        assert gmean_of_column(rows, "a") == pytest.approx(4.0)
-
 
 class TestSimCache:
     def test_memoized(self):
@@ -102,11 +95,18 @@ class TestSimCache:
         assert a is not b
 
 
+def fetch_all(runs):
+    return {key: fetch(request) for key, request in runs.items()}
+
+
 class TestSpeedupRows:
     def test_shape_and_gmean(self):
         config = make_tiny_config()
+        results = fetch_all(speedup_runs(
+            config, MICRO, ["ideal", "dimm+chip"], baseline="dimm+chip"))
         rows = speedup_rows(
-            config, MICRO, ["ideal", "dimm+chip"], baseline="dimm+chip",
+            results, MICRO.workloads, ["ideal", "dimm+chip"],
+            baseline="dimm+chip",
         )
         assert rows[-1]["workload"] == "gmean"
         assert rows[0]["dimm+chip"] == pytest.approx(1.0)
@@ -114,16 +114,20 @@ class TestSpeedupRows:
 
     def test_throughput_metric(self):
         config = make_tiny_config()
+        results = fetch_all(speedup_runs(
+            config, MICRO, ["ideal"], baseline="dimm+chip"))
         rows = speedup_rows(
-            config, MICRO, ["ideal"], baseline="dimm+chip",
+            results, MICRO.workloads, ["ideal"], baseline="dimm+chip",
             metric="throughput",
         )
         assert rows[0]["ideal"] > 0
 
     def test_unknown_metric(self):
+        results = fetch_all(speedup_runs(
+            make_tiny_config(), MICRO, ["ideal"], baseline="ideal"))
         with pytest.raises(ExperimentError):
             speedup_rows(
-                make_tiny_config(), MICRO, ["ideal"], baseline="ideal",
+                results, MICRO.workloads, ["ideal"], baseline="ideal",
                 metric="vibes",
             )
 
