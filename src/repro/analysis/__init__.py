@@ -10,9 +10,7 @@ from .metrics import gmean, normalize, percent_change, speedup
 from .report import (
     format_value,
     render_bars,
-    render_kv,
     render_table,
-    series_to_rows,
 )
 
 __all__ = [
@@ -23,10 +21,8 @@ __all__ = [
     "normalize",
     "percent_change",
     "render_bars",
-    "render_kv",
     "metric_confidence",
     "render_table",
-    "series_to_rows",
     "speedup_confidence",
     "speedup",
 ]

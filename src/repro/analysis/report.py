@@ -7,7 +7,7 @@ scheme/parameter, a gmean summary row).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 def format_value(value: object, precision: int = 3) -> str:
@@ -41,17 +41,6 @@ def render_table(
     lines.append("  ".join("-" * w for w in widths))
     for r in body:
         lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines)
-
-
-def render_kv(pairs: Mapping[str, object], title: Optional[str] = None) -> str:
-    width = max(len(k) for k in pairs) if pairs else 0
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-        lines.append("-" * len(title))
-    for key, value in pairs.items():
-        lines.append(f"{key.ljust(width)} : {format_value(value)}")
     return "\n".join(lines)
 
 
@@ -90,22 +79,3 @@ def render_bars(
             f"{format_value(float(value), precision)}"
         )
     return "\n".join(lines)
-
-
-def series_to_rows(
-    series: Mapping[str, Mapping[str, float]], index_name: str
-) -> "tuple[List[str], List[Dict[str, object]]]":
-    """Convert {row_label: {col: value}} into (columns, rows)."""
-    columns = [index_name]
-    seen = set()
-    for values in series.values():
-        for col in values:
-            if col not in seen:
-                seen.add(col)
-                columns.append(col)
-    rows: List[Dict[str, object]] = []
-    for label, values in series.items():
-        row: Dict[str, object] = {index_name: label}
-        row.update(values)
-        rows.append(row)
-    return columns, rows

@@ -7,7 +7,6 @@ from .presets import (
     POWER_TOKEN_SWEEP,
     WRITE_QUEUE_SWEEP,
     baseline_config,
-    named_presets,
     rdopt_config,
     slc_config,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "WriteLevelModel",
     "baseline_config",
     "config_fingerprint",
-    "named_presets",
     "rdopt_config",
     "slc_config",
 ]

@@ -8,7 +8,6 @@ configuration used by Figure 2.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict
 
 from .system import (
     PCMConfig,
@@ -75,12 +74,3 @@ def rdopt_config(
         write_truncation=write_truncation,
     )
     return replace(base, scheduler=scheduler)
-
-
-def named_presets() -> Dict[str, SystemConfig]:
-    """All presets by name, for the CLI."""
-    return {
-        "baseline": baseline_config(),
-        "slc": slc_config(),
-        "rdopt": rdopt_config(),
-    }

@@ -14,8 +14,8 @@ Simulation runs are cached on disk under ``.simcache/`` (override with
 ``--jobs`` worker processes; results are bit-identical to serial runs.
 
 Parallel runs are *supervised* (docs/robustness.md): failures are
-classified and retried (``--retries``), hung workers are abandoned
-after ``--timeout`` seconds, a crashed worker pool is rebuilt, and
+classified and retried (``--retries``), hung workers are killed
+after ``--timeout`` seconds, a crashed worker is replaced, and
 ``--keep-going`` renders the unaffected experiments when some runs
 failed permanently. The exit code is honest: 0 only when everything
 ran (and, under ``--check``, matched the paper's claimed shapes);
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
-        help="worker processes per generation (default 1 = serial; "
-             "0 = one per CPU)",
+        help="worker processes, kept for every generation (default 1 = "
+             "serial; 0 = one per CPU)",
     )
     explore.add_argument(
         "--resume", action="store_true",

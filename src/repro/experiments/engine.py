@@ -3,9 +3,14 @@
 The engine takes the union of every experiment's declared run set
 (:meth:`Experiment.plan`), deduplicates it by canonical run fingerprint,
 strips out runs already satisfiable from the in-memory or on-disk cache,
-and fans the remainder across a :class:`~concurrent.futures.
-ProcessPoolExecutor`. Results land in the shared caches, so each
-experiment's ``run()`` fetches warm hits and renders its rows from them.
+and fans the remainder across the slots of a :class:`WorkerPool`, each a
+single-worker :class:`~concurrent.futures.ProcessPoolExecutor` forked on
+first use. A one-shot caller's pool lives for one plan. A long-lived
+caller (the service gateway, an exploration session) keeps one across
+its plans, so its workers keep their trace memos, and each cohort goes
+to the idle slot that last ran its trace structure. Results land in the
+shared caches, so each experiment's ``run()`` fetches warm hits and
+renders its rows from them.
 
 The unit of work is a **cohort** (:func:`repro.experiments.batch.
 partition_cohorts`): runs sharing a trace structure execute in one
@@ -49,27 +54,27 @@ proven by the chaos tests in ``tests/integration/test_fault_tolerance``):
   deterministic jitter, and — if it keeps failing — recorded as a
   terminal failure while the other runs complete (*partial-result
   semantics*).
-* **A killed worker doesn't discard finished work.** On
-  ``BrokenProcessPool`` the pool is rebuilt. Members whose outcomes
-  were written are kept, and members no worker had reached requeue.
-  The pool cannot say *which* worker died, so the members the workers
-  were running are suspects: a lone suspect is charged, several each
-  execute alone in the fresh pool until the culprit is identified in
-  isolation. One respawn budget (``RetryPolicy.max_pool_respawns``)
-  covers the whole plan.
-* **A hung worker is abandoned, not waited on.** With a per-run
+* **A killed worker doesn't discard finished work.** A slot holds one
+  worker, so its ``BrokenProcessPool`` names the member that worker was
+  running, and that member is charged. Members whose outcomes were
+  written are kept, members the worker never reached requeue, and only
+  that slot is rebuilt, on its next task; the other slots run on. One
+  respawn budget (``RetryPolicy.max_pool_respawns``) covers the whole
+  plan. A slot whose worker died between plans is rebuilt before use,
+  and no run is charged for it.
+* **A hung worker is killed, not waited on.** With a per-run
   wall-clock timeout (``RetryPolicy.run_timeout_s``, restarted as each
-  member of a cohort finishes) the engine terminates the pool under a
-  stuck member, charges that member a
-  :class:`~repro.errors.WorkerTimeoutError`, and requeues every other
-  unfinished member without an attempt penalty.
+  member of a cohort finishes) the engine kills the worker of the slot
+  under a stuck member, charges that member a
+  :class:`~repro.errors.WorkerTimeoutError`, and requeues the members
+  its cohort never reached without an attempt penalty.
 * **Runs that fail identically twice are quarantined** so a
   deterministic bug costs at most two attempts, and the manifest
   distinguishes "worth a rerun" from "needs triage".
-* **Ctrl-C drains cleanly.** ``KeyboardInterrupt`` tears the pool down,
-  keeps every completed result in the caches, marks the summary
-  interrupted, and re-raises for the CLI to persist the manifest and
-  exit nonzero.
+* **Ctrl-C drains cleanly.** ``KeyboardInterrupt`` kills the workers
+  running the plan, keeps every completed result in the caches, marks
+  the summary interrupted, and re-raises for the CLI to persist the
+  manifest and exit nonzero.
 
 Terminal failures are published to :func:`repro.experiments.base.
 mark_run_failed`; experiments that later ask for such a run get a
@@ -83,8 +88,10 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import time
 from collections import deque
+from contextlib import nullcontext
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -105,6 +112,7 @@ from ..obs.manifest import _jsonable
 from ..sim.checkpoint import CheckpointPlan, CheckpointStore
 from ..sim.simcache import write_atomic
 from ..testing.faults import maybe_inject
+from ..util.procs import close_inherited_sockets, exit_when_orphaned
 from .base import (
     RunRequest,
     _SIM_CACHE,
@@ -137,8 +145,9 @@ def _checkpoint_plan(request: RunRequest,
                      ckpt: Optional[Dict[str, object]]
                      ) -> Optional[CheckpointPlan]:
     """Rebuild a run's checkpoint plan from the engine's worker spec
-    (workers are fresh processes; the parent's :func:`use_checkpoints`
-    setting doesn't reach them, so its store dir travels explicitly)."""
+    (a worker may have been forked before the parent's
+    :func:`use_checkpoints` setting changed, so its store dir travels
+    with each task)."""
     if ckpt is None:
         return None
     return CheckpointPlan(
@@ -225,15 +234,148 @@ def _execute_one(
     return result, _jsonable(telemetry.worker_snapshot(fingerprint))
 
 
+#: How long killing a slot waits for its worker to exit, so that no
+#: outcome lands after the supervisor last read the slot's files.
+KILL_WAIT_S = 5.0
+
+
+def _worker_init(parent_pid: int) -> None:
+    """Start-up of every engine pool worker. A worker can outlive the
+    plan that forked it, so it drops the sockets it inherited (the
+    gateway forks while holding client connections) and exits when its
+    parent is gone."""
+    close_inherited_sockets()
+    exit_when_orphaned(parent_pid)
+
+
+class _Slot:
+    """One worker of a :class:`WorkerPool`: a single-worker executor,
+    spawned on first use, and the cohort key it last ran."""
+
+    def __init__(self) -> None:
+        self.executor: Optional[ProcessPoolExecutor] = None
+        self.key: Optional[str] = None
+        self.used = 0          # the pool's task count at its last task
+
+    @property
+    def process(self):
+        """The worker process (``None`` before the slot's first task)."""
+        processes = getattr(self.executor, "_processes", None) or {}
+        return next(iter(processes.values()), None)
+
+    def alive(self) -> bool:
+        """Whether the slot's worker can take a task now."""
+        process = self.process
+        return process is not None and process.is_alive()
+
+
+class WorkerPool:
+    """Engine worker processes that outlive a plan.
+
+    Each of ``size`` slots is a single-worker
+    :class:`~concurrent.futures.ProcessPoolExecutor` whose worker is
+    forked on the slot's first task. A worker keeps its trace memo
+    between tasks, so :meth:`pick` sends a cohort to the idle slot that
+    last ran its cohort key. A slot whose worker died or was killed is
+    rebuilt on its next task, and no other slot is touched. One plan
+    runs on a pool at a time.
+
+    :func:`execute_plan` gives a one-shot caller a private pool and
+    closes it when the plan returns; a long-lived caller (the gateway,
+    an exploration session) passes its own and closes it
+    (:meth:`close`) when it is done.
+    """
+
+    def __init__(self, size: int):
+        self.slots = [_Slot() for _ in range(max(1, size))]
+        self._tasks = 0
+        self._closed = False
+        # A gateway whose drain timed out closes the pool while the
+        # abandoned plan's thread may still be submitting to it.
+        self._lock = threading.Lock()
+
+    @property
+    def size(self) -> int:
+        return len(self.slots)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def pick(self, key: str, busy: Sequence[_Slot]) -> _Slot:
+        """The idle slot that last ran cohort ``key``, else the least
+        recently used idle slot: work never waits for a busy slot."""
+        idle = [slot for slot in self.slots if slot not in busy]
+        for slot in idle:
+            if slot.key == key:
+                return slot
+        return min(idle, key=lambda slot: slot.used)
+
+    def submit(self, slot: _Slot, key: str, fn: Callable,
+               *args) -> Future:
+        """Run ``fn(*args)`` for cohort ``key`` on ``slot``'s worker,
+        forking a new one first if the slot has none or its worker died
+        since its last task (nobody is charged for that)."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            if slot.executor is not None and not slot.alive():
+                self._kill(slot)
+            if slot.executor is None:
+                slot.executor = ProcessPoolExecutor(
+                    max_workers=1, initializer=_worker_init,
+                    initargs=(os.getpid(),))
+            self._tasks += 1
+            slot.key, slot.used = key, self._tasks
+            return slot.executor.submit(fn, *args)
+
+    def kill(self, slot: _Slot) -> None:
+        """Stop ``slot``'s worker now, mid-task or not, and wait for it
+        to exit. The slot is rebuilt on its next task."""
+        with self._lock:
+            self._kill(slot)
+
+    def close(self, terminate: bool = False) -> None:
+        """Let every idle worker exit and join it, or with ``terminate``
+        kill the workers mid-task. A closed pool takes no task."""
+        with self._lock:
+            self._closed = True
+            for slot in self.slots:
+                if terminate:
+                    self._kill(slot)
+                elif slot.executor is not None:
+                    slot.executor.shutdown(wait=True, cancel_futures=True)
+                    slot.executor = None
+
+    @staticmethod
+    def _kill(slot: _Slot) -> None:
+        # No public API kills a pool worker. The process must be read
+        # before shutdown(), which drops the executor's reference to it
+        # even with ``wait=False``.
+        process, executor = slot.process, slot.executor
+        slot.executor = None
+        if executor is None:
+            return
+        executor.shutdown(wait=False, cancel_futures=True)
+        if process is not None:
+            # SIGKILL: a worker forked from the daemon inherits its
+            # event loop's SIGTERM handler, which does nothing.
+            process.kill()
+            process.join(KILL_WAIT_S)
+
+
 @dataclass
 class _Flight:
-    """One in-flight cohort task and how far its worker has got."""
+    """One in-flight cohort task, its slot, and how far its worker has
+    got."""
 
     cohort: Cohort
     attempt: int
+    slot: _Slot
     spool: str                 # prefix of the task's outcome files
     started: float             # monotonic submit time
-    isolated: bool = False     # running alone to identify a pool-killer
     done: int = 0              # members accounted for, in member order
     elapsed: float = 0.0       # worker seconds to the last outcome read
     delivered: int = 0         # members whose result was published
@@ -247,29 +389,28 @@ class _Flight:
 
 
 class _PlanSupervisor:
-    """Supervised execution of one plan's cohorts: pool ownership,
-    per-member deadlines, broken-pool recovery, one respawn budget, and
+    """Supervised execution of one plan's cohorts on a
+    :class:`WorkerPool`: slot choice, per-member deadlines, the
+    recovery of a slot that breaks or overruns, one respawn budget, and
     the single path every completed run takes back into the caches and
     manifest."""
 
     def __init__(self, cohorts: List[Cohort], n_workers: int,
-                 policy: RetryPolicy, summary: Dict[str, object]):
+                 policy: RetryPolicy, summary: Dict[str, object],
+                 pool: WorkerPool):
         self.policy = policy
         self.supervisor = RunSupervisor(policy)
         self.summary = summary
-        self.n_workers = n_workers
+        self.pool = pool
+        self.n_workers = min(n_workers, pool.size)
         #: Ready work: ``(cohort, attempt)`` in submission order.
         self.work: Deque[Tuple[Cohort, int]] = deque(
             (cohort, 1) for cohort in cohorts)
-        #: Runs to execute alone, one at a time: the members a broken
-        #: pool's workers were running when it died.
-        self.suspects: Deque[Tuple[Cohort, int]] = deque()
-        #: Backoff heap: ``(ready_at, seq, cohort, attempt, isolated)``.
-        self.delayed: List[Tuple[float, int, Cohort, int, bool]] = []
+        #: Backoff heap: ``(ready_at, seq, cohort, attempt)``.
+        self.delayed: List[Tuple[float, int, Cohort, int]] = []
         self._delay_seq = 0
         self._tasks = 0
         self.futures: Dict[Future, _Flight] = {}
-        self.pool: Optional[ProcessPoolExecutor] = None
         self.respawns = 0
         self.aborted = False
         #: Outcome files of the plan's tasks; removed after the plan.
@@ -310,21 +451,12 @@ class _PlanSupervisor:
 
     def run(self) -> None:
         try:
-            self._ensure_pool()
             while not self.aborted and (self.futures or self.work
-                                        or self.delayed or self.suspects):
+                                        or self.delayed):
                 self._promote_delayed()
                 self._fill()
                 if not self.futures:
-                    if self.delayed:
-                        self._sleep_until_ready()
-                        continue
-                    if not (self.work or self.suspects):
-                        break
-                    # Work exists but nothing could be submitted: the
-                    # pool must have died without a respawn — abort.
-                    if self.pool is None:
-                        break
+                    self._sleep_until_ready()  # only backoffs are left
                     continue
                 done, _ = wait(set(self.futures),
                                timeout=self._wait_timeout(),
@@ -337,52 +469,38 @@ class _PlanSupervisor:
             log.warning("interrupted: abandoning %d in-flight cohort(s), "
                         "%d completed result(s) kept",
                         len(self.futures), self.summary["computed"])
-            self._teardown_pool(terminate=True)
+            for flight in self.futures.values():
+                self.pool.kill(flight.slot)
+            self.futures.clear()
             raise
         finally:
-            self._teardown_pool()
             shutil.rmtree(self.scratch, ignore_errors=True)
 
     def _promote_delayed(self) -> None:
         now = time.monotonic()
         while self.delayed and self.delayed[0][0] <= now:
-            _, _, cohort, attempt, isolated = heapq.heappop(self.delayed)
-            if isolated:
-                self.suspects.append((cohort, attempt))
-            else:
-                self.work.append((cohort, attempt))
+            _, _, cohort, attempt = heapq.heappop(self.delayed)
+            self.work.append((cohort, attempt))
 
     def _fill(self) -> None:
-        if self.pool is None:
-            return
-        if self.suspects:
-            # Isolation mode: one submission at a time until the
-            # suspect queue (and anything it respawns) drains.
-            if not self.futures:
-                cohort, attempt = self.suspects.popleft()
-                self._submit(cohort, attempt, isolated=True)
-            return
-        # One cohort per worker: a submitted cohort starts at once, so
+        # One cohort per slot: a submitted cohort starts at once, so
         # its deadline never counts time spent queued behind another.
         while self.work and len(self.futures) < self.n_workers:
             cohort, attempt = self.work.popleft()
-            self._submit(cohort, attempt)
+            busy = [flight.slot for flight in self.futures.values()]
+            slot = self.pool.pick(cohort.key, busy)
+            self._tasks += 1
+            spool = os.path.join(self.scratch, str(self._tasks))
+            future = self.pool.submit(
+                slot, cohort.key, _worker_execute, spool, cohort.members,
+                self._obs_spec(), self.ckpt_spec)
+            self.futures[future] = _Flight(cohort, attempt, slot, spool,
+                                           time.monotonic())
 
-    def _submit(self, cohort: Cohort, attempt: int,
-                isolated: bool = False) -> None:
-        self._tasks += 1
-        spool = os.path.join(self.scratch, str(self._tasks))
-        future = self.pool.submit(_worker_execute, spool, cohort.members,
-                                  self._obs_spec(), self.ckpt_spec)
-        self.futures[future] = _Flight(cohort, attempt, spool,
-                                       time.monotonic(), isolated)
-
-    def _defer(self, cohort: Cohort, attempt: int, delay: float,
-               isolated: bool) -> None:
+    def _defer(self, cohort: Cohort, attempt: int, delay: float) -> None:
         self._delay_seq += 1
         heapq.heappush(self.delayed, (time.monotonic() + delay,
-                                      self._delay_seq, cohort, attempt,
-                                      isolated))
+                                      self._delay_seq, cohort, attempt))
 
     def _deadline(self, flight: _Flight) -> Optional[float]:
         """When the member ``flight``'s worker is running overruns its
@@ -434,24 +552,25 @@ class _PlanSupervisor:
                 self._handle_failure(flight, request, exc)
 
     def _collect(self, done: Iterable[Future]) -> None:
-        errors = {future: future.exception() for future in done}
-        for exc in errors.values():
+        for future in done:
+            flight = self.futures.pop(future, None)
+            if flight is None:
+                continue  # settled when the plan aborted
+            exc = future.exception()
             if isinstance(exc, KeyboardInterrupt):
                 raise exc
-            if isinstance(exc, BrokenProcessPool):
-                self._pool_broken(exc)
-                return
-        for future, exc in errors.items():
-            flight = self.futures.pop(future)
             self._poll(flight)
-            if flight.running is None:
+            if isinstance(exc, BrokenProcessPool):
+                self._slot_broken(flight, exc)
+            elif flight.running is None:
                 self._retire(flight)
-                continue
-            # The task ended at a member whose outcome it could not
-            # write (one that would not pickle, say); the pool is fine.
-            exc = exc or RuntimeError("worker wrote no outcome")
-            self._charge(flight, exc)
-            self._retire(flight, f"{type(exc).__name__}: {exc}")
+            else:
+                # The task ended at a member whose outcome it could not
+                # write (one that would not pickle, say); the worker is
+                # fine.
+                exc = exc or RuntimeError("worker wrote no outcome")
+                self._charge(flight, exc)
+                self._retire(flight, f"{type(exc).__name__}: {exc}")
 
     def _publish(self, request: RunRequest, result, worker_pid: int,
                  snapshot: Optional[Dict[str, object]]) -> None:
@@ -496,7 +615,7 @@ class _PlanSupervisor:
                     error_type=type(exc).__name__,
                 )
             self._defer(Cohort(flight.cohort.key, (request,)), attempt,
-                        delay, flight.isolated)
+                        delay)
             return
         self._record_terminal(self.supervisor.failures[-1])
 
@@ -540,122 +659,59 @@ class _PlanSupervisor:
                 delivered=flight.delivered, detail=reason,
             )
 
-    # -- pool lifecycle ------------------------------------------------
+    # -- slot failures ---------------------------------------------------
 
-    def _ensure_pool(self) -> None:
-        if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.n_workers)
-
-    def _teardown_pool(self, terminate: bool = False) -> None:
-        pool, self.pool = self.pool, None
-        if pool is None:
+    def _slot_broken(self, flight: _Flight, exc: BaseException) -> None:
+        """``flight``'s worker died. It was running one member, which is
+        charged; the members it finished are kept, the rest requeue,
+        and only its slot is rebuilt, on its next task."""
+        self.pool.kill(flight.slot)
+        if not self._respawn("broken_pool", exc, [flight]):
             return
-        # No public API kills pool workers; reaching into ``_processes``
-        # beats leaving a hung worker alive until interpreter exit. The
-        # dict must be captured *before* shutdown(), which drops the
-        # executor's reference to it even with ``wait=False``.
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=not terminate, cancel_futures=True)
-        if terminate:
-            for proc in procs:
-                try:
-                    proc.terminate()
-                except Exception:
-                    pass
-
-    def _abandon_pool(self) -> List[_Flight]:
-        """Terminate the pool's workers, take every outcome they wrote,
-        and retire the tasks that wrote all of theirs. Returns the
-        unfinished flights."""
-        flights = list(self.futures.values())
-        self.futures.clear()
-        self._teardown_pool(terminate=True)
-        unfinished: List[_Flight] = []
-        for flight in flights:
-            self._poll(flight)
-            if flight.running is None:
-                self._retire(flight)
-            else:
-                unfinished.append(flight)
-        return unfinished
-
-    def _pool_broken(self, exc: BaseException) -> None:
-        """The pool died under us. The members its workers were running
-        are the suspects: a lone suspect is a proven culprit and is
-        charged, several each rerun alone without an attempt charge."""
-        unfinished = self._abandon_pool()
-        if not self._respawn("broken_pool", exc, unfinished):
-            return
-        for flight in unfinished:
-            if len(unfinished) == 1:
-                flight.isolated = True
-                self._charge(flight, exc)
-            else:
-                self.suspects.append((
-                    Cohort(flight.cohort.key, (flight.running,)),
-                    flight.attempt))
-                flight.done += 1
-            self._retire(flight, "broken_pool")
+        if flight.running is not None:
+            self._charge(flight, exc)
+        self._retire(flight, "broken_pool")
 
     def _check_deadlines(self) -> None:
-        if self.policy.run_timeout_s is None or not self.futures:
+        if self.policy.run_timeout_s is None:
             return
         now = time.monotonic()
-        expired: List[Tuple[_Flight, int]] = []
-        for future, flight in self.futures.items():
+        for future, flight in list(self.futures.items()):
             if future.done() or now < self._deadline(flight):
                 continue
             self._poll(flight)  # the worker may have moved on since
-            if flight.running is not None and now >= self._deadline(flight):
-                expired.append((flight, flight.done))
-        if not expired:
-            return
-        # A worker is stuck on one member. There is no portable way to
-        # kill a single pool worker, so the whole pool is abandoned: the
-        # stuck member is charged a WorkerTimeoutError, and every other
-        # unfinished member requeues without an attempt charge.
-        unfinished = self._abandon_pool()
-        for flight, index in expired:
-            if flight.done == index:  # still on the member that overran
+            if flight.running is None or now < self._deadline(flight):
+                continue
+            # The slot's worker is stuck on one member: kill that worker
+            # alone, charge the member a WorkerTimeoutError, and requeue
+            # the members it never reached without a charge.
+            overran = flight.done
+            del self.futures[future]
+            self.pool.kill(flight.slot)
+            self._poll(flight)  # outcomes written before the kill landed
+            if flight.done == overran:
                 self.summary["timeouts"] += 1
                 self._charge(flight, WorkerTimeoutError(
                     f"no result within the {self.policy.run_timeout_s:.1f}s"
-                    f" wall-clock budget; worker abandoned"))
-        if self._respawn("watchdog_timeout", None, unfinished):
-            for flight in unfinished:
-                self._retire(flight, "watchdog_timeout")
+                    f" wall-clock budget; worker killed"))
+            if not self._respawn("watchdog_timeout", None, [flight]):
+                return
+            self._retire(flight, "watchdog_timeout")
 
     def _respawn(self, reason: str, exc: Optional[BaseException],
                  victims: List[_Flight]) -> bool:
-        """Rebuild the pool within the plan's respawn budget. Past it,
-        every outstanding run fails — the unfinished members of
-        ``victims`` and everything queued — and the plan aborts."""
+        """Count one slot rebuild against the plan's respawn budget.
+        Past it, the other slots are stopped too, every outstanding run
+        fails — the unfinished members of ``victims`` and of the other
+        in-flight tasks, and everything queued — and the plan aborts."""
         self.respawns += 1
         self.summary["pool_respawns"] += 1
+        if self.respawns > self.policy.max_pool_respawns:
+            self._abort(reason, victims)
+            return False
         requeued = sum(flight.cohort.size - flight.done
                        for flight in victims)
-        if self.respawns > self.policy.max_pool_respawns:
-            outstanding = (
-                [(flight.cohort.members[flight.done:], flight.attempt + 1)
-                 for flight in victims]
-                + [(cohort.members, attempt)
-                   for cohort, attempt in (*self.work, *self.suspects)]
-                + [(cohort.members, attempt)
-                   for _, _, cohort, attempt, _ in self.delayed])
-            log.error("pool respawn budget exhausted (%d); failing %d "
-                      "outstanding run(s)", self.policy.max_pool_respawns,
-                      sum(len(members) for members, _ in outstanding))
-            note = (f"pool respawn budget ({self.policy.max_pool_respawns}) "
-                    f"exhausted during {reason}")
-            for members, attempts in outstanding:
-                for request in members:
-                    self._force_fail(request, attempts, note)
-            self.work.clear()
-            self.suspects.clear()
-            self.delayed.clear()
-            self.aborted = True
-            return False
-        log.warning("pool respawn %d/%d (%s): %d unfinished run(s) "
+        log.warning("worker respawn %d/%d (%s): %d unfinished run(s) "
                     "requeued", self.respawns, self.policy.max_pool_respawns,
                     reason, requeued)
         if self.telemetry is not None:
@@ -663,8 +719,35 @@ class _PlanSupervisor:
                 respawns=self.respawns, reason=reason, requeued=requeued,
                 error=str(exc) if exc is not None else None,
             )
-        self._ensure_pool()
         return True
+
+    def _abort(self, reason: str, victims: List[_Flight]) -> None:
+        flights = list(self.futures.values())
+        self.futures.clear()
+        for flight in flights:
+            self.pool.kill(flight.slot)
+            self._poll(flight)
+            if flight.running is None:
+                self._retire(flight)
+            else:
+                victims.append(flight)
+        outstanding = (
+            [(flight.cohort.members[flight.done:], flight.attempt + 1)
+             for flight in victims]
+            + [(cohort.members, attempt) for cohort, attempt in self.work]
+            + [(cohort.members, attempt)
+               for _, _, cohort, attempt in self.delayed])
+        log.error("pool respawn budget exhausted (%d); failing %d "
+                  "outstanding run(s)", self.policy.max_pool_respawns,
+                  sum(len(members) for members, _ in outstanding))
+        note = (f"pool respawn budget ({self.policy.max_pool_respawns}) "
+                f"exhausted during {reason}")
+        for members, attempts in outstanding:
+            for request in members:
+                self._force_fail(request, attempts, note)
+        self.work.clear()
+        self.delayed.clear()
+        self.aborted = True
 
     def _force_fail(self, request: RunRequest, attempts: int,
                     note: str) -> None:
@@ -697,6 +780,7 @@ def execute_plan(
     *,
     policy: Optional[RetryPolicy] = None,
     force: bool = False,
+    pool: Optional[WorkerPool] = None,
 ) -> Dict[str, object]:
     """Warm the run caches for ``requests`` using ``jobs`` workers.
 
@@ -719,9 +803,14 @@ def execute_plan(
     supervision (retries, watchdog, crash containment) regardless of
     parallelism.
 
-    ``KeyboardInterrupt`` propagates after the pool is torn down and
-    ``summary["interrupted"]`` is set — every already-computed result
-    stays in the caches.
+    The workers come from ``pool`` when the caller keeps one across
+    plans (at most ``pool.size`` of them run the plan), else from a
+    private :class:`WorkerPool` that is closed, its workers joined,
+    before this returns.
+
+    ``KeyboardInterrupt`` propagates after the workers running the plan
+    are killed and ``summary["interrupted"]`` is set — every
+    already-computed result stays in the caches.
     """
     planned = list(requests)
     unique = dedupe_requests(planned)
@@ -768,17 +857,19 @@ def execute_plan(
     log.debug("prefetching %d runs as %d cohort(s) on %d workers "
               "(%d memory hits, %d disk hits)", len(pending), len(cohorts),
               n_workers, summary["memory"], summary["disk"])
-    plan = _PlanSupervisor(cohorts, n_workers, policy or RetryPolicy(),
-                           summary)
-    if plan.telemetry is None:
-        plan.run()
-    else:
-        with plan.telemetry.tracer.span(
-            "plan.execute",
-            attrs={"pending": len(pending), "unique": len(unique),
-                   "jobs": n_workers, "cohorts": len(cohorts)},
-        ):
+    with (WorkerPool(n_workers) if pool is None
+          else nullcontext(pool)) as workers:
+        plan = _PlanSupervisor(cohorts, n_workers,
+                               policy or RetryPolicy(), summary, workers)
+        if plan.telemetry is None:
             plan.run()
+        else:
+            with plan.telemetry.tracer.span(
+                "plan.execute",
+                attrs={"pending": len(pending), "unique": len(unique),
+                       "jobs": plan.n_workers, "cohorts": len(cohorts)},
+            ):
+                plan.run()
     return summary
 
 
@@ -788,6 +879,7 @@ def plan_outcomes(
     *,
     policy: Optional[RetryPolicy] = None,
     summary_out: Optional[Dict[str, object]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Dict[str, Tuple[object, str]]:
     """Execute ``requests`` under full supervision and report each
     fingerprint's outcome as ``(result, source)``.
@@ -806,7 +898,8 @@ def plan_outcomes(
 
     With a ``summary_out`` dict the plan summary is copied into it so
     callers like the service gateway can export its counters as
-    metrics.
+    metrics. ``pool`` is the caller's long-lived :class:`WorkerPool`,
+    as for :func:`execute_plan`.
     """
     requests = list(requests)
     disk = active_disk_cache()
@@ -815,7 +908,8 @@ def plan_outcomes(
         for request in requests
         if disk is not None and request.fingerprint in disk
     }
-    summary = execute_plan(requests, jobs=jobs, policy=policy, force=True)
+    summary = execute_plan(requests, jobs=jobs, policy=policy, force=True,
+                           pool=pool)
     if summary_out is not None:
         summary_out.update(summary)
     failures = failed_runs()

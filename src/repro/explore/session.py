@@ -20,6 +20,7 @@ reports are byte-identical across re-runs.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -35,7 +36,7 @@ from ..experiments.base import (
     active_telemetry,
     fetch,
 )
-from ..experiments.engine import dedupe_requests, execute_plan
+from ..experiments.engine import WorkerPool, dedupe_requests, execute_plan
 from ..testing.faults import maybe_inject
 from ..util.seeds import derive_key
 from .pareto import DEFAULT_OBJECTIVES, extract_objectives, pareto_frontier
@@ -301,27 +302,31 @@ class ExploreSession:
         frontier: List[_PointRecord] = []
         generation = -1
 
-        for generation, points in enumerate(strategy.generations()):
-            records = self._evaluate_generation(
-                generation, points, restored, counts)
-            evaluated.extend(records)
-            frontier = self._frontier_of(evaluated)
-            self._journal_append({
-                "type": "explore_frontier",
-                "session": self.session_id,
-                "generation": generation,
-                "size": len(frontier),
-                "points": [r.fingerprint for r in frontier],
-            })
-            self._emit_frontier(generation, frontier)
-            if self._counters is not None:
-                self._counters["generations"].inc()
-            if self._frontier_gauge is not None:
-                self._frontier_gauge.set(len(frontier))
-            strategy.observe(
-                [r.report_entry() for r in records],
-                [r.frontier_entry() for r in frontier],
-            )
+        # With workers, one pool serves every generation: its workers
+        # keep the traces they generated for the generations after.
+        with (WorkerPool(settings.jobs) if settings.jobs > 1
+              else nullcontext()) as pool:
+            for generation, points in enumerate(strategy.generations()):
+                records = self._evaluate_generation(
+                    generation, points, restored, counts, pool)
+                evaluated.extend(records)
+                frontier = self._frontier_of(evaluated)
+                self._journal_append({
+                    "type": "explore_frontier",
+                    "session": self.session_id,
+                    "generation": generation,
+                    "size": len(frontier),
+                    "points": [r.fingerprint for r in frontier],
+                })
+                self._emit_frontier(generation, frontier)
+                if self._counters is not None:
+                    self._counters["generations"].inc()
+                if self._frontier_gauge is not None:
+                    self._frontier_gauge.set(len(frontier))
+                strategy.observe(
+                    [r.report_entry() for r in records],
+                    [r.frontier_entry() for r in frontier],
+                )
 
         return self._report(evaluated, frontier, counts,
                             generations=generation + 1)
@@ -332,6 +337,7 @@ class ExploreSession:
         points: List[Point],
         restored: Dict[str, _PointRecord],
         counts: Dict[str, int],
+        pool: Optional[WorkerPool],
     ) -> List[_PointRecord]:
         settings = self.settings
         lowered: List[Optional[tuple]] = []
@@ -351,11 +357,12 @@ class ExploreSession:
             if entry[2] is not None
             and entry[2].fingerprint not in restored
         )
-        if pending and settings.jobs > 1:
+        if pending and pool is not None:
             # Warm the caches through the supervised engine (pool
             # parallelism over structure-sharing cohorts); the serial
             # loop below then resolves every point as a hit.
-            execute_plan(pending, settings.jobs, policy=self.policy)
+            execute_plan(pending, settings.jobs, policy=self.policy,
+                         pool=pool)
 
         records: List[_PointRecord] = []
         disk = active_disk_cache()

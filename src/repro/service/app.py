@@ -23,13 +23,18 @@ Request lifecycle (``POST /run``)::
 
 The dispatcher is a single task pulling admitted work in batches, so
 concurrent cold requests for *different* fingerprints still share one
-engine plan (one pool spin-up, cross-request dedupe) while concurrent
-requests for the *same* fingerprint never reach the engine twice.
+engine plan (cross-request dedupe) while concurrent requests for the
+*same* fingerprint never reach the engine twice. Every plan runs on the
+gateway's one :class:`~repro.experiments.engine.WorkerPool`, whose
+workers are forked on the first cold dispatch and live until shutdown:
+a worker keeps the traces it generated, and a cohort goes to the worker
+that last ran its trace structure.
 
 Shutdown: SIGTERM/SIGINT (or :meth:`Gateway.request_drain`) stops
 admission (new work gets 503), lets the dispatcher finish the backlog,
 bounded by ``drain_timeout_s``, then resolves stragglers with a
-structured drain error — a connection is never left hanging — and
+structured drain error — a connection is never left hanging — closes
+the worker pool (killing its workers if the drain timed out) and
 finally writes the run manifest when one was requested.
 
 Observability: every ``/run`` request opens a wall-clock span whose
@@ -71,7 +76,7 @@ from ..experiments.base import (
     active_checkpoints,
     cache_get,
 )
-from ..experiments.engine import dedupe_requests, plan_outcomes
+from ..experiments.engine import WorkerPool, dedupe_requests, plan_outcomes
 from ..experiments.registry import describe_experiments, get_experiment
 from ..experiments.resilience import RetryPolicy
 from ..obs.logging import get_logger, log_context
@@ -222,6 +227,9 @@ class Gateway:
 
         self.coalescer = Coalescer()
         self.admission = AdmissionQueue(queue_limit, workers=self.jobs)
+        #: Engine workers for every in-process dispatch, kept from the
+        #: first cold dispatch until shutdown.
+        self.pool = WorkerPool(self.jobs)
         self.draining = False
         self.started_at: Optional[float] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -394,12 +402,14 @@ class Gateway:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+        timed_out = False
         if self._dispatcher is not None:
             try:
                 await asyncio.wait_for(
                     asyncio.shield(self._dispatcher),
                     timeout=self.drain_timeout_s)
             except asyncio.TimeoutError:
+                timed_out = True
                 log.warning("drain timeout (%.1fs): cancelling the "
                             "dispatcher, failing %d in-flight run(s)",
                             self.drain_timeout_s, len(self.coalescer))
@@ -408,6 +418,9 @@ class Gateway:
                     await self._dispatcher
                 except (asyncio.CancelledError, Exception):
                     pass
+        # After the dispatcher settled the workers are idle; after a
+        # timed-out drain they may still run the abandoned batch.
+        await asyncio.to_thread(self.pool.close, timed_out)
         if self.fleet is not None:
             # After the dispatcher settled: replicas are idle (or were
             # abandoned with it) and fleet.stop() resolves any job the
@@ -583,15 +596,17 @@ class Gateway:
     def _execute_batch(self, requests: List[RunRequest]) -> Dict[
             str, Tuple[object, str]]:
         """Worker-thread half of an in-process dispatch: run the
-        supervised engine over the batch and report each fingerprint's
-        outcome as ``(result, source)`` or ``(error message,
-        "failed")`` (:func:`repro.experiments.engine.plan_outcomes`;
-        fleet replicas report theirs the same way, one job at a time).
+        supervised engine over the batch on the gateway's worker pool
+        and report each fingerprint's outcome as ``(result, source)``
+        or ``(error message, "failed")``
+        (:func:`repro.experiments.engine.plan_outcomes`; fleet replicas
+        report theirs the same way, one job at a time).
         The plan's structure-sharing runs execute as cohorts, counted
         by ``service_batch_cohorts``."""
         summary: Dict[str, object] = {}
         outcomes = plan_outcomes(requests, jobs=self.jobs,
-                                 policy=self.policy, summary_out=summary)
+                                 policy=self.policy, summary_out=summary,
+                                 pool=self.pool)
         self._c_batch_cohorts.inc(int(summary.get("batch_cohorts", 0)))
         return outcomes
 

@@ -85,7 +85,6 @@ import multiprocessing
 import os
 import queue
 import signal
-import stat
 import threading
 import time
 from dataclasses import dataclass, field
@@ -105,6 +104,7 @@ from ..sim.checkpoint import CheckpointStore
 from ..sim.simcache import SimCache
 from ..testing.faults import maybe_inject
 from ..trace.generator import clear_trace_cache
+from ..util.procs import close_inherited_sockets
 
 log = get_logger("service.fleet")
 
@@ -326,28 +326,6 @@ class FleetConfig:
 # ======================================================================
 # Replica child process
 # ======================================================================
-def _close_inherited_sockets() -> None:
-    """Close every socket FD a forked replica inherited.
-
-    A *respawn* forks while the gateway holds live connections, and a
-    forked child keeps duplicates of every open FD. The gateway closing
-    its copy of a client socket then does nothing: TCP only sends FIN
-    once the last duplicate closes, so a long-lived replica would hold
-    every in-flight HTTP response open forever. Replicas need no
-    inherited socket — their queues are pipes — so close them all.
-    """
-    try:
-        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
-    except OSError:
-        return  # no /proc (non-Linux): initial spawns are still clean
-    for fd in fds:
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:
-            continue
-
-
 def _trim_heap() -> None:
     """Hand freed heap pages back to the OS (glibc ``malloc_trim``; a
     no-op elsewhere). Without it a replica would stay at its largest
@@ -369,7 +347,8 @@ def _replica_main(name: str, config: FleetConfig, inbox, outbox) -> None:
     # The parent handles SIGINT (Ctrl-C drains the gateway); replicas
     # must not die to a forwarded terminal signal mid-job.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _close_inherited_sockets()
+    # A respawn forks while the gateway holds live connections.
+    close_inherited_sockets()
 
     if config.cache_dir:
         use_disk_cache(SimCache(config.cache_dir))

@@ -13,8 +13,11 @@ A fault plan is a list of :class:`FaultSpec`. Install one either
 
 * or through the ``REPRO_FAULTS`` environment variable (JSON), which is
   how faults reach engine *worker processes* — workers inherit the
-  parent's environment, and each worker evaluates the plan
-  independently::
+  parent's environment when they are forked, and each worker evaluates
+  the plan independently. A long-lived pool (the service gateway's)
+  forks its workers on the first cold dispatch and keeps them, with
+  their own ``nth`` / ``times`` counters, until shutdown: set the plan
+  before the gateway's first cold request::
 
       REPRO_FAULTS='[{"point": "worker_run", "mode": "crash",
                       "match": "lbm_m/fpb"}]'

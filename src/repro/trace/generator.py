@@ -20,7 +20,8 @@ Two practical devices keep generation tractable:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +37,14 @@ from .workloads import WorkloadSpec, get_workload
 #: Address-space stride between cores (private footprints never collide).
 CORE_ADDR_STRIDE = 1 << 40
 
-_TRACE_CACHE: Dict[Tuple, Trace] = {}
+#: Most traces one process memoizes; the least recently used goes
+#: first. An engine worker keeps its memo for the life of its pool,
+#: which for a gateway is the life of the daemon. In plan order, the
+#: quick-scale ``run all`` plan never needs more than 15 of its 24
+#: structures at once, so 16 generates each of them once.
+TRACE_CACHE_LIMIT = 16
+
+_TRACE_CACHE: "OrderedDict[Tuple, Trace]" = OrderedDict()
 
 
 def clear_trace_cache() -> None:
@@ -85,7 +93,8 @@ def generate_trace(
     prewarm: bool = True,
     use_cache: bool = True,
 ) -> Trace:
-    """Generate (or fetch from cache) the PCM trace of a workload.
+    """Generate (or fetch from the memo of the last
+    :data:`TRACE_CACHE_LIMIT` traces used) the PCM trace of a workload.
 
     ``n_pcm_writes`` is the target number of line writes across all
     cores; cores stop early at ``max_refs_per_core`` CPU references so
@@ -98,12 +107,15 @@ def generate_trace(
         prewarm,
     )
     if use_cache and key in _TRACE_CACHE:
+        _TRACE_CACHE.move_to_end(key)
         return _TRACE_CACHE[key]
 
     spec = get_workload(workload)
     trace = _generate(config, spec, n_pcm_writes, max_refs_per_core, seed, prewarm)
     if use_cache:
         _TRACE_CACHE[key] = trace
+        if len(_TRACE_CACHE) > TRACE_CACHE_LIMIT:
+            _TRACE_CACHE.popitem(last=False)
     return trace
 
 

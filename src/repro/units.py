@@ -30,25 +30,6 @@ def ns_to_cycles(ns: float, freq_ghz: float) -> int:
     return int(round(ns * freq_ghz))
 
 
-def cycles_to_ns(cycles: int, freq_ghz: float) -> float:
-    """Convert a cycle count back to nanoseconds."""
-    if freq_ghz <= 0:
-        raise ConfigError(f"non-positive frequency: {freq_ghz} GHz")
-    return cycles / freq_ghz
-
-
-def power_to_tokens(power_uw: float, reset_power_uw: float) -> float:
-    """Express a power draw in RESET-equivalent cell tokens."""
-    if reset_power_uw <= 0:
-        raise ConfigError(f"non-positive RESET power: {reset_power_uw} uW")
-    return power_uw / reset_power_uw
-
-
-def tokens_to_power(tokens: float, reset_power_uw: float) -> float:
-    """Express a token count as a power draw in microwatts."""
-    return tokens * reset_power_uw
-
-
 def reset_set_ratio(reset_power_uw: float, set_power_uw: float) -> float:
     """The paper's ``C`` parameter: RESET power divided by SET power.
 

@@ -12,6 +12,7 @@ real on-disk cache, :func:`tmp_sim_cache`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,7 @@ from repro.experiments.base import (
 from repro.sim.simcache import SimCache
 from repro.testing.faults import ENV_VAR as FAULTS_ENV_VAR
 from repro.testing.faults import clear_faults
+from repro.trace import generator
 
 
 def reset_run_state() -> None:
@@ -58,6 +60,25 @@ def isolated_run_state(monkeypatch):
     reset_run_state()
     yield
     reset_run_state()
+
+
+def count_trace_generations(monkeypatch, path) -> None:
+    """Append ``<pid> <workload>/<kernel>`` to ``path`` for every trace
+    generated from now on, by any process.
+
+    Empties this process's trace memo, which forked workers would
+    inherit, then wraps the generator's uncached body; patched before
+    an engine pool forks, so every worker inherits the wrapper and the
+    count spans processes."""
+    generator.clear_trace_cache()
+    generate = generator._generate
+
+    def counting(config, spec, *args):
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {spec.name}/{config.kernel}\n")
+        return generate(config, spec, *args)
+
+    monkeypatch.setattr(generator, "_generate", counting)
 
 
 @pytest.fixture

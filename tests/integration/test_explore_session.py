@@ -20,7 +20,12 @@ import json
 
 import pytest
 
-from repro.experiments.base import RunScale, clear_sim_cache, use_telemetry
+from repro.experiments.base import (
+    RunScale,
+    clear_sim_cache,
+    use_disk_cache,
+    use_telemetry,
+)
 from repro.explore import (
     Axis,
     ExploreSession,
@@ -31,7 +36,7 @@ from repro.explore import (
 from repro.obs import Telemetry
 from repro.testing.faults import FaultSpec, clear_faults, install_faults
 
-from ..conftest import make_tiny_config
+from ..conftest import count_trace_generations, make_tiny_config
 
 #: Micro scale: real simulations, fast enough for tier-1.
 MICRO = RunScale("micro", 40, 8_000, ("mix_1",))
@@ -98,6 +103,27 @@ class TestDeterminism:
         parallel = run_session(settings(jobs=2), tmp_path,
                                "parallel")[1]
         assert frontier_bytes(serial) == frontier_bytes(parallel)
+
+
+class TestWorkers:
+    def test_one_pool_serves_every_generation(self, tmp_path,
+                                              monkeypatch):
+        """An adaptive session over one trace structure at ``jobs=2``:
+        every generation runs on the same two workers, which generate
+        the trace at most once each, and the frontier is the serial
+        one."""
+        log = tmp_path / "traces.log"
+        count_trace_generations(monkeypatch, log)
+        pooled = run_session(settings(strategy="adaptive", jobs=2),
+                             tmp_path, "pooled")[1]
+        assert pooled["generations"] >= 2
+        assert len(log.read_text().splitlines()) <= 2
+
+        clear_sim_cache()
+        use_disk_cache(None)
+        serial = run_session(settings(strategy="adaptive"), tmp_path,
+                             "serial")[1]
+        assert frontier_bytes(pooled) == frontier_bytes(serial)
 
 
 class TestResume:

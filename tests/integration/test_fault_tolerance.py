@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -138,9 +140,9 @@ def wait_for_no_children(timeout_s: float = 10.0):
 class TestWorkerCrash:
     def test_crash_is_isolated_and_the_plan_completes(self, tmp_path,
                                                       monkeypatch):
-        """One of four runs hard-kills its worker on every attempt. The
-        pool break cannot name the culprit, so the engine respawns and
-        isolates; the three innocents finish bit-identical to serial,
+        """One of four runs hard-kills its worker on every attempt. Its
+        slot's break names it, so it is charged and only that slot is
+        rebuilt; the three innocents finish bit-identical to serial,
         the culprit fails terminally after its retry budget."""
         config = make_tiny_config()
         requests = micro_plan(config)
@@ -265,9 +267,9 @@ class TestRespawnBudget:
 class TestHungWorker:
     def test_hang_is_abandoned_and_the_innocent_completes(self, tmp_path,
                                                           monkeypatch):
-        """A worker sleeping far past the wall-clock budget is abandoned
-        (pool terminated, not waited on); the innocent run's result is
-        kept and the hung run is charged a WorkerTimeoutError."""
+        """A worker sleeping far past the wall-clock budget is killed,
+        not waited on; the innocent run's result is kept and the hung
+        run is charged a WorkerTimeoutError."""
         config = make_tiny_config()
         innocent = RunRequest(config, "tig_m", "dimm+chip", MICRO)
         hung = RunRequest(config, "tig_m", "ipm+mr3", MICRO)
@@ -366,6 +368,134 @@ class TestHungWorker:
             got = _SIM_CACHE[fingerprint]
             assert (got.cycles, got.cpi) == (cycles, cpi)
             assert got.stats.snapshot() == snapshot
+        assert wait_for_no_children() == []
+
+
+def worker_of(telemetry, request):
+    """The pid of the worker that computed ``request``."""
+    [pid] = {event["worker"] for event in telemetry.sim_requests
+             if event["fingerprint"] == request.fingerprint
+             and event["source"] == "computed"}
+    return pid
+
+
+def cohort_actions(telemetry, cohort):
+    return [(event["action"], event["delivered"])
+            for event in telemetry.resilience_events
+            if event["type"] == "batch_cohort"
+            and event["size"] == cohort.size]
+
+
+class TestSlotFailures:
+    """A slot holds one worker, so a crash or a hang names the member
+    that worker was running. The other slot's cohort runs on: its
+    worker is never replaced and none of its members requeue."""
+
+    def plan_on_two_slots(self, monkeypatch, n_runs):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        requests = budget_sweep(n_runs)
+        cohorts = partition_cohorts(requests, 2)
+        assert len(cohorts) == 2
+        return requests, cohorts
+
+    def test_crash_leaves_the_other_slot_running(self, tmp_path,
+                                                 monkeypatch):
+        requests, (innocent, doomed) = self.plan_on_two_slots(
+            monkeypatch, 4)
+        assert innocent.size == doomed.size == 2
+        truth = sweep_truth(requests)
+        telemetry = Telemetry()
+        use_telemetry(telemetry)
+        executions = tmp_path / "executions.log"
+        count_worker_runs(monkeypatch, executions)
+        monkeypatch.setenv(ENV_VAR, json.dumps([
+            # Keeps the innocent cohort in flight when the crash lands.
+            {"point": "worker_run", "mode": "hang", "hang_s": 1.5,
+             "match": innocent.members[0].fingerprint},
+            {"point": "worker_run", "mode": "crash",
+             "match": doomed.members[0].fingerprint,
+             "stamp": str(tmp_path / "crash.stamp")},
+        ]))
+        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
+                             backoff_cap_s=0.05)
+        with engine.WorkerPool(2) as pool:
+            summary = execute_plan(requests, jobs=2, policy=policy,
+                                   pool=pool)
+            survivors = {slot.process.pid for slot in pool.slots
+                         if slot.executor is not None}
+
+        assert summary["computed"] == 4
+        assert summary["retried"] == summary["pool_respawns"] == 1
+        assert summary["failed"] == 0
+        [pid] = {worker_of(telemetry, r) for r in innocent.members}
+        assert pid in survivors
+        assert ("executed", 2) in cohort_actions(telemetry, innocent)
+        keys = executions.read_text().splitlines()
+        for request in innocent.members:
+            assert sum(request.fingerprint in key for key in keys) == 1
+        for fingerprint, (cycles, cpi, snapshot) in truth.items():
+            got = _SIM_CACHE[fingerprint]
+            assert (got.cycles, got.cpi) == (cycles, cpi)
+            assert got.stats.snapshot() == snapshot
+        assert wait_for_no_children() == []
+
+    def test_hang_kills_only_the_hung_slot(self, tmp_path, monkeypatch):
+        requests, cohorts = self.plan_on_two_slots(monkeypatch, 3)
+        telemetry = Telemetry()
+        use_telemetry(telemetry)
+        innocent = max(cohorts, key=lambda cohort: cohort.size)
+        [hung] = min(cohorts, key=lambda cohort: cohort.size).members
+        executions = tmp_path / "executions.log"
+        count_worker_runs(monkeypatch, executions)
+        # Each innocent member sleeps within its budget, so the innocent
+        # cohort is still running when the hung member's budget ends.
+        monkeypatch.setenv(ENV_VAR, json.dumps(
+            [{"point": "worker_run", "mode": "hang", "hang_s": 120.0,
+              "match": hung.fingerprint}]
+            + [{"point": "worker_run", "mode": "hang", "hang_s": 2.5,
+                "match": request.fingerprint}
+               for request in innocent.members]))
+        policy = RetryPolicy(max_attempts=1, run_timeout_s=4.0)
+        with engine.WorkerPool(2) as pool:
+            summary = execute_plan(requests, jobs=2, policy=policy,
+                                   pool=pool)
+            survivors = {slot.process.pid for slot in pool.slots
+                         if slot.executor is not None}
+
+        assert summary["computed"] == 2
+        assert summary["timeouts"] == summary["failed"] == 1
+        assert summary["pool_respawns"] == 1
+        [failure] = summary["failures"]
+        assert failure["fingerprint"] == hung.fingerprint
+        assert failure["error_type"] == "WorkerTimeoutError"
+        [pid] = {worker_of(telemetry, r) for r in innocent.members}
+        assert survivors == {pid}
+        assert cohort_actions(telemetry, innocent) == [("executed", 2)]
+        keys = executions.read_text().splitlines()
+        for request in requests:
+            assert sum(request.fingerprint in key for key in keys) == 1
+        assert wait_for_no_children() == []
+
+    def test_worker_dead_between_plans_is_rebuilt_uncharged(self):
+        """A slot whose worker died while idle is rebuilt before its
+        next task, and that task's run is not charged for it."""
+        config = make_tiny_config()
+        first, second = (RunRequest(config, "tig_m", scheme, MICRO)
+                         for scheme in ("fpb", "ideal"))
+        with engine.WorkerPool(1) as pool:
+            [slot] = pool.slots
+            execute_plan([first], jobs=1, force=True, pool=pool)
+            dead = slot.process.pid
+            os.kill(dead, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while slot.alive() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            summary = execute_plan([second], jobs=1, force=True, pool=pool)
+            assert slot.process.pid != dead
+
+        assert summary["computed"] == 1
+        assert summary["retried"] == summary["failed"] == 0
+        assert summary["pool_respawns"] == 0
         assert wait_for_no_children() == []
 
 

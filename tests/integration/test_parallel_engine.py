@@ -26,7 +26,7 @@ from repro.experiments.fig17_mr_split import Fig17MRSplit
 from repro.experiments.registry import plan_runs
 from repro.sim.simcache import SimCache
 
-from ..conftest import make_tiny_config
+from ..conftest import count_trace_generations, make_tiny_config
 
 MICRO = RunScale("micro", 30, 8_000, ("tig_m",))
 
@@ -123,6 +123,52 @@ class TestCohortSizing:
         summary = execute_plan(requests, jobs=4)
         assert summary["computed"] == 4
         assert summary["batch_cohorts"] == cohorts
+
+
+class TestWorkerPool:
+    def test_pick_prefers_the_slot_that_holds_the_trace(self):
+        """A cohort goes to the idle slot that last ran its key, else to
+        the least recently used idle slot, never to a busy one. Picking
+        starts no process."""
+        pool = engine.WorkerPool(3)
+        a, b, c = pool.slots
+        a.key, a.used = "x", 3
+        b.key, b.used = "y", 1
+        c.key, c.used = "z", 2
+        assert pool.pick("x", busy=[]) is a
+        assert pool.pick("w", busy=[]) is b
+        assert pool.pick("x", busy=[a, b]) is c
+        assert all(slot.executor is None for slot in pool.slots)
+
+    def test_workers_keep_their_traces_across_plans(self, tmp_path,
+                                                    monkeypatch):
+        """Three plans on one 2-slot pool alternate between two trace
+        structures. Each cohort goes to the worker that already holds
+        its trace, so each structure is generated once, in one worker,
+        and every result is byte-identical to serial."""
+        config = make_tiny_config()
+        plans = [[RunRequest(config, "tig_m", "fpb", MICRO)],
+                 [RunRequest(config, "mcf_m", "fpb", MICRO)],
+                 [RunRequest(config, "tig_m", "ideal", MICRO)]]
+        log = tmp_path / "traces.log"
+        count_trace_generations(monkeypatch, log)
+        with engine.WorkerPool(2) as pool:
+            for plan in plans:
+                assert execute_plan(plan, jobs=2, pool=pool)["computed"] == 1
+        generated = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(trace for _, trace in generated) == [
+            "mcf_m/reference", "tig_m/reference"]
+        assert len({pid for pid, _ in generated}) == 2
+
+        pooled = {request.fingerprint: _SIM_CACHE[request.fingerprint]
+                  for plan in plans for request in plan}
+        clear_sim_cache()
+        for plan in plans:
+            for request in plan:
+                serial = sim(config, request.workload, request.scheme,
+                             MICRO)
+                assert (pooled[request.fingerprint].result_fingerprint()
+                        == serial.result_fingerprint())
 
 
 class TestPlanDedupe:

@@ -50,6 +50,8 @@ from repro.testing.faults import (
     install_faults,
 )
 
+from ..conftest import count_trace_generations
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Wire-level micro scale: fast enough for tier-1, real simulations.
@@ -334,29 +336,54 @@ def test_graceful_drain_finishes_inflight_work():
         GatewayClient(host, port, timeout_s=2).healthz()
 
 
-def test_serve_subprocess_sigterm_exits_cleanly(tmp_path):
-    """The daemon entry point: ``python -m repro.experiments serve``
-    binds an ephemeral port, answers requests, writes its manifest and
-    exits 0 on SIGTERM."""
-    manifest = tmp_path / "service.manifest.jsonl"
+def test_cold_runs_share_the_gateway_worker_and_its_trace(tmp_path,
+                                                          monkeypatch):
+    """Two sequential cold runs over one trace structure: the gateway's
+    one worker generates the trace for the first and keeps it for the
+    second. Both are computed, byte-identical to serial."""
+    log = tmp_path / "traces.log"
+    count_trace_generations(monkeypatch, log)
+    runs = [run_fields("tig_m", scheme) for scheme in ("fpb", "ideal")]
+    with GatewayHarness(jobs=1) as harness:
+        client = harness.client()
+        payloads = [client.run(**fields) for fields in runs]
+    assert len(log.read_text().splitlines()) == 1
+    clear_sim_cache()
+    for fields, payload in zip(runs, payloads):
+        assert payload.pop("source") == "computed"
+        assert payload == serial_wire_payload(fields)
+
+
+def start_serve(*args):
+    """Start ``python -m repro.experiments serve --port 0 ARGS``;
+    returns the process and the port it reported."""
     env = dict(os.environ)
     env.update(PYTHONPATH="src", PYTHONUNBUFFERED="1")
     env.pop(ENV_VAR, None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.experiments", "serve",
-         "--port", "0", "--no-cache", "--queue-limit", "4",
-         "--metrics-out", str(manifest)],
+         "--port", "0", *args],
         cwd=REPO_ROOT, env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    port = None
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        line = proc.stdout.readline()
+        match = re.search(r"listening on http://[\d.]+:(\d+)", line)
+        if match:
+            port = int(match.group(1))
+            break
+    return proc, port
+
+
+def test_serve_subprocess_sigterm_exits_cleanly(tmp_path):
+    """The daemon entry point: ``python -m repro.experiments serve``
+    binds an ephemeral port, answers requests, writes its manifest and
+    exits 0 on SIGTERM."""
+    manifest = tmp_path / "service.manifest.jsonl"
+    proc, port = start_serve("--no-cache", "--queue-limit", "4",
+                             "--metrics-out", str(manifest))
     try:
-        port = None
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            match = re.search(r"listening on http://[\d.]+:(\d+)", line)
-            if match:
-                port = int(match.group(1))
-                break
         assert port, "gateway never reported its port"
         client = GatewayClient(port=port, timeout_s=120)
         assert client.healthz()["status"] == "serving"
@@ -383,6 +410,41 @@ def test_serve_subprocess_sigterm_exits_cleanly(tmp_path):
     assert state["status"] == "draining"
     requests = [r for r in records if r["type"] == "service_request"]
     assert {r["status"] for r in requests} == {200, 400}
+
+
+def parent_of(pid):
+    """The parent pid of a live process; ``None`` once it is gone or
+    has exited (a zombie only waits to be reaped)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return None if state == "Z" else int(ppid)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="finds processes through /proc")
+def test_serve_subprocess_sigkill_reaps_its_worker():
+    """A gateway killed with SIGKILL runs no drain. Its pool worker,
+    which would otherwise wait for work forever, sees its parent gone
+    and exits within seconds."""
+    proc, port = start_serve("--jobs", "1", "--no-cache")
+    try:
+        assert port, "gateway never reported its port"
+        payload = GatewayClient(port=port, timeout_s=120).run(
+            **run_fields("mcf_m", "fpb"))
+        assert payload["source"] == "computed"
+        [worker] = [int(path.parent.name)
+                    for path in Path("/proc").glob("[0-9]*/stat")
+                    if parent_of(path.parent.name) == proc.pid]
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 5
+    while parent_of(worker) is not None and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert parent_of(worker) is None, "pool worker outlived its gateway"
 
 
 def test_memory_cache_stays_bounded():

@@ -5,9 +5,7 @@ import pytest
 from repro.analysis.metrics import gmean, normalize, percent_change, speedup
 from repro.analysis.report import (
     format_value,
-    render_kv,
     render_table,
-    series_to_rows,
 )
 from repro.errors import ExperimentError
 
@@ -62,18 +60,6 @@ class TestReport:
     def test_render_table_missing_cells(self):
         text = render_table(["a", "b"], [{"a": 1}])
         assert "b" in text
-
-    def test_render_kv(self):
-        text = render_kv({"cores": 8, "freq": 4.0}, title="cfg")
-        assert "cores" in text and "8" in text
-
-    def test_series_to_rows(self):
-        columns, rows = series_to_rows(
-            {"w1": {"s1": 1.0, "s2": 2.0}, "w2": {"s1": 3.0}}, "workload"
-        )
-        assert columns == ["workload", "s1", "s2"]
-        assert rows[0]["workload"] == "w1"
-        assert rows[1]["s1"] == 3.0
 
 
 class TestBars:

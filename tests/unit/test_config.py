@@ -4,7 +4,6 @@ import pytest
 
 from repro.config import (
     baseline_config,
-    named_presets,
     rdopt_config,
     slc_config,
 )
@@ -110,10 +109,6 @@ class TestDerivedConfigs:
         assert cfg.scheduler.write_pausing
         assert cfg.scheduler.write_truncation
         assert cfg.scheduler.write_queue_entries == 320
-
-    def test_named_presets(self):
-        presets = named_presets()
-        assert set(presets) == {"baseline", "slc", "rdopt"}
 
 
 class TestValidation:

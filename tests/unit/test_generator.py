@@ -5,8 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.config.presets import baseline_config
 from repro.config.system import CacheLevelConfig, CPUConfig, WriteLevelModel
-from repro.trace.generator import clear_trace_cache, generate_trace
+from repro.core.policies.registry import get_scheme
+from repro.experiments.base import QUICK
+from repro.experiments.registry import available_experiments, plan_runs
+from repro.trace import generator
+from repro.trace.generator import (
+    TRACE_CACHE_LIMIT,
+    clear_trace_cache,
+    generate_trace,
+    trace_structure,
+)
 from repro.trace.records import READ, WRITE
 
 from ..conftest import make_tiny_config
@@ -83,6 +93,77 @@ class TestGeneration:
         a = tiny_trace("mcf_m")
         b = tiny_trace("tig_m")
         assert a is not b
+
+
+class TestMemoBound:
+    """The memo keeps the :data:`TRACE_CACHE_LIMIT` most recently used
+    traces, so an engine worker that lives as long as a gateway holds a
+    bounded set. Generation is stubbed out: these tests count calls."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The structure of every trace generated, in call order."""
+        structures = []
+
+        def stub(config, spec, n_pcm_writes, max_refs_per_core, seed,
+                 prewarm):
+            structures.append(trace_structure(
+                config, spec.name, n_pcm_writes, max_refs_per_core,
+                seed=seed))
+            return object()
+
+        monkeypatch.setattr(generator, "_generate", stub)
+        return structures
+
+    @staticmethod
+    def seeds(structures):
+        return [dict(structure)["seed"] for structure in structures]
+
+    @staticmethod
+    def fetch(seed):
+        return generate_trace(make_tiny_config(), "tig_m", n_pcm_writes=60,
+                              max_refs_per_core=15_000, seed=seed)
+
+    def test_one_past_the_bound_evicts_the_least_recently_used(
+            self, generated):
+        assert TRACE_CACHE_LIMIT == 16
+        for seed in range(17):
+            self.fetch(seed)
+        assert len(generator._TRACE_CACHE) == 16
+        self.fetch(1)    # still held
+        self.fetch(0)    # evicted by the 17th, so generated again
+        assert self.seeds(generated) == [*range(17), 0]
+
+    def test_a_hit_refreshes_recency(self, generated):
+        for seed in range(16):
+            self.fetch(seed)
+        self.fetch(0)    # a hit: 0 becomes the most recently used
+        self.fetch(16)   # so 1 is evicted, not 0
+        self.fetch(0)
+        self.fetch(1)
+        assert self.seeds(generated) == [*range(17), 1]
+
+    def test_clear_empties_the_memo(self, generated):
+        self.fetch(0)
+        clear_trace_cache()
+        assert not generator._TRACE_CACHE
+        self.fetch(0)
+        assert self.seeds(generated) == [0, 0]
+
+    def test_quick_run_all_generates_each_structure_once(self, generated):
+        """``run all --scale quick`` in plan order: 424 requests over
+        24 trace structures, each generated once, asking for traces the
+        way every run does (config after its scheme is applied)."""
+        requests = plan_runs(available_experiments(), baseline_config(),
+                             QUICK)
+        for request in requests:
+            generate_trace(
+                get_scheme(request.scheme).apply_to_config(request.config),
+                request.workload,
+                n_pcm_writes=request.scale.n_pcm_writes,
+                max_refs_per_core=request.scale.max_refs_per_core)
+        assert len(requests) == 424
+        assert len(generated) == len(set(generated)) == 24
 
 
 def _with_cores(config):

@@ -5,11 +5,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.units import (
     bytes_to_cells,
-    cycles_to_ns,
     ns_to_cycles,
-    power_to_tokens,
     reset_set_ratio,
-    tokens_to_power,
 )
 
 
@@ -33,24 +30,6 @@ class TestNsToCycles:
     def test_bad_frequency_rejected(self):
         with pytest.raises(ConfigError):
             ns_to_cycles(1.0, 0.0)
-
-    def test_roundtrip(self):
-        assert cycles_to_ns(ns_to_cycles(250.0, 4.0), 4.0) == 250.0
-
-
-class TestTokens:
-    def test_reset_is_one_token(self):
-        assert power_to_tokens(480.0, 480.0) == 1.0
-
-    def test_set_fraction(self):
-        assert power_to_tokens(90.0, 480.0) == pytest.approx(0.1875)
-
-    def test_tokens_to_power_roundtrip(self):
-        assert tokens_to_power(power_to_tokens(240.0, 480.0), 480.0) == 240.0
-
-    def test_zero_reset_power_rejected(self):
-        with pytest.raises(ConfigError):
-            power_to_tokens(100.0, 0.0)
 
 
 class TestResetSetRatio:
