@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     golden = sub.add_parser(
         "golden",
-        help="regenerate or verify the golden-fingerprint corpus",
+        help="regenerate the golden-fingerprint corpus (refused if a "
+             "shape check fails) or verify it",
         parents=[verbosity],
     )
     golden.add_argument(
@@ -661,6 +662,14 @@ def _golden_main(args) -> int:
         prefetch(QUICK, 1, available_kernels())
         document = golden.build_corpus(
             progress=lambda line: log.info("%s", line))
+        discrepancies = golden.claim_discrepancies(document)
+        if discrepancies:
+            for discrepancy in discrepancies:
+                log.error("%s", discrepancy)
+            log.error("golden regeneration refused: %d paper claim(s) "
+                      "broken by the new results; the corpus was not "
+                      "written", len(discrepancies))
+            return EXIT_FAILURE
         path = golden.write_corpus(document, args.path)
         log.info("wrote %s (%d runs, kernels: %s, schema v%d)", path,
                  document["n_runs"], ", ".join(document["kernels"]),

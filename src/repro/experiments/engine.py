@@ -112,7 +112,9 @@ from ..obs.manifest import _jsonable
 from ..sim.checkpoint import CheckpointPlan, CheckpointStore
 from ..sim.simcache import write_atomic
 from ..testing.faults import maybe_inject
-from ..util.procs import close_inherited_sockets, exit_when_orphaned
+from ..util.procs import (
+    close_inherited_sockets, exit_when_orphaned, trim_heap,
+)
 from .base import (
     RunRequest,
     _SIM_CACHE,
@@ -176,6 +178,9 @@ def _worker_execute(
     outcome, for the parent's :class:`RunSupervisor` to judge. An
     outcome that will not pickle ends the task at that member, and the
     parent charges it.
+
+    Once every outcome is written, the worker hands its freed heap back
+    to the OS. It keeps its trace memo: a warm worker is kept for it.
     """
     start = time.monotonic()
     for index, request in enumerate(members):
@@ -186,6 +191,7 @@ def _worker_execute(
             outcome = (None, exc, None)
         write_atomic(Path(f"{spool}.{index}"), pickle.dumps(
             (os.getpid(), time.monotonic() - start, outcome)))
+    trim_heap()
 
 
 def _execute_one(

@@ -16,6 +16,8 @@ SIM_SCHEMA_VERSION`):
 * a deliberate semantic change must bump ``SIM_SCHEMA_VERSION`` *and*
   regenerate the corpus (``python -m repro.experiments golden``) in the
   same commit, so the diff shows reviewers exactly which runs moved.
+  Regeneration writes nothing while the new results break one of the
+  paper's claims (:func:`claim_discrepancies`).
 
 A corpus whose recorded schema version disagrees with the code, or
 whose fingerprints drift, fails conformance with the same instruction:
@@ -42,6 +44,7 @@ from ..obs.logging import get_logger
 from ..sim.simcache import SIM_SCHEMA_VERSION
 from ..util.seeds import derive_key
 from .base import QUICK, SCALES, RunRequest, RunScale, fetch
+from .checks import check_result, has_check
 from .registry import available_experiments, get_experiment
 
 log = get_logger("experiments.golden")
@@ -204,15 +207,43 @@ def corpus_scale(document: Dict) -> RunScale:
     )
 
 
+def claim_discrepancies(document: Dict) -> List[str]:
+    """Render every experiment that has a shape check at the corpus's
+    scale and seed, and return each paper claim its result breaks as
+    ``"<exp id>: <discrepancy>"`` (empty = every claim holds).
+
+    Experiments fetch their runs through the installed caches; after
+    :func:`build_corpus` every run they read is cached, so nothing is
+    simulated again.
+    """
+    scale = corpus_scale(document)
+    base = baseline_config(seed=int(document["seed"])).with_kernel(
+        "reference")
+    discrepancies: List[str] = []
+    for exp_id in available_experiments():
+        if has_check(exp_id):
+            result = get_experiment(exp_id)(base, scale)
+            discrepancies.extend(
+                f"{exp_id}: {issue}" for issue in check_result(result))
+    return discrepancies
+
+
 def select_spot_checks(document: Dict, count: int, *,
                        seed: Optional[int] = None) -> List[Dict]:
     """A deterministic, experiment-diverse sample of corpus entries.
 
     Entries are ranked by their result fingerprint (stable across
-    machines, uncorrelated with planning order) and picked greedily so
-    no experiment is sampled twice until every experiment that plans
-    runs has been covered once — a cheap tier-1 test still touches many
-    subsystems.
+    machines, uncorrelated with planning order) and picked greedily in
+    three passes: entries that share no experiment with those already
+    picked; then entries that add an experiment not yet covered; then
+    the rest, by rank. A cheap tier-1 test still touches many
+    subsystems, and a sample as large as the number of experiments that
+    plan runs covers every one of them.
+
+    An entry's experiments are those that plan its run today
+    (:func:`corpus_runs`, at the document's scale and seed); the list
+    stored in the entry is used only for an entry that no experiment
+    plans any more, or when ``document`` names no scale to plan at.
 
     With a ``seed`` the ranking key is salted
     (:func:`repro.util.seeds.derive_key` over ``(seed, fingerprint)``,
@@ -226,27 +257,45 @@ def select_spot_checks(document: Dict, count: int, *,
         def rank(e: Dict) -> str:
             return derive_key(seed, e["result_fingerprint"])
     ranked = sorted(document["runs"], key=rank)
+    planned = _planned(document) if "scale" in document else {}
+
+    def experiments(entry: Dict) -> set:
+        plan = planned.get(_entry_key(entry)) if planned else None
+        return set(plan[1] if plan else entry.get("experiments", ()))
+
     picked: List[Dict] = []
-    seen_experiments: set = set()
-    for entry in ranked:
-        if len(picked) >= count:
-            break
-        exps = set(entry.get("experiments", ()))
-        if exps & seen_experiments:
-            continue
-        picked.append(entry)
-        seen_experiments |= exps
-    for entry in ranked:  # fill up if experiment diversity ran out
-        if len(picked) >= count:
-            break
-        if entry not in picked:
-            picked.append(entry)
+    covered: set = set()
+    passes = (lambda exps: not exps & covered,  # spread
+              lambda exps: bool(exps - covered),  # cover
+              lambda exps: True)  # fill up
+    for wanted in passes:
+        for entry in ranked:
+            if len(picked) >= count:
+                return picked
+            exps = experiments(entry)
+            if entry not in picked and wanted(exps):
+                picked.append(entry)
+                covered |= exps
     return picked
 
 
 def _entry_key(entry: Dict) -> Tuple[str, str, str]:
     return (str(entry["workload"]), str(entry["scheme"]),
             str(entry["config"]))
+
+
+def _planned(document: Dict
+             ) -> Dict[Tuple[str, str, str],
+                       Tuple[RunRequest, Tuple[str, ...]]]:
+    """Every run the registered experiments plan at the corpus's scale
+    and seed, with the experiments that plan it, keyed like corpus
+    entries (:func:`_entry_key`). Planning only, no simulation."""
+    return {
+        (request.workload, request.scheme,
+         config_fingerprint(request.config)): (request, exp_ids)
+        for request, exp_ids in corpus_runs(
+            corpus_scale(document), seed=int(document["seed"]))
+    }
 
 
 def verify_entries(document: Dict, entries: Sequence[Dict], *,
@@ -264,17 +313,11 @@ def verify_entries(document: Dict, entries: Sequence[Dict], *,
     """
     check_schema_version(document)
     kernels = list(kernels or document["kernels"])
-    scale = corpus_scale(document)
-    planned = {
-        (request.workload, request.scheme,
-         config_fingerprint(request.config)): request
-        for request, _exp_ids in corpus_runs(
-            scale, seed=int(document["seed"]))
-    }
+    planned = _planned(document)
     drifts: List[str] = []
     for entry in entries:
         label = f"{entry['workload']}/{entry['scheme']}"
-        request = planned.get(_entry_key(entry))
+        request, _exp_ids = planned.get(_entry_key(entry), (None, ()))
         if request is None:
             drifts.append(
                 f"{label}: no registered experiment plans this run "
@@ -319,10 +362,7 @@ def verify_corpus(document: Dict, *, sample: Optional[int] = None,
     drifts = verify_entries(document, document["runs"], kernels=kernels,
                             progress=progress)
     recorded = {_entry_key(entry) for entry in document["runs"]}
-    for request, exp_ids in corpus_runs(corpus_scale(document),
-                                        seed=int(document["seed"])):
-        key = (request.workload, request.scheme,
-               config_fingerprint(request.config))
+    for key, (request, exp_ids) in _planned(document).items():
         if key not in recorded:
             drifts.append(
                 f"{request.workload}/{request.scheme} (planned by "

@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import asyncio
 import bisect
-import ctypes
 import hashlib
 import multiprocessing
 import os
@@ -104,7 +103,7 @@ from ..sim.checkpoint import CheckpointStore
 from ..sim.simcache import SimCache
 from ..testing.faults import maybe_inject
 from ..trace.generator import clear_trace_cache
-from ..util.procs import close_inherited_sockets
+from ..util.procs import close_inherited_sockets, trim_heap
 
 log = get_logger("service.fleet")
 
@@ -326,19 +325,6 @@ class FleetConfig:
 # ======================================================================
 # Replica child process
 # ======================================================================
-def _trim_heap() -> None:
-    """Hand freed heap pages back to the OS (glibc ``malloc_trim``; a
-    no-op elsewhere). Without it a replica would stay at its largest
-    run's allocator high-water mark for the rest of its life."""
-    try:
-        malloc_trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return  # not glibc
-    malloc_trim.argtypes = [ctypes.c_size_t]
-    malloc_trim.restype = ctypes.c_int
-    malloc_trim(0)
-
-
 def _replica_main(name: str, config: FleetConfig, inbox, outbox) -> None:
     """Entry point of one replica process: install the shared stores,
     start the heartbeat thread, then run jobs one at a time through
@@ -405,7 +391,7 @@ def _replica_main(name: str, config: FleetConfig, inbox, outbox) -> None:
             # A replica keeps no trace and no freed heap between jobs,
             # so its idle memory stays flat whatever it has served.
             clear_trace_cache()
-            _trim_heap()
+            trim_heap()
             try:
                 outbox.put(("result", job_id, source, result))
             except (OSError, ValueError):

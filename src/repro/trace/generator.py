@@ -133,14 +133,12 @@ def _generate(
     if len(benchmarks) != n_cores:
         benchmarks = [benchmarks[i % len(benchmarks)] for i in range(n_cores)]
     sampler = IterationSampler(config.pcm, kernel=config.kernel)
-    image = LineStore(line_size)
-    pcm_image = LineStore(line_size)
     quota = max(1, math.ceil(n_pcm_writes / n_cores))
 
     trace = Trace(workload=spec.name, line_size=line_size)
     for core_id, bench in enumerate(benchmarks):
         stream, stats, l3_accesses = _generate_core(
-            config, core_id, bench, sampler, image, pcm_image,
+            config, core_id, bench, sampler,
             quota, max_refs_per_core, seed, prewarm,
         )
         _calibrate_gaps(
@@ -163,18 +161,27 @@ def _generate_core(
     core_id: int,
     bench,
     sampler: IterationSampler,
-    image: LineStore,
-    pcm_image: LineStore,
     write_quota: int,
     max_refs: int,
     seed: int,
     prewarm: bool,
 ) -> Tuple[List[PCMAccess], TraceStats, int]:
+    """One core's pass: its stream, its stats and its L3 access count.
+
+    The core's caches and its two line images (the dirty data the CPU
+    holds, and what PCM holds) live only for this pass. No core touches
+    another's addresses (:data:`CORE_ADDR_STRIDE`), so nothing here is
+    shared, and the prewarm of one core is freed before the next starts:
+    a trace peaks at one core's prewarm, not all of them.
+    """
     rng = make_rng(seed, "workload", core_id, bench.name)
     hierarchy = CoreHierarchy(
         config.caches, core_id,
         fetch_on_write_miss=bench.fetch_on_write_miss,
     )
+    line_size = config.memory.line_size
+    image = LineStore(line_size)
+    pcm_image = LineStore(line_size)
     base = (core_id + 1) * CORE_ADDR_STRIDE
     if prewarm:
         _prewarm_l3(hierarchy, image, pcm_image, bench, base, rng)

@@ -3,7 +3,7 @@
 Engine pool workers (:class:`repro.experiments.engine.WorkerPool`) and
 fleet replicas (:mod:`repro.service.fleet`) are forked from a parent
 that may be serving HTTP, and they can outlive the call that forked
-them. Two hazards follow, and this module holds the one remedy for
+them. Three hazards follow, and this module holds the one remedy for
 each:
 
 * a forked child keeps duplicates of every socket its parent had open,
@@ -11,11 +11,15 @@ each:
   :func:`close_inherited_sockets`);
 * an idle child blocked on its task queue never notices that its parent
   died, because it holds the queue's write end itself (see
-  :func:`exit_when_orphaned`).
+  :func:`exit_when_orphaned`);
+* a child that lives for many tasks would sit at its largest task's
+  allocator high-water mark, however little it keeps between tasks
+  (see :func:`trim_heap`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import signal
 import stat
@@ -64,3 +68,16 @@ def exit_when_orphaned(parent_pid: int) -> None:
         os._exit(1)
 
     threading.Thread(target=watch, name="orphan-watch", daemon=True).start()
+
+
+def trim_heap() -> None:
+    """Hand freed heap pages back to the OS (glibc ``malloc_trim``; a
+    no-op elsewhere). Call it when a task is done, so an idle worker or
+    replica holds what it keeps, not the peak of what it ran."""
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return  # not glibc
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)

@@ -3,9 +3,9 @@
 Beyond the tiny configs, this hosts the process-state isolation
 machinery every integration suite (and ``benchmarks/conftest.py``)
 used to hand-roll: the experiment layer keeps process-wide state —
-in-memory run cache, disk-cache/telemetry/checkpoint installations,
-failed-run registry, fault plan — and a test that leaks any of it
-poisons its neighbours. Suites request :func:`isolated_run_state`
+in-memory run cache, trace memo, disk-cache/telemetry/checkpoint
+installations, failed-run registry, fault plan — and a test that leaks
+any of it poisons its neighbours. Suites request :func:`isolated_run_state`
 (usually via a module-local ``autouse`` wrapper) and, when they need a
 real on-disk cache, :func:`tmp_sim_cache`.
 """
@@ -40,11 +40,14 @@ from repro.trace import generator
 
 def reset_run_state() -> None:
     """Return every piece of process-wide experiment-layer state to its
-    pristine default: no fault plan, empty in-memory run cache, no
-    failed-run verdicts, and no disk cache / telemetry / checkpoint
-    installation. Call on both sides of anything that mutates them."""
+    pristine default: no fault plan, empty in-memory run cache and
+    trace memo, no failed-run verdicts, and no disk cache / telemetry /
+    checkpoint installation. Call on both sides of anything that
+    mutates them. Forked engine workers inherit the trace memo, so a
+    test that counts generations must not start from a neighbour's."""
     clear_faults()
     clear_sim_cache()
+    generator.clear_trace_cache()
     clear_failed_runs()
     use_disk_cache(None)
     use_telemetry(None)
@@ -66,11 +69,11 @@ def count_trace_generations(monkeypatch, path) -> None:
     """Append ``<pid> <workload>/<kernel>`` to ``path`` for every trace
     generated from now on, by any process.
 
-    Empties this process's trace memo, which forked workers would
-    inherit, then wraps the generator's uncached body; patched before
-    an engine pool forks, so every worker inherits the wrapper and the
-    count spans processes."""
-    generator.clear_trace_cache()
+    Wraps the generator's uncached body; patched before an engine pool
+    forks, so every worker inherits the wrapper and the count spans
+    processes. Call it first thing in a test under
+    :func:`isolated_run_state`, whose empty trace memo the workers
+    inherit too."""
     generate = generator._generate
 
     def counting(config, spec, *args):

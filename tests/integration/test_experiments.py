@@ -6,7 +6,6 @@ import pytest
 from repro.experiments.base import RunScale, clear_sim_cache, fetch
 from repro.experiments.registry import available_experiments, get_experiment
 from repro.testing.faults import FaultSpec, clear_faults, install_faults
-from repro.trace.generator import clear_trace_cache
 
 from ..conftest import make_tiny_config, reset_run_state
 
@@ -17,13 +16,11 @@ MICRO = RunScale("micro", 40, 10_000, ("mcf_m", "tig_m"))
 def fresh_caches():
     # Module-scoped on purpose: the micro-scale sim results are shared
     # across this module's tests. reset_run_state() covers the whole
-    # process-wide surface (faults, failed runs, installations), not
-    # just the sim cache; the trace cache is extra, local to this suite.
+    # process-wide surface (faults, failed runs, installations, trace
+    # memo), not just the sim cache.
     reset_run_state()
-    clear_trace_cache()
     yield
     reset_run_state()
-    clear_trace_cache()
 
 
 class TestRegistry:

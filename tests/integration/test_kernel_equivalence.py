@@ -22,7 +22,6 @@ from repro.experiments.registry import available_experiments, get_experiment
 from repro.kernel import available_kernels
 from repro.pcm.dimm import DIMM
 from repro.sim.runner import run_simulation
-from repro.trace.generator import clear_trace_cache
 
 from ..conftest import make_figure5_config, make_tiny_config, reset_run_state
 
@@ -36,12 +35,10 @@ FIG5_APT_TRACE = [30, 15, 35, 36, 38, 49, 57, 70, 74, 80]
 @pytest.fixture(scope="module", autouse=True)
 def fresh_caches():
     # Module-scoped on purpose: the differential sweep reuses sim
-    # results across tests. Shared reset + the suite-local trace cache.
+    # results across tests.
     reset_run_state()
-    clear_trace_cache()
     yield
     reset_run_state()
-    clear_trace_cache()
 
 
 def _fig5_write(write_id, dimm, iteration_counts, kernel):

@@ -27,7 +27,8 @@ from pathlib import Path
 import pytest
 
 from repro.config.system import config_fingerprint
-from repro.experiments import golden
+from repro.experiments import cli, golden, registry
+from repro.experiments.base import Experiment, ExperimentResult
 from repro.kernel import available_kernels
 from repro.sim.simcache import SIM_SCHEMA_VERSION
 
@@ -102,6 +103,24 @@ def test_spot_checks_are_deterministic_and_diverse(corpus):
             assert not (a & b), "spot checks should spread experiments"
 
 
+def test_spot_checks_cover_every_planning_experiment(corpus):
+    """A sample as large as the number of experiments that plan runs
+    covers each of them, counted by the experiments that plan each
+    entry today, not the lists stored in the corpus."""
+    planned = golden.corpus_runs(golden.corpus_scale(corpus),
+                                 seed=int(corpus["seed"]))
+    owners = {(request.workload, request.scheme,
+               config_fingerprint(request.config)): exp_ids
+              for request, exp_ids in planned}
+    experiments = {exp_id for exp_ids in owners.values()
+                   for exp_id in exp_ids}
+    assert "tab3" in experiments
+    sample = golden.select_spot_checks(corpus, len(experiments))
+    covered = {exp_id for entry in sample
+               for exp_id in owners[golden._entry_key(entry)]}
+    assert covered == experiments
+
+
 def test_spot_checks_honor_an_explicit_seed(corpus):
     """CI spot-checks are reproducible: the same seed always picks the
     same sample, different seeds rank differently, and the unseeded
@@ -115,6 +134,40 @@ def test_spot_checks_honor_an_explicit_seed(corpus):
     legacy = golden.select_spot_checks(corpus, SPOT_CHECKS)
     assert legacy == golden.select_spot_checks(corpus, SPOT_CHECKS,
                                                seed=None)
+
+
+class _CannedFig10(Experiment):
+    """Fig. 10 rendered from a canned mean burst residency: its shape
+    check passes for residency in [0.2, 1.0]. Plans no runs."""
+
+    exp_id = "fig10"
+    burst_fraction = 0.5
+
+    def render(self, config, scale, results):
+        return ExperimentResult(
+            exp_id=self.exp_id, title="canned",
+            columns=["workload", "burst_fraction"],
+            rows=[{"workload": "mean",
+                   "burst_fraction": self.burst_fraction}])
+
+
+@pytest.mark.parametrize("burst_fraction, exit_code", [(0.05, 1), (0.5, 0)])
+def test_regeneration_writes_only_results_that_keep_the_claims(
+        corpus, tmp_path, monkeypatch, burst_fraction, exit_code):
+    """``golden`` without ``--check`` renders every checked experiment
+    from the fresh results: a broken claim exits 1 and leaves the file
+    as it was; claims that hold write the new corpus."""
+    monkeypatch.setattr(golden, "build_corpus", lambda **_: corpus)
+    monkeypatch.setattr(_CannedFig10, "burst_fraction", burst_fraction)
+    monkeypatch.setattr(registry, "_EXPERIMENTS", {"fig10": _CannedFig10})
+    path = tmp_path / "corpus.json"
+    path.write_text("before\n")
+    assert cli.main(["golden", "--path", str(path), "--no-cache",
+                     "-q"]) == exit_code
+    if exit_code:
+        assert path.read_text() == "before\n"
+    else:
+        assert json.loads(path.read_text()) == corpus
 
 
 def test_spot_check_fingerprints_match(corpus):

@@ -1,5 +1,8 @@
-"""Trace generation: calibration, caching, prewarm."""
+"""Trace generation: calibration, caching, prewarm, bytes and memory."""
 
+import dataclasses
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -265,3 +268,101 @@ class TestCellChangeContent:
             if acc.kind == WRITE and acc.iter_counts.size
         ])
         assert all_iters.max() <= 16
+
+
+MB = 1 << 20
+
+#: Small budgets: the prewarm is full size whatever the budget.
+PIN_BUDGETS = dict(n_pcm_writes=40, max_refs_per_core=10_000)
+
+
+def pin_config(kernel="reference", llc_mb=32):
+    """The Table 1 baseline (8 cores, 32 MB per-core LLC) on ``kernel``,
+    with its per-core LLC resized to ``llc_mb``."""
+    config = baseline_config().with_kernel(kernel)
+    if llc_mb != 32:
+        config = config.with_llc_size(llc_mb * MB)
+    return config
+
+
+def trace_digest(trace):
+    """sha256 over everything a trace holds: every record's fields and
+    arrays (dtype, shape and bytes), the per-core stats and the totals."""
+    digest = hashlib.sha256()
+
+    def put(*values):
+        digest.update(repr(values).encode())
+
+    put(trace.workload, trace.line_size, len(trace.per_core))
+    for stream, stats in zip(trace.per_core, trace.per_core_stats):
+        put(dataclasses.astuple(stats), len(stream))
+        for acc in stream:
+            put(acc.core, acc.kind, acc.line_addr, acc.gap_instr,
+                acc.gap_hit_cycles, acc.slc_bit_changes)
+            for array in (acc.changed_idx, acc.iter_counts):
+                if array is None:
+                    put(None)
+                else:
+                    put(array.dtype.str, array.shape)
+                    digest.update(array.tobytes())
+    put(dataclasses.astuple(trace.stats))
+    return digest.hexdigest()
+
+
+#: Whole-trace digests at :data:`PIN_BUDGETS`, recorded while all cores
+#: still shared one pair of line images. The kernels produce the same
+#: bytes, so one digest covers both.
+PINNED_DIGESTS = {
+    ("lbm_m", 32): "a8f7fc34821062e1b4a16b461c04bb59"
+                   "900d196b41b4c3893bcc76f971a765ad",
+    ("mcf_m", 32): "72d209993347da395badd148c4861712"
+                   "d48a2ad2f7d4445e3c4246328f06b441",
+    ("tig_m", 32): "32dc614adefdb127b8032b36e6cd574c"
+                   "bfa589ce39578f749f86f6f4334ddf61",
+    ("mix_1", 32): "1f64eaf3e757fda1c782310a053b5dae"
+                   "57126389489c19795a9737c83109e57a",
+    ("mcf_m", 128): "a0580c5cf88e546a351aad47e5577dbb"
+                    "441c7ec4ef788a974521c0afa7dc6bdd",
+}
+
+
+class TestPerCoreGeneration:
+    """Each core generates with caches and line images of its own, freed
+    before the next core starts. The bytes are those of one shared pair
+    of images, and a trace's peak memory is one core's prewarm."""
+
+    @pytest.mark.parametrize("workload, kernel, llc_mb", [
+        *[(workload, kernel, 32)
+          for workload in ("lbm_m", "mcf_m", "tig_m", "mix_1")
+          for kernel in ("reference", "vectorized")],
+        ("mcf_m", "reference", 128),
+    ])
+    def test_trace_bytes_are_pinned(self, workload, kernel, llc_mb):
+        trace = generate_trace(pin_config(kernel, llc_mb), workload,
+                               use_cache=False, **PIN_BUDGETS)
+        assert trace_digest(trace) == PINNED_DIGESTS[workload, llc_mb]
+
+    #: ``tracemalloc`` peaks at these budgets: about 113, 112, 28 and
+    #: 449 MB with all cores' images alive to the end; about 29, 50, 8
+    #: and 115 MB with one core's at a time.
+    @pytest.mark.parametrize("workload, llc_mb, bound_mb", [
+        ("mcf_m", 32, 56),
+        ("mix_1", 32, 80),
+        ("tig_m", 32, 14),
+        ("mcf_m", 128, 224),
+    ])
+    def test_peak_memory_is_one_cores_prewarm(self, workload, llc_mb,
+                                              bound_mb):
+        config = pin_config(llc_mb=llc_mb)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            generate_trace(config, workload, use_cache=False, **PIN_BUDGETS)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < bound_mb * MB, f"{workload}: {peak / MB:.1f} MB"
