@@ -42,6 +42,7 @@ from ..config.system import SystemConfig
 from ..errors import RunFailedError
 from ..kernel import available_kernels
 from ..obs.logging import get_logger, setup_logging
+from ..service.schemas import RUN_TIMEOUT_S
 from ..sim.simcache import DEFAULT_CACHE_DIR, SimCache
 from .base import (
     DEFAULT,
@@ -408,10 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
              "on drain",
     )
     serve.add_argument(
-        "--timeout", type=_positive_float, default=None, metavar="SECONDS",
+        "--timeout", type=_positive_float, default=RUN_TIMEOUT_S,
+        metavar="SECONDS",
         help="per-run wall-clock budget on engine workers, counted "
-             "from when a worker starts the run; also bounds each "
-             "replica job under --replicas",
+             "from when a worker starts the run; past it the worker is "
+             "killed and the run retried (default %(default)g, about "
+             "8x the longest run the API admits)",
     )
     serve.add_argument(
         "--retries", type=_non_negative_int, default=2, metavar="N",
@@ -429,32 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot each simulation every N completed writes; "
              "retries resume from the latest capsule and /watch streams "
              "checkpoint progress (default: off)",
-    )
-    serve.add_argument(
-        "--replicas", type=_non_negative_int, default=0, metavar="N",
-        help="shard cold runs across N supervised worker replicas "
-             "(consistent-hash routing, circuit breakers, failover; "
-             "default 0 = in-process dispatch; see docs/service.md)",
-    )
-    serve.add_argument(
-        "--replica-restart-budget", type=_non_negative_int, default=3,
-        metavar="N",
-        help="respawns allowed per replica in a row, with no job "
-             "completed in between, before its slot is permanently "
-             "dead (default 3)",
-    )
-    serve.add_argument(
-        "--heartbeat-interval", type=_positive_float, default=1.0,
-        metavar="SECONDS",
-        help="replica heartbeat cadence; 3 missed beats declare a "
-             "replica down (default 1.0)",
-    )
-    serve.add_argument(
-        "--replica-job-timeout", type=_positive_float, default=300.0,
-        metavar="SECONDS",
-        help="parent-side wall-clock deadline per replica job, counted "
-             "from when the replica starts it; past it the replica is "
-             "declared hung and its jobs fail over (default 300)",
     )
     return parser
 
@@ -730,15 +707,6 @@ def _serve_main(args) -> int:
         from ..obs import Telemetry
         telemetry = Telemetry()
         use_telemetry(telemetry)
-    fleet = None
-    if args.replicas > 0:
-        from ..service.fleet import FleetConfig
-        fleet = FleetConfig(
-            replicas=args.replicas,
-            restart_budget=args.replica_restart_budget,
-            heartbeat_interval_s=args.heartbeat_interval,
-            job_timeout_s=args.replica_job_timeout,
-        )
     gateway = Gateway(
         host=args.host,
         port=args.port,
@@ -749,7 +717,6 @@ def _serve_main(args) -> int:
         policy=RetryPolicy(max_attempts=args.retries + 1,
                            run_timeout_s=args.timeout),
         drain_timeout_s=args.drain_timeout,
-        fleet=fleet,
         telemetry=telemetry,
         manifest_path=args.metrics_out,
         cache=cache,

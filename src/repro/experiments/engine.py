@@ -8,7 +8,9 @@ single-worker :class:`~concurrent.futures.ProcessPoolExecutor` forked on
 first use. A one-shot caller's pool lives for one plan. A long-lived
 caller (the service gateway, an exploration session) keeps one across
 its plans, so its workers keep their trace memos, and each cohort goes
-to the idle slot that last ran its trace structure. Results land in the
+to the idle slot that last ran its trace structure. The gateway's pool
+supervises every run it serves: the plans behind ``/run``,
+``/experiment`` and ``/explore`` take turns on it. Results land in the
 shared caches, so each experiment's ``run()`` fetches warm hits and
 renders its rows from them.
 
@@ -198,8 +200,8 @@ def _execute_one(
     request: RunRequest, obs: Optional[Dict[str, object]],
     ckpt: Optional[Dict[str, object]],
 ) -> Tuple[object, Optional[Dict[str, object]]]:
-    """One run in this process, uncached — the member body of engine
-    workers and fleet replicas: ``(result, telemetry snapshot)``.
+    """One run in this process, uncached — the member body of an engine
+    worker: ``(result, telemetry snapshot)``.
 
     With an ``obs`` spec (``sample_interval`` /
     ``max_samples_per_series`` / ``parent_span_id``) the run executes
@@ -284,7 +286,9 @@ class WorkerPool:
     between tasks, so :meth:`pick` sends a cohort to the idle slot that
     last ran its cohort key. A slot whose worker died or was killed is
     rebuilt on its next task, and no other slot is touched. One plan
-    runs on a pool at a time.
+    runs on a pool at a time: :func:`execute_plan` holds
+    :attr:`plan_lock` for the whole plan, so callers that share a pool
+    (the gateway's dispatcher and its explorations) take turns.
 
     :func:`execute_plan` gives a one-shot caller a private pool and
     closes it when the plan returns; a long-lived caller (the gateway,
@@ -299,6 +303,7 @@ class WorkerPool:
         # A gateway whose drain timed out closes the pool while the
         # abandoned plan's thread may still be submitting to it.
         self._lock = threading.Lock()
+        self.plan_lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -344,16 +349,21 @@ class WorkerPool:
             self._kill(slot)
 
     def close(self, terminate: bool = False) -> None:
-        """Let every idle worker exit and join it, or with ``terminate``
-        kill the workers mid-task. A closed pool takes no task."""
+        """Let every worker exit once its task is done and join it, or
+        with ``terminate`` kill the workers mid-task. A closed pool
+        takes no task."""
         with self._lock:
             self._closed = True
-            for slot in self.slots:
-                if terminate:
+            if terminate:
+                for slot in self.slots:
                     self._kill(slot)
-                elif slot.executor is not None:
-                    slot.executor.shutdown(wait=True, cancel_futures=True)
-                    slot.executor = None
+            executors = [slot.executor for slot in self.slots]
+        # Joined outside the lock: a plan still running on the pool (an
+        # exploration, which the gateway's drain does not wait for) must
+        # stay able to kill a hung worker at its deadline.
+        for executor in executors:
+            if executor is not None:
+                executor.shutdown(wait=True, cancel_futures=True)
 
     @staticmethod
     def _kill(slot: _Slot) -> None:
@@ -810,9 +820,10 @@ def execute_plan(
     parallelism.
 
     The workers come from ``pool`` when the caller keeps one across
-    plans (at most ``pool.size`` of them run the plan), else from a
-    private :class:`WorkerPool` that is closed, its workers joined,
-    before this returns.
+    plans (at most ``pool.size`` of them run the plan, and a plan
+    already running on it finishes first), else from a private
+    :class:`WorkerPool` that is closed, its workers joined, before this
+    returns.
 
     ``KeyboardInterrupt`` propagates after the workers running the plan
     are killed and ``summary["interrupted"]`` is set — every
@@ -864,7 +875,7 @@ def execute_plan(
               "(%d memory hits, %d disk hits)", len(pending), len(cohorts),
               n_workers, summary["memory"], summary["disk"])
     with (WorkerPool(n_workers) if pool is None
-          else nullcontext(pool)) as workers:
+          else nullcontext(pool)) as workers, workers.plan_lock:
         plan = _PlanSupervisor(cohorts, n_workers,
                                policy or RetryPolicy(), summary, workers)
         if plan.telemetry is None:
@@ -891,11 +902,10 @@ def plan_outcomes(
     fingerprint's outcome as ``(result, source)``.
 
     The serving-side wrapper around :func:`execute_plan` behind the
-    gateway's in-process dispatch (fleet replicas report the same
-    outcomes one job at a time, through :func:`run_outcome`): always
-    forced (``force=True`` — callers need the engine's
-    retries/watchdog/crash containment even at ``jobs=1``), with the
-    per-request provenance the service layer reports to clients.
+    gateway's dispatch: always forced (``force=True`` — callers need
+    the engine's retries/watchdog/crash containment even at
+    ``jobs=1``), with the per-request provenance the service layer
+    reports to clients.
     ``source`` is ``disk`` (the run was already in the on-disk
     cache before the plan), ``computed`` (freshly executed — or
     satisfied from this process's memory cache, which for a cold
@@ -933,45 +943,3 @@ def plan_outcomes(
                 "run neither completed nor failed (engine aborted "
                 "or interrupted)", "failed")
     return outcomes
-
-
-def run_outcome(request: RunRequest, policy: RetryPolicy,
-                clock: Callable[[bool], None] = lambda running: None,
-                ) -> Tuple[object, str]:
-    """One request's ``(result, source)`` as :func:`plan_outcomes`
-    reports it, computed in this process with no pool (a fleet
-    replica's job): ``disk`` from the disk cache, ``computed`` by the
-    member body and written through, or ``failed`` with the terminal
-    message once a :class:`RunSupervisor` stops retrying what the run
-    raised. A run that kills the process takes the caller with it.
-
-    ``clock(False)`` is called before each backoff sleep and
-    ``clock(True)`` after it, so a caller that times the attempts
-    leaves the sleeps out."""
-    key = request.fingerprint
-    disk = active_disk_cache()
-    if disk is not None:
-        result = disk.get(key)
-        if result is not None:
-            return result, "disk"
-    checkpoints = active_checkpoints()
-    supervisor = RunSupervisor(policy)
-    while True:
-        try:
-            result, _ = _execute_one(request, None, None)
-            break
-        except Exception as exc:
-            progress = (checkpoints[0].progress(key)
-                        if checkpoints is not None else None)
-            verdict, delay = supervisor.on_failure(request, exc,
-                                                   progress=progress)
-            log.warning("run %s/%s failed (%s: %s) — %s", request.workload,
-                        request.scheme, type(exc).__name__, exc, verdict)
-            if verdict != RETRY:
-                return supervisor.failures[-1].message(), "failed"
-            clock(False)
-            time.sleep(delay)
-            clock(True)
-    if disk is not None:
-        disk.put(key, result)
-    return result, "computed"

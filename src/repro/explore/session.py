@@ -111,7 +111,13 @@ class _PointRecord:
 
 
 class ExploreSession:
-    """One deterministic, resumable design-space exploration."""
+    """One deterministic, resumable design-space exploration.
+
+    Each generation's new points are computed by the supervised engine
+    on ``pool`` when the caller passes its long-lived
+    :class:`~repro.experiments.engine.WorkerPool` (the gateway does),
+    else on a private pool of ``settings.jobs`` workers when that is
+    more than one, else serially in this process."""
 
     def __init__(
         self,
@@ -123,6 +129,7 @@ class ExploreSession:
         registry=None,
         telemetry=None,
         on_event=None,
+        pool: Optional[WorkerPool] = None,
     ):
         self.settings = settings
         if base_config is None:
@@ -134,6 +141,7 @@ class ExploreSession:
         self.registry = registry
         self.telemetry = telemetry
         self.on_event = on_event
+        self.pool = pool
         self.objectives = DEFAULT_OBJECTIVES
         settings.space.validate(base_config, settings.scheme)
         self.session_id = derive_key(
@@ -304,7 +312,8 @@ class ExploreSession:
 
         # With workers, one pool serves every generation: its workers
         # keep the traces they generated for the generations after.
-        with (WorkerPool(settings.jobs) if settings.jobs > 1
+        with (nullcontext(self.pool) if self.pool is not None
+              else WorkerPool(settings.jobs) if settings.jobs > 1
               else nullcontext()) as pool:
             for generation, points in enumerate(strategy.generations()):
                 records = self._evaluate_generation(
@@ -357,15 +366,19 @@ class ExploreSession:
             if entry[2] is not None
             and entry[2].fingerprint not in restored
         )
+        disk = active_disk_cache()
+        # Where each new point's result comes from, judged before the
+        # prefetch below puts it in the memory cache.
+        sources = {request.fingerprint: _source_of(request.fingerprint, disk)
+                   for request in pending}
         if pending and pool is not None:
             # Warm the caches through the supervised engine (pool
             # parallelism over structure-sharing cohorts); the serial
             # loop below then resolves every point as a hit.
-            execute_plan(pending, settings.jobs, policy=self.policy,
-                         pool=pool)
+            execute_plan(pending, pool.size, policy=self.policy,
+                         force=True, pool=pool)
 
         records: List[_PointRecord] = []
-        disk = active_disk_cache()
         for index, (point, scheme, request, error) in enumerate(lowered):
             if request is None:
                 record = _PointRecord(
@@ -395,12 +408,10 @@ class ExploreSession:
                 if held.error is not None:
                     counts["failed"] += 1
             else:
-                if fingerprint in _SIM_CACHE:
-                    source = "memory"
-                elif disk is not None and fingerprint in disk:
-                    source = "disk"
-                else:
-                    source = "computed"
+                # A repeat of a point this generation already fetched
+                # finds it in memory, as the serial path does.
+                source = (sources.pop(fingerprint, None)
+                          or _source_of(fingerprint, disk))
                 try:
                     result = fetch(request)
                 except RunFailedError as exc:
@@ -487,6 +498,15 @@ class ExploreSession:
             "points": [r.report_entry() for r in evaluated],
             "frontier": [r.frontier_entry() for r in frontier],
         }
+
+
+def _source_of(fingerprint: str, disk) -> str:
+    """Where :func:`fetch` would take run ``fingerprint`` from now."""
+    if fingerprint in _SIM_CACHE:
+        return "memory"
+    if disk is not None and fingerprint in disk:
+        return "disk"
+    return "computed"
 
 
 def frontier_report(report: Dict[str, object]) -> Dict[str, object]:

@@ -49,14 +49,6 @@ fingerprint, writes_done/cycle progress, capsule path or the error that
 invalidated it — see :mod:`repro.sim.checkpoint` and
 docs/robustness.md).
 
-The replica fleet (v7) adds ``replica`` (one per fleet lifecycle step:
-``action`` ``spawn``/``respawn``/``down``/``dead``/``breaker_open``/
-``breaker_close``/``routed``/``failover``/``stranded``/``poisoned``,
-the replica name, the affected run fingerprint for job-placement
-actions, and action-specific detail — see :mod:`repro.service.fleet`).
-The gateway's ``service_state`` record gains a ``fleet`` block with
-per-replica breaker state, heartbeat age and restart counts.
-
 The exploration engine (v9) adds ``explore_point`` (one per evaluated
 design-space point: session id, run fingerprint, generation/index, the
 point's parameter values, composed scheme, acquisition ``source`` and
@@ -66,6 +58,10 @@ generation: the Pareto frontier's size and member fingerprints) — see
 
 Worker snapshots travel in the engine's outcome files (v11), so
 ``worker_telemetry`` records no longer carry a ``sidecar`` path.
+
+v12 drops the record kind and the ``service_state`` block that v7
+added for a second, multi-process run supervisor: the gateway's worker
+pool now supervises every run it serves (docs/observability.md).
 
 See docs/observability.md and docs/service.md for the full schema.
 """
@@ -93,10 +89,8 @@ from typing import Dict, Iterable, List, Optional, Union
 #: (``action`` save/resume/discard, fingerprint, writes_done, cycle,
 #: capsule path or discard error) — emitted by the checkpoint/resume
 #: plane, including from engine workers via the snapshot merge.
-#: v7: ``replica`` records — one per fleet lifecycle step (``action``
-#: spawn/respawn/down/dead/breaker_open/breaker_close/routed/failover/
-#: stranded/poisoned, replica name, fingerprint, detail) — plus the
-#: ``fleet`` block inside ``service_state``.
+#: v7: lifecycle records of a second, multi-process run supervisor,
+#: plus its block inside ``service_state`` (both gone in v12).
 #: v8: ``batch_cohort`` records — one per batched-execution cohort
 #: event (``action`` executed/bisect/fallback, cohort key, size,
 #: delivered count, detail) — plus the ``batch_*`` counters inside
@@ -113,7 +107,9 @@ from typing import Dict, Iterable, List, Optional, Union
 #: ``batch_runs``, ``batch_bisections`` and ``batch_fallbacks``.
 #: v11: worker telemetry rides in the outcome file — ``worker_telemetry``
 #: records drop their ``sidecar`` field.
-MANIFEST_SCHEMA_VERSION = 11
+#: v12: the v7 supervisor's record kind and ``service_state`` block
+#: are gone; the gateway's worker pool supervises every run.
+MANIFEST_SCHEMA_VERSION = 12
 
 
 def _jsonable(value):

@@ -467,29 +467,6 @@ class Telemetry:
         )
         self._emit("checkpoint", record)
 
-    def record_replica_event(self, *, action: str,
-                             replica: Optional[str],
-                             fingerprint: Optional[str] = None,
-                             **fields) -> None:
-        """Record one replica-fleet lifecycle step (manifest ``replica``
-        record, schema v7). ``action`` is ``spawn``/``respawn`` (a
-        replica process started), ``down`` (declared dead: exit, hang,
-        or missed heartbeats), ``dead`` (restart budget exhausted),
-        ``breaker_open``/``breaker_close``, ``routed``/``failover``
-        (job placement), ``stranded`` (no live replica; the gateway
-        serves degraded) or ``poisoned`` (a job contained after
-        crossing the re-route budget). Not re-emitted through
-        ``on_event`` — the fleet publishes to ``/watch`` directly."""
-        record: Dict[str, object] = {
-            "type": "replica",
-            "action": action,
-            "replica": replica,
-            "fingerprint": fingerprint,
-            "ts": time.time(),
-            **fields,
-        }
-        self.resilience_events.append(record)
-
     def record_service_request(self, *, method: str, path: str,
                                status: int, wall_ms: float,
                                error: Optional[str] = None) -> None:

@@ -3,11 +3,9 @@
 A long-lived asyncio daemon (``python -m repro.experiments serve``)
 that accepts simulation and experiment requests over local HTTP+JSON,
 normalizes them to canonical cache fingerprints, coalesces concurrent
-requests for the same run, and dispatches cold work through the
-fault-tolerant parallel engine behind a bounded admission queue —
-either in-process or, with ``--replicas N``, sharded across a
-supervised replica fleet with circuit breakers, failover and
-degraded-mode serving (:mod:`repro.service.fleet`).
+requests for the same run, and dispatches cold work behind a bounded
+admission queue to the fault-tolerant engine, whose long-lived worker
+pool supervises every run the gateway computes.
 
 See docs/service.md for the API and operational semantics.
 """
@@ -16,13 +14,11 @@ from .admission import AdmissionQueue
 from .app import Gateway
 from .client import GatewayClient
 from .coalescer import Coalescer, Lease
-from .fleet import CircuitBreaker, Fleet, FleetConfig, HashRing
 from .schemas import (
     BusyError,
     DrainingError,
     ExperimentRequest,
     InvalidRequestError,
-    ReplicaFailureError,
     RunExecutionError,
     ServiceError,
     SimRequest,
@@ -32,18 +28,13 @@ from .schemas import (
 __all__ = [
     "AdmissionQueue",
     "BusyError",
-    "CircuitBreaker",
     "Coalescer",
     "DrainingError",
     "ExperimentRequest",
-    "Fleet",
-    "FleetConfig",
     "Gateway",
     "GatewayClient",
-    "HashRing",
     "InvalidRequestError",
     "Lease",
-    "ReplicaFailureError",
     "RunExecutionError",
     "ServiceError",
     "SimRequest",

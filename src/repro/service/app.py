@@ -24,11 +24,12 @@ Request lifecycle (``POST /run``)::
 The dispatcher is a single task pulling admitted work in batches, so
 concurrent cold requests for *different* fingerprints still share one
 engine plan (cross-request dedupe) while concurrent requests for the
-*same* fingerprint never reach the engine twice. Every plan runs on the
-gateway's one :class:`~repro.experiments.engine.WorkerPool`, whose
-workers are forked on the first cold dispatch and live until shutdown:
-a worker keeps the traces it generated, and a cohort goes to the worker
-that last ran its trace structure.
+*same* fingerprint never reach the engine twice. Every plan, the
+dispatcher's and each ``/explore`` generation's, runs on the gateway's
+one :class:`~repro.experiments.engine.WorkerPool`, whose workers are
+forked on the first cold dispatch and live until shutdown: a worker
+keeps the traces it generated, and a cohort goes to the worker that
+last ran its trace structure.
 
 Shutdown: SIGTERM/SIGINT (or :meth:`Gateway.request_drain`) stops
 admission (new work gets 503), lets the dispatcher finish the backlog,
@@ -48,20 +49,11 @@ done, plus periodic counter deltas) over chunked transfer encoding
 while a run is in flight; with checkpointing installed (``serve
 --checkpoint-every``) the stream also carries ``checkpoint`` lifecycle
 records as the run's capsules advance (see docs/robustness.md).
-
-Scale-out: with ``serve --replicas N`` cold runs are sharded across a
-supervised replica fleet (:mod:`repro.service.fleet`) — consistent-hash
-routing on canonical fingerprints, per-replica circuit breakers and
-heartbeats, failover and respawn under a restart budget. When every
-replica is open or dead, the dispatcher *degrades* to the in-process
-engine path (responses carry ``source: "degraded"`` and ``/healthz``
-reports ``status: "degraded"``) instead of failing requests.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import functools
 import json
 import signal
@@ -87,7 +79,6 @@ from ..obs.prometheus import render_registry
 from ..obs.tracing import Tracer
 from .admission import AdmissionQueue
 from .coalescer import Coalescer, Lease
-from .fleet import Fleet, FleetConfig, REPLICA_FAILED, STRANDED
 from .schemas import (
     DrainingError,
     ExperimentRequest,
@@ -95,7 +86,6 @@ from .schemas import (
     InvalidRequestError,
     MethodNotAllowedError,
     NotFoundError,
-    ReplicaFailureError,
     ServiceError,
     SimRequest,
     SimResponse,
@@ -188,7 +178,6 @@ class Gateway:
                  policy: Optional[RetryPolicy] = None,
                  drain_timeout_s: float = 30.0,
                  watch_tick_s: float = 0.5,
-                 fleet: Optional[FleetConfig] = None,
                  telemetry=None, manifest_path=None, cache=None,
                  registry: Optional[MetricsRegistry] = None):
         self.host = host
@@ -202,24 +191,6 @@ class Gateway:
         self.telemetry = telemetry
         self.manifest_path = manifest_path
         self.cache = cache
-        #: Replica fleet (``--replicas N``): constructed from ``fleet``
-        #: in :meth:`start` (it needs the running loop).
-        self.fleet: Optional[Fleet] = None
-        if fleet is not None:
-            # Fill in the shared-state fields the replicas inherit from
-            # this gateway unless the caller pinned them explicitly.
-            updates: Dict[str, object] = {}
-            if fleet.policy is None:
-                updates["policy"] = self.policy
-            if fleet.cache_dir is None and cache is not None:
-                updates["cache_dir"] = str(cache.root)
-            checkpoints = active_checkpoints()
-            if fleet.checkpoint_dir is None and checkpoints is not None:
-                updates["checkpoint_dir"] = str(checkpoints[0].root)
-                updates["checkpoint_every"] = checkpoints[1]
-            if updates:
-                fleet = dataclasses.replace(fleet, **updates)
-        self._fleet_config = fleet
         #: Spans survive in the telemetry manifest when one is attached;
         #: a standalone tracer still propagates context either way.
         self.tracer: Tracer = (telemetry.tracer if telemetry is not None
@@ -227,8 +198,9 @@ class Gateway:
 
         self.coalescer = Coalescer()
         self.admission = AdmissionQueue(queue_limit, workers=self.jobs)
-        #: Engine workers for every in-process dispatch, kept from the
-        #: first cold dispatch until shutdown.
+        #: Engine workers for every run the gateway computes (``/run``,
+        #: ``/experiment`` and ``/explore``), kept from the first cold
+        #: dispatch until shutdown.
         self.pool = WorkerPool(self.jobs)
         self.draining = False
         self.started_at: Optional[float] = None
@@ -303,8 +275,8 @@ class Gateway:
             "service_explore_points",
             "design-space points evaluated for /explore requests")
         #: Explorations serialize: each one is a long multi-run job
-        #: sharing the engine and caches, so concurrent sessions would
-        #: only thrash the pool (clients watch progress via /watch).
+        #: sharing the pool and caches, so concurrent sessions would
+        #: only thrash it (clients watch progress via /watch).
         self._explore_lock = asyncio.Lock()
         self._c_source = {
             "memory": reg.counter(
@@ -319,10 +291,6 @@ class Gateway:
             "coalesced": reg.counter(
                 "service_runs_served_coalesced",
                 "run resolutions that joined an in-flight computation"),
-            "degraded": reg.counter(
-                "service_runs_served_degraded",
-                "run resolutions served by the in-process fallback "
-                "while no fleet replica was live"),
         }
 
     # ==================================================================
@@ -337,23 +305,14 @@ class Gateway:
             # Forward supervision events (retries, failures) from the
             # engine thread to /watch subscribers on the loop.
             self.telemetry.on_event = self._on_telemetry_event
-        if self._fleet_config is not None:
-            self.fleet = Fleet(self._fleet_config,
-                               registry=self.registry,
-                               telemetry=self.telemetry,
-                               tracer=self.tracer,
-                               on_event=self._on_fleet_event)
-            await self.fleet.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop())
         log.info("gateway listening on http://%s:%d (jobs=%d, "
-                 "queue-limit=%d%s)", self.host, self.port, self.jobs,
-                 self.admission.limit,
-                 (f", replicas={self._fleet_config.replicas}"
-                  if self._fleet_config is not None else ""))
+                 "queue-limit=%d)", self.host, self.port, self.jobs,
+                 self.admission.limit)
         return self.host, self.port
 
     async def serve(self, install_signals: bool = False) -> None:
@@ -421,11 +380,6 @@ class Gateway:
         # After the dispatcher settled the workers are idle; after a
         # timed-out drain they may still run the abandoned batch.
         await asyncio.to_thread(self.pool.close, timed_out)
-        if self.fleet is not None:
-            # After the dispatcher settled: replicas are idle (or were
-            # abandoned with it) and fleet.stop() resolves any job the
-            # cancelled dispatcher left behind.
-            await self.fleet.stop()
         # Safety net: nobody may be left awaiting a dead future.
         stranded = self.coalescer.abort_all(
             lambda key: DrainingError(
@@ -456,18 +410,8 @@ class Gateway:
 
     def snapshot(self) -> Dict[str, object]:
         """Operational state for ``/healthz`` and the manifest."""
-        if self.draining:
-            status = "draining"
-        elif self.fleet is not None and not self.fleet.any_routable():
-            # Still serving — the in-process fallback path answers —
-            # but operators should know the fleet is gone.
-            status = "degraded"
-        else:
-            status = "serving"
         return {
-            "status": status,
-            "fleet": (self.fleet.snapshot()
-                      if self.fleet is not None else None),
+            "status": "draining" if self.draining else "serving",
             "uptime_s": (time.monotonic() - self.started_at
                          if self.started_at is not None else 0.0),
             "jobs": self.jobs,
@@ -509,14 +453,6 @@ class Gateway:
             functools.partial(self._publish, str(fingerprint), kind,
                               **fields))
 
-    def _on_fleet_event(self, fingerprint: Optional[str],
-                        payload: Dict[str, object]) -> None:
-        """Fleet ``on_event`` hook (loop thread): surface replica
-        lifecycle steps — routed, failover, stranded, respawn — on the
-        affected fingerprint's ``/watch`` stream."""
-        if fingerprint:
-            self._publish(fingerprint, "replica", **payload)
-
     # ==================================================================
     # Dispatcher: admitted work -> supervised engine -> waiters
     # ==================================================================
@@ -536,16 +472,10 @@ class Gateway:
             started = time.monotonic()
             requests = [work.request for work in batch]
             try:
-                with self.tracer.span(
-                        "service.batch",
-                        attrs={"batch": len(batch),
-                               "fleet": self.fleet is not None}):
-                    if self.fleet is not None:
-                        outcomes = await self._execute_batch_fleet(
-                            requests)
-                    else:
-                        outcomes = await asyncio.to_thread(
-                            self._execute_batch, requests)
+                with self.tracer.span("service.batch",
+                                      attrs={"batch": len(batch)}):
+                    outcomes = await asyncio.to_thread(
+                        self._execute_batch, requests)
             except BaseException as exc:  # engine blew past supervision
                 log.error("dispatch batch failed wholesale: %s: %s",
                           type(exc).__name__, exc)
@@ -559,9 +489,8 @@ class Gateway:
                 self._g_inflight.set(len(self.coalescer))
                 continue
             elapsed = time.monotonic() - started
-            computed = sum(
-                1 for _, source in outcomes.values()
-                if source in ("computed", "degraded"))
+            computed = sum(1 for _, source in outcomes.values()
+                           if source == "computed")
             if computed:
                 self.admission.observe_run_seconds(elapsed / computed)
             for work in batch:
@@ -571,15 +500,6 @@ class Gateway:
                     self.coalescer.reject(
                         work.fingerprint,
                         run_failure_error(work.fingerprint, str(result)))
-                    self._publish(work.fingerprint, "failed",
-                                  error=str(result))
-                elif source == REPLICA_FAILED:
-                    # A poison job: it kept taking fleet replicas down.
-                    self._c_run_failed.inc()
-                    self.coalescer.reject(
-                        work.fingerprint,
-                        ReplicaFailureError(str(result),
-                                            fingerprint=work.fingerprint))
                     self._publish(work.fingerprint, "failed",
                                   error=str(result))
                 else:
@@ -595,44 +515,18 @@ class Gateway:
 
     def _execute_batch(self, requests: List[RunRequest]) -> Dict[
             str, Tuple[object, str]]:
-        """Worker-thread half of an in-process dispatch: run the
-        supervised engine over the batch on the gateway's worker pool
-        and report each fingerprint's outcome as ``(result, source)``
-        or ``(error message, "failed")``
-        (:func:`repro.experiments.engine.plan_outcomes`; fleet replicas
-        report theirs the same way, one job at a time).
-        The plan's structure-sharing runs execute as cohorts, counted
-        by ``service_batch_cohorts``."""
+        """Worker-thread half of a dispatch: run the supervised engine
+        over the batch on the gateway's worker pool and report each
+        fingerprint's outcome as ``(result, source)`` or ``(error
+        message, "failed")``
+        (:func:`repro.experiments.engine.plan_outcomes`). The plan's
+        structure-sharing runs execute as cohorts, counted by
+        ``service_batch_cohorts``."""
         summary: Dict[str, object] = {}
         outcomes = plan_outcomes(requests, jobs=self.jobs,
                                  policy=self.policy, summary_out=summary,
                                  pool=self.pool)
         self._c_batch_cohorts.inc(int(summary.get("batch_cohorts", 0)))
-        return outcomes
-
-    async def _execute_batch_fleet(self, requests: List[RunRequest]
-                                   ) -> Dict[str, Tuple[object, str]]:
-        """Fleet half of a dispatch: shard the batch across replicas,
-        then serve anything the fleet stranded (no live replica) on the
-        degraded in-process path — a waiter is *never* told "the fleet
-        is down", it just gets its result with ``source:
-        "degraded"``."""
-        outcomes = await self.fleet.execute_batch(requests)
-        stranded = [request for request in requests
-                    if outcomes[request.fingerprint][1] == STRANDED]
-        if stranded:
-            log.warning("fleet has no live replica: serving %d run(s) "
-                        "on the degraded in-process path", len(stranded))
-            fallback = await asyncio.to_thread(
-                self._execute_batch, stranded)
-            for key, (result, source) in fallback.items():
-                outcomes[key] = (
-                    result, "degraded" if source != "failed" else source)
-        # Replicas keep no results; mirror them into this process's hot
-        # cache so follow-up requests hit ``source: "memory"``.
-        for key, (result, source) in outcomes.items():
-            if source in ("computed", "disk") and key not in _SIM_CACHE:
-                _SIM_CACHE[key] = result
         return outcomes
 
     def _trim_sim_cache(self) -> None:
@@ -761,6 +655,7 @@ class Gateway:
                 telemetry=self.telemetry,
                 on_event=(self._on_telemetry_event
                           if self.telemetry is None else None),
+                pool=self.pool,
             )
         except ExploreError as exc:
             raise InvalidRequestError(str(exc)) from None
@@ -774,7 +669,17 @@ class Gateway:
             async with self._explore_lock:
                 # Resume semantics make a re-POST of the same settings
                 # idempotent: journaled points restore without re-entry.
-                report = await asyncio.to_thread(session.run, True)
+                # Each generation's runs take their turn on the pool
+                # between dispatcher batches.
+                try:
+                    report = await asyncio.to_thread(session.run, True)
+                except RuntimeError:
+                    if not self.draining:
+                        raise
+                    # The drain closed the pool under the exploration.
+                    raise DrainingError(
+                        "gateway drained during the exploration",
+                        session=session.session_id) from None
         counts = report["counts"]
         self._c_explore_points.inc(counts["evaluated"])
         self._publish(session.session_id, "explore_done",

@@ -25,7 +25,6 @@ from .schemas import (
     InvalidRequestError,
     MethodNotAllowedError,
     NotFoundError,
-    ReplicaFailureError,
     RunExecutionError,
     ServiceError,
 )
@@ -33,7 +32,7 @@ from .schemas import (
 _ERRORS_BY_CODE = {
     cls.code: cls
     for cls in (InvalidRequestError, NotFoundError, MethodNotAllowedError,
-                DrainingError, RunExecutionError, ReplicaFailureError)
+                DrainingError, RunExecutionError)
 }
 
 

@@ -36,6 +36,13 @@ from ..trace.workloads import ALL_WORKLOADS
 MAX_N_PCM_WRITES = 10_000
 MAX_REFS_PER_CORE = 1_000_000
 
+#: Default per-run wall-clock budget of ``serve --timeout``. A cold run
+#: at the bounds above on the reference kernel took 10.6-29.3 s under
+#: ``dimm+chip`` across the 13 workloads on a 2-vCPU host; ``sche96``,
+#: the slowest scheme, took up to 37.6 s (``lbm_m``). A run still going
+#: at 8x that is hung, not slow.
+RUN_TIMEOUT_S = 300.0
+
 
 class ServiceError(ReproError):
     """A request the gateway rejects or fails, with wire semantics."""
@@ -101,19 +108,6 @@ class RunExecutionError(ServiceError):
 
     status = 500
     code = "run_failed"
-
-
-class ReplicaFailureError(ServiceError):
-    """The run's job crossed the fleet's re-route budget — it kept
-    taking replicas down with it (a *poison job*), so the fleet
-    contained it instead of feeding it more replicas. Retryable: the
-    cause is environmental (a crashing/hanging replica process), not a
-    proven simulation bug, and the respawned replicas may well serve a
-    later attempt."""
-
-    status = 500
-    code = "replica_failed"
-    retryable = True
 
 
 def _require(body: Mapping, key: str, kind, choices=None):
@@ -335,9 +329,7 @@ class SimResponse:
 
     request: SimRequest
     fingerprint: str
-    #: Provenance: ``memory`` / ``disk`` / ``computed`` / ``coalesced``,
-    #: plus ``degraded`` when a fleet-enabled gateway had to serve the
-    #: run on its in-process fallback path (no live replica).
+    #: Provenance: ``memory`` / ``disk`` / ``computed`` / ``coalesced``.
     source: str
     result: object = field(repr=False)
 

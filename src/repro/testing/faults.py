@@ -28,7 +28,7 @@ spec's ``match`` substring selects on):
 =============== ===================================== ==================
 point           fires from                            key
 =============== ===================================== ==================
-``worker_run``  engine worker/replica, before the run ``workload/scheme/fingerprint``
+``worker_run``  engine worker, before the run         ``workload/scheme/fingerprint``
 ``serial_run``  parent process, before a lazy run     ``workload/scheme/fingerprint``
 ``cache_put``   :meth:`SimCache.put`, before writing  cache key (fingerprint)
 ``cache_corrupt`` :meth:`SimCache.put`, on the bytes  cache key (fingerprint)
@@ -39,17 +39,6 @@ point           fires from                            key
 ``sim_progress`` :class:`~repro.sim.checkpoint.       ``fingerprint:writes_done``
                 Checkpointer`, once per completed
                 write (mid-run, between boundaries)
-``replica_crash`` fleet replica job loop, before the  ``workload/scheme/fingerprint``
-                run starts (``mode="crash"`` kills
-                the whole replica process)
-``replica_hang`` fleet replica job loop, before the   ``workload/scheme/fingerprint``
-                run starts (``mode="hang"`` starves
-                the job past its fleet deadline
-                while heartbeats continue)
-``heartbeat_drop`` fleet replica heartbeat thread,    replica name (``r0``, ``r1``, …)
-                once per beat (``mode="error"``
-                suppresses the beat, simulating a
-                wedged or partitioned replica)
 ``explore_point`` :class:`~repro.explore.session.     ``session:fingerprint``
                 ExploreSession`, before each point
                 is journaled/evaluated (kills an

@@ -1,10 +1,9 @@
 """Hygiene for long-lived forked worker processes.
 
-Engine pool workers (:class:`repro.experiments.engine.WorkerPool`) and
-fleet replicas (:mod:`repro.service.fleet`) are forked from a parent
-that may be serving HTTP, and they can outlive the call that forked
-them. Three hazards follow, and this module holds the one remedy for
-each:
+Engine pool workers (:class:`repro.experiments.engine.WorkerPool`) are
+forked from a parent that may be serving HTTP (the gateway), and they
+can outlive the plan that forked them. Three hazards follow, and this
+module holds the one remedy for each:
 
 * a forked child keeps duplicates of every socket its parent had open,
   so a client connection the parent closes is never finished (see
@@ -37,8 +36,8 @@ def close_inherited_sockets() -> None:
     duplicates of them. The parent closing its copy of a client socket
     then does nothing: TCP only sends FIN once the last duplicate
     closes, so a long-lived child would hold every in-flight HTTP
-    response open. Workers and replicas need no inherited socket (their
-    queues are pipes), so close them all.
+    response open. Workers need no inherited socket (their queues are
+    pipes), so close them all.
 
     A parent running an asyncio loop with signal handlers made one of
     those sockets its signal wakeup fd. Call this from the main thread,
@@ -72,8 +71,8 @@ def exit_when_orphaned(parent_pid: int) -> None:
 
 def trim_heap() -> None:
     """Hand freed heap pages back to the OS (glibc ``malloc_trim``; a
-    no-op elsewhere). Call it when a task is done, so an idle worker or
-    replica holds what it keeps, not the peak of what it ran."""
+    no-op elsewhere). Call it when a task is done, so an idle worker
+    holds what it keeps, not the peak of what it ran."""
     try:
         malloc_trim = ctypes.CDLL(None).malloc_trim
     except (OSError, AttributeError):

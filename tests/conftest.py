@@ -25,6 +25,7 @@ from repro.config.system import (
     PowerConfig,
     SystemConfig,
 )
+from repro.experiments import engine
 from repro.experiments.base import (
     clear_failed_runs,
     clear_sim_cache,
@@ -82,6 +83,24 @@ def count_trace_generations(monkeypatch, path) -> None:
         return generate(config, spec, *args)
 
     monkeypatch.setattr(generator, "_generate", counting)
+
+
+def count_worker_runs(monkeypatch, path) -> None:
+    """Append ``<pid> <key>`` to ``path`` for every run an engine worker
+    starts from now on.
+
+    Wraps the worker's fault-injection hook, which fires once per run
+    execution; patched before an engine pool forks, so every worker
+    inherits it and the count spans processes."""
+    inject = engine.maybe_inject
+
+    def counting(point, key=""):
+        if point == "worker_run":
+            with open(path, "a") as log:
+                log.write(f"{os.getpid()} {key}\n")
+        inject(point, key=key)
+
+    monkeypatch.setattr(engine, "maybe_inject", counting)
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from repro.explore import (
     frontier_report,
 )
 from repro.obs import Telemetry
+from repro.sim.simcache import SimCache
 from repro.testing.faults import FaultSpec, clear_faults, install_faults
 
 from ..conftest import count_trace_generations, make_tiny_config
@@ -100,9 +101,13 @@ class TestDeterminism:
     def test_jobs_equivalent_to_serial(self, tmp_path, tmp_sim_cache):
         serial = run_session(settings(), tmp_path, "serial")[1]
         clear_sim_cache()
+        use_disk_cache(SimCache(tmp_path / "parallel-cache"))
         parallel = run_session(settings(jobs=2), tmp_path,
                                "parallel")[1]
         assert frontier_bytes(serial) == frontier_bytes(parallel)
+        # Both sessions ran cold, and each says so.
+        assert serial["counts"] == parallel["counts"]
+        assert parallel["counts"]["computed"] == 8
 
 
 class TestWorkers:
@@ -212,7 +217,7 @@ class TestTelemetry:
     def test_manifest_roundtrip(self, tmp_path, tmp_sim_cache):
         from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, read_manifest
 
-        assert MANIFEST_SCHEMA_VERSION == 11
+        assert MANIFEST_SCHEMA_VERSION == 12
         telemetry = Telemetry()
         run_session(settings(), tmp_path, "man", telemetry=telemetry)
         path = tmp_path / "manifest.jsonl"

@@ -21,6 +21,7 @@ import multiprocessing
 import os
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -51,7 +52,7 @@ from repro.testing.faults import (
     install_faults,
 )
 
-from ..conftest import make_tiny_config
+from ..conftest import count_worker_runs, make_tiny_config
 
 MICRO = RunScale("micro", 30, 8_000, ("tig_m",))
 
@@ -103,23 +104,6 @@ def sweep_truth(requests):
         )
     clear_sim_cache()
     return truth
-
-
-def count_worker_runs(monkeypatch, path):
-    """Append the key of every run a worker starts to ``path``.
-
-    Wraps the worker's fault-injection hook, which fires once per run
-    execution; patched before the pool forks, so every worker inherits
-    it and the count spans processes."""
-    inject = engine.maybe_inject
-
-    def counting(point, key=""):
-        if point == "worker_run":
-            with open(path, "a") as log:
-                log.write(key + "\n")
-        inject(point, key=key)
-
-    monkeypatch.setattr(engine, "maybe_inject", counting)
 
 
 class UnpicklableError(RuntimeError):
@@ -518,31 +502,27 @@ class TestQueueTime:
         assert summary["timeouts"] == 0
         assert summary["computed"] == 4
 
-
-class TestInProcessRun:
-    def test_clock_stops_for_each_backoff_sleep(self, tmp_path):
-        """``run_outcome`` (a fleet replica's job) retries a transient
-        failure in this process. It stops the caller's attempt clock
-        for the backoff sleep and restarts it for the retry, and writes
-        the retried run through bit-identical to serial."""
-        config = make_tiny_config()
-        request = micro_plan(config)[0]
-        truth = serial_truth(config, [request])
-        cache = SimCache(tmp_path / "cache")
-        use_disk_cache(cache)
-        install_faults([FaultSpec(point="worker_run", error="OSError",
-                                  match=request.fingerprint, times=1)])
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
-                             backoff_cap_s=0.01)
-        ticks = []
-        result, source = engine.run_outcome(request, policy,
-                                            clock=ticks.append)
-        clear_faults()
-        assert source == "computed"
-        assert ticks == [False, True]
-        assert (result.cycles, result.cpi,
-                result.stats.snapshot()) == truth[request.fingerprint]
-        assert cache.get(request.fingerprint) is not None
+    def test_plans_sharing_a_pool_take_turns(self, monkeypatch):
+        """Two threads each run a plan on one single-worker pool, as the
+        gateway's dispatcher and an exploration do. The second plan
+        waits for the first to finish, so neither run is charged for
+        the time the other held the worker."""
+        requests = [RunRequest(make_tiny_config(seed=seed), "tig_m", "fpb",
+                               MICRO)
+                    for seed in (1, 2)]
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "hang", "hang_s": 2.0,
+        }]))
+        policy = RetryPolicy(max_attempts=1, run_timeout_s=3.5)
+        with engine.WorkerPool(1) as pool, \
+                ThreadPoolExecutor(max_workers=2) as threads:
+            futures = [threads.submit(execute_plan, [request], jobs=1,
+                                      force=True, policy=policy, pool=pool)
+                       for request in requests]
+            summaries = [future.result(timeout=120) for future in futures]
+        for summary in summaries:
+            assert summary["computed"] == 1
+            assert summary["timeouts"] == summary["pool_respawns"] == 0
 
 
 class TestMemberFailure:

@@ -34,10 +34,12 @@ import pytest
 
 from repro.experiments.base import _SIM_CACHE, clear_sim_cache, fetch
 from repro.experiments.registry import get_experiment
+from repro.explore import ExploreSession, frontier_report
 from repro.obs.manifest import config_to_dict
 from repro.service.client import GatewayClient
 from repro.service.schemas import (
     ExperimentRequest,
+    ExploreRequest,
     InvalidRequestError,
     SimRequest,
     SimResponse,
@@ -225,17 +227,6 @@ def test_soak_200_concurrent_requests_micro():
                            "(CI service job)")
 def test_soak_200_concurrent_requests_quick_scale():
     check_soak({"scale": "quick"})
-
-
-@pytest.mark.skipif(not os.environ.get("REPRO_FLEET"),
-                    reason="replica-fleet soak; set REPRO_FLEET=1 "
-                           "(CI fleet job)")
-def test_soak_200_concurrent_requests_fleet_two_replicas():
-    """The full mixed soak with cold work sharded across two
-    supervised replicas: same counts, same byte-identity — the
-    fleet changes placement, never results."""
-    from repro.service.fleet import FleetConfig
-    check_soak(MICRO_FIELDS, fleet=FleetConfig(replicas=2))
 
 
 def test_backpressure_429_with_retry_after(monkeypatch):
@@ -485,3 +476,49 @@ def test_experiment_renders_without_simulating_in_the_gateway(
     expected = get_experiment(exp_id)(request.config(), request.scale)
     assert payload["rows"] == json.loads(
         json.dumps(config_to_dict(expected.rows)))
+
+
+def test_explore_computes_on_the_pool_not_in_the_gateway(monkeypatch):
+    """``POST /explore`` computes each generation's points on the
+    gateway's worker pool, never in the gateway process, where a serial
+    run raises here. Its frontier is the one an in-process session
+    computes, every point counts as computed, and a cold ``/run`` sent
+    while the exploration's plan runs takes its turn on the pool."""
+    body = {"space": {"name": "gw", "axes": [
+                {"param": "dimm_tokens", "values": [490, 560]}]},
+            "strategy": "grid", "budget_points": 2, "workload": "tig_m",
+            **MICRO_FIELDS}
+    cold = run_fields("mcf_m", "fpb")
+    monkeypatch.setenv(ENV_VAR, json.dumps([
+        {"point": "serial_run", "error": "RuntimeError",
+         "message": "simulated in the gateway"},
+        # Keeps the exploration's plan running when the /run arrives.
+        {"point": "worker_run", "mode": "hang", "hang_s": 1.0,
+         "match": "tig_m/"},
+    ]))
+    with GatewayHarness(jobs=1) as harness:
+        host, port = harness.gateway.host, harness.gateway.port
+        explore = harness.submit(
+            raw_request(host, port, "POST", "/explore", body))
+        registry = harness.gateway.registry
+        deadline = time.monotonic() + 30
+        while (not registry.snapshot()["counters"].get(
+                "explore_sessions_total")
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        run = harness.submit(raw_request(host, port, "POST", "/run", cold))
+        status, _, payload = explore.result(timeout=120)
+        run_status, _, run_payload = run.result(timeout=120)
+    assert status == 200, payload
+    counts = payload.pop("counts")
+    assert counts["computed"] == counts["evaluated"] == 2
+    assert run_status == 200, run_payload
+    assert run_payload.pop("source") == "computed"
+
+    monkeypatch.delenv(ENV_VAR)
+    clear_faults()
+    clear_sim_cache()
+    assert run_payload == serial_wire_payload(cold)
+    session = ExploreSession(ExploreRequest.from_wire(body).settings)
+    expected = frontier_report(session.run())
+    assert payload == json.loads(json.dumps(expected))

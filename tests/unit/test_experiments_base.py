@@ -176,6 +176,18 @@ class TestCLIParser:
         args = build_parser().parse_args(["list"])
         assert args.command == "list"
 
+    def test_serve_has_a_per_run_deadline_by_default(self):
+        from repro.experiments.cli import build_parser
+        from repro.service.schemas import RUN_TIMEOUT_S
+        args = build_parser().parse_args(["serve"])
+        assert args.timeout == RUN_TIMEOUT_S
+
+    def test_serve_rejects_the_retired_replicas_flag(self):
+        from repro.experiments.cli import build_parser
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--replicas", "2"])
+        assert exit_info.value.code == 2
+
 
 class TestCSVExport:
     def test_to_csv(self):
