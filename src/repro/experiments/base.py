@@ -40,7 +40,6 @@ from ..analysis.report import render_table
 from ..config.presets import baseline_config
 from ..config.system import SystemConfig
 from ..errors import ExperimentError, RunFailedError
-from ..sim.checkpoint import CheckpointPlan, CheckpointStore
 from ..sim.runner import SimResult, run_simulation
 from ..sim.simcache import SimCache, run_fingerprint
 from ..testing.faults import maybe_inject
@@ -236,44 +235,6 @@ def active_disk_cache() -> Optional[SimCache]:
     return _DISK_CACHE
 
 
-#: Process-wide checkpoint/resume setting: ``(store, every_writes)``.
-#: Installed by the CLI's --checkpoint-every plumbing (or library users
-#: via :func:`use_checkpoints`); consulted by serial runs directly and
-#: shipped to engine workers as a (dir, every_writes) spec.
-_CHECKPOINTS: Optional[Tuple[CheckpointStore, int]] = None
-
-
-def use_checkpoints(store: Optional[CheckpointStore],
-                    every_writes: int = 0) -> None:
-    """Install (or with ``None`` remove) process-wide checkpointing:
-    every fresh simulation capsules its state to ``store`` every
-    ``every_writes`` completed writes and resumes from its latest valid
-    capsule after a failure. Checkpointing never changes results."""
-    global _CHECKPOINTS
-    if store is None:
-        _CHECKPOINTS = None
-        return
-    if every_writes <= 0:
-        raise ExperimentError(
-            f"checkpoint_every_writes must be positive: {every_writes}"
-        )
-    _CHECKPOINTS = (store, every_writes)
-
-
-def active_checkpoints() -> Optional[Tuple[CheckpointStore, int]]:
-    return _CHECKPOINTS
-
-
-def checkpoint_plan_for(fingerprint: str) -> Optional[CheckpointPlan]:
-    """The run-level checkpoint plan under the process-wide setting."""
-    if _CHECKPOINTS is None:
-        return None
-    store, every_writes = _CHECKPOINTS
-    return CheckpointPlan(
-        store=store, fingerprint=fingerprint, every_writes=every_writes,
-    )
-
-
 def clear_sim_cache() -> None:
     """Drop the in-memory run cache (the disk cache is untouched)."""
     _SIM_CACHE.clear()
@@ -336,23 +297,16 @@ def record_cache_event(request: RunRequest, source: str,
         )
 
 
-def execute_request(request: RunRequest, telemetry=None,
-                    checkpoint: Optional[CheckpointPlan] = None) -> SimResult:
+def execute_request(request: RunRequest, telemetry=None) -> SimResult:
     """Run one simulation, bypassing every cache (the engine's worker
     entry point). Determinism is per-run: all random streams derive from
     ``request.config.seed``, so where/when a run executes cannot change
-    its result — including resuming from a checkpoint capsule, which
-    restores the exact mid-run state. With ``checkpoint=None`` the
-    process-wide :func:`use_checkpoints` setting applies (workers pass
-    an explicit plan instead, since they don't inherit it)."""
-    if checkpoint is None:
-        checkpoint = checkpoint_plan_for(request.fingerprint)
+    its result."""
     return run_simulation(
         request.config, request.workload, request.scheme,
         n_pcm_writes=request.scale.n_pcm_writes,
         max_refs_per_core=request.scale.max_refs_per_core,
         telemetry=telemetry,
-        checkpoint=checkpoint,
     )
 
 

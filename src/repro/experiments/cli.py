@@ -49,7 +49,6 @@ from .base import (
     QUICK,
     SCALES,
     RunScale,
-    use_checkpoints,
     use_disk_cache,
     use_telemetry,
 )
@@ -204,14 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
              "deterministic failures get at most one confirmation "
              "retry before quarantine)",
     )
-    run.add_argument(
-        "--checkpoint-every", type=_positive_int, default=None,
-        metavar="WRITES",
-        help="snapshot each simulation every N completed writes so "
-             "retries resume from the latest capsule instead of write 0 "
-             "(capsules live under <cache-dir>/ckpt/; results are "
-             "bit-identical with or without this; default: off)",
-    )
 
     explore = sub.add_parser(
         "explore",
@@ -340,28 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the on-disk run cache",
     )
 
-    checkpoints = sub.add_parser(
-        "checkpoints",
-        help="list or garbage-collect checkpoint capsules",
-        parents=[verbosity],
-    )
-    checkpoints.add_argument(
-        "action", choices=("list", "gc"),
-        help="list: show per-run capsule state; gc: drop capsules that "
-             "are stale-schema, corrupt, or belong to completed (disk-"
-             "cached) runs",
-    )
-    checkpoints.add_argument(
-        "--cache-dir", type=pathlib.Path,
-        default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
-        help="cache directory whose ckpt/ subtree to operate on "
-             "(default .simcache/)",
-    )
-    checkpoints.add_argument(
-        "--all", action="store_true",
-        help="with gc: drop every capsule, including in-progress runs'",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run the simulation gateway daemon (HTTP+JSON API)",
@@ -425,13 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="max seconds to finish in-flight work on SIGTERM/SIGINT "
              "before forcing shutdown (default 30)",
-    )
-    serve.add_argument(
-        "--checkpoint-every", type=_positive_int, default=None,
-        metavar="WRITES",
-        help="snapshot each simulation every N completed writes; "
-             "retries resume from the latest capsule and /watch streams "
-             "checkpoint progress (default: off)",
     )
     return parser
 
@@ -659,35 +621,6 @@ def _golden_main(args) -> int:
         use_disk_cache(None)
 
 
-def _checkpoints_main(args) -> int:
-    """``checkpoints``: list or garbage-collect resume capsules."""
-    from ..sim.checkpoint import CheckpointStore
-
-    store = CheckpointStore(args.cache_dir / "ckpt")
-    if args.action == "list":
-        entries = store.runs()
-        if not entries:
-            log.info("no checkpoint capsules under %s", store.root)
-            return EXIT_OK
-        log.info("%-16s %9s %10s %12s %8s", "fingerprint", "capsules",
-                 "bytes", "writes_done", "schema")
-        for entry in entries:
-            log.info("%-16s %9d %10d %12s %8s",
-                     str(entry["fingerprint"])[:16], entry["capsules"],
-                     entry["bytes"], entry["writes_done"], entry["schema"])
-        return EXIT_OK
-    # gc: completed runs are those whose result already sits in the
-    # disk cache (keys are run fingerprints) — their capsules can never
-    # be resumed again.
-    cache = SimCache(args.cache_dir)
-    summary = store.gc(completed=lambda fp: fp in cache,
-                       drop_all=args.all)
-    log.info("checkpoint gc: %d run(s) scanned, %d removed "
-             "(%d capsule file(s))", summary["runs_scanned"],
-             summary["runs_removed"], summary["files_removed"])
-    return EXIT_OK
-
-
 def _serve_main(args) -> int:
     """``serve``: run the gateway daemon until SIGTERM/SIGINT."""
     import asyncio
@@ -698,10 +631,6 @@ def _serve_main(args) -> int:
     if not args.no_cache:
         cache = SimCache(args.cache_dir)
         use_disk_cache(cache)
-    if args.checkpoint_every is not None:
-        from ..sim.checkpoint import CheckpointStore
-        use_checkpoints(CheckpointStore(args.cache_dir / "ckpt"),
-                        args.checkpoint_every)
     telemetry = None
     if args.metrics_out is not None:
         from ..obs import Telemetry
@@ -728,7 +657,6 @@ def _serve_main(args) -> int:
     finally:
         use_telemetry(None)
         use_disk_cache(None)
-        use_checkpoints(None)
     return EXIT_OK
 
 
@@ -744,8 +672,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _explore_main(args)
     if args.command == "golden":
         return _golden_main(args)
-    if args.command == "checkpoints":
-        return _checkpoints_main(args)
     if args.command == "serve":
         return _serve_main(args)
 
@@ -768,10 +694,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.no_cache:
         cache = SimCache(args.cache_dir)
         use_disk_cache(cache)
-    if args.checkpoint_every is not None:
-        from ..sim.checkpoint import CheckpointStore
-        use_checkpoints(CheckpointStore(args.cache_dir / "ckpt"),
-                        args.checkpoint_every)
 
     policy = RetryPolicy(max_attempts=args.retries + 1,
                          run_timeout_s=args.timeout)
@@ -840,7 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             telemetry.current_experiment = None
         use_telemetry(None)
         use_disk_cache(None)
-        use_checkpoints(None)
         if telemetry is not None:
             if args.trace is not None:
                 telemetry.write_trace(args.trace)

@@ -111,7 +111,6 @@ from ..errors import WorkerTimeoutError
 from ..obs import tracing
 from ..obs.logging import get_logger, log_context
 from ..obs.manifest import _jsonable
-from ..sim.checkpoint import CheckpointPlan, CheckpointStore
 from ..sim.simcache import write_atomic
 from ..testing.faults import maybe_inject
 from ..util.procs import (
@@ -120,7 +119,6 @@ from ..util.procs import (
 from .base import (
     RunRequest,
     _SIM_CACHE,
-    active_checkpoints,
     active_disk_cache,
     active_telemetry,
     cache_get,
@@ -145,26 +143,9 @@ from .resilience import (
 log = get_logger("experiments.engine")
 
 
-def _checkpoint_plan(request: RunRequest,
-                     ckpt: Optional[Dict[str, object]]
-                     ) -> Optional[CheckpointPlan]:
-    """Rebuild a run's checkpoint plan from the engine's worker spec
-    (a worker may have been forked before the parent's
-    :func:`use_checkpoints` setting changed, so its store dir travels
-    with each task)."""
-    if ckpt is None:
-        return None
-    return CheckpointPlan(
-        store=CheckpointStore(str(ckpt["dir"])),
-        fingerprint=request.fingerprint,
-        every_writes=int(ckpt["every_writes"]),
-    )
-
-
 def _worker_execute(
     spool: str, members: Sequence[RunRequest],
     obs: Optional[Dict[str, object]] = None,
-    ckpt: Optional[Dict[str, object]] = None,
 ) -> None:
     """Process-pool entry point: compute one cohort's runs, uncached and
     in member order.
@@ -187,7 +168,7 @@ def _worker_execute(
     start = time.monotonic()
     for index, request in enumerate(members):
         try:
-            result, snapshot = _execute_one(request, obs, ckpt)
+            result, snapshot = _execute_one(request, obs)
             outcome = (result, None, snapshot)
         except Exception as exc:
             outcome = (None, exc, None)
@@ -198,7 +179,6 @@ def _worker_execute(
 
 def _execute_one(
     request: RunRequest, obs: Optional[Dict[str, object]],
-    ckpt: Optional[Dict[str, object]],
 ) -> Tuple[object, Optional[Dict[str, object]]]:
     """One run in this process, uncached — the member body of an engine
     worker: ``(result, telemetry snapshot)``.
@@ -208,16 +188,10 @@ def _execute_one(
     under a process-local :class:`~repro.obs.Telemetry` whose JSON-safe
     :meth:`~repro.obs.Telemetry.worker_snapshot` comes back for the
     parent to merge; without one the snapshot is ``None``.
-
-    With a ``ckpt`` spec (``dir`` / ``every_writes``) the run
-    checkpoints its state as it goes and — the resume half of the
-    engine's retry path — continues from the latest valid capsule left
-    by a previous attempt instead of re-executing from write 0.
     """
     maybe_inject("worker_run", key=request_key(request))
-    plan = _checkpoint_plan(request, ckpt)
     if obs is None:
-        return execute_request(request, checkpoint=plan), None
+        return execute_request(request), None
 
     from ..obs.telemetry import Telemetry
 
@@ -237,8 +211,7 @@ def _execute_one(
             attrs={"workload": request.workload, "scheme": request.scheme,
                    "role": "worker"},
         ):
-            result = execute_request(request, telemetry=telemetry,
-                                     checkpoint=plan)
+            result = execute_request(request, telemetry=telemetry)
     return result, _jsonable(telemetry.worker_snapshot(fingerprint))
 
 
@@ -434,20 +407,6 @@ class _PlanSupervisor:
 
         self.disk = active_disk_cache()
         self.telemetry = active_telemetry()
-        # Checkpoint/resume: the process-wide setting is serialized into
-        # a per-submission spec (workers rebuild the store from its dir),
-        # and the parent keeps its own store handle to read capsule
-        # progress when judging failures.
-        self.ckpt_store: Optional[CheckpointStore] = None
-        self.ckpt_spec: Optional[Dict[str, object]] = None
-        checkpoints = active_checkpoints()
-        if checkpoints is not None:
-            store, every_writes = checkpoints
-            self.ckpt_store = store
-            self.ckpt_spec = {
-                "dir": str(store.root),
-                "every_writes": every_writes,
-            }
 
     def _obs_spec(self) -> Optional[Dict[str, object]]:
         """The per-submission telemetry spec workers run under, or
@@ -509,7 +468,7 @@ class _PlanSupervisor:
             spool = os.path.join(self.scratch, str(self._tasks))
             future = self.pool.submit(
                 slot, cohort.key, _worker_execute, spool, cohort.members,
-                self._obs_spec(), self.ckpt_spec)
+                self._obs_spec())
             self.futures[future] = _Flight(cohort, attempt, slot, spool,
                                            time.monotonic())
 
@@ -613,10 +572,7 @@ class _PlanSupervisor:
                         exc: BaseException) -> None:
         """Judge one failed attempt of ``request``; a retry runs it as
         a cohort of one."""
-        progress = (self.ckpt_store.progress(request.fingerprint)
-                    if self.ckpt_store is not None else None)
-        verdict, delay = self.supervisor.on_failure(request, exc,
-                                                    progress=progress)
+        verdict, delay = self.supervisor.on_failure(request, exc)
         if verdict == RETRY:
             self.summary["retried"] += 1
             attempt = flight.attempt + 1

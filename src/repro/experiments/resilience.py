@@ -90,15 +90,6 @@ class RetryPolicy:
     #: How many times the engine may rebuild a broken/abandoned pool
     #: before failing everything still outstanding.
     max_pool_respawns: int = 5
-    #: With checkpointing on, a retry resumes from the run's latest
-    #: capsule — so a failing attempt that still advanced the capsule
-    #: made *forward progress* and, with this flag, does not consume
-    #: transient retry budget. A long run on flaky infrastructure then
-    #: converges as long as each attempt gets further than the last,
-    #: instead of dying after ``max_attempts`` crashes regardless of
-    #: how close to done it was. Stagnant attempts are charged normally,
-    #: so a run crashing at the same point still exhausts its budget.
-    forward_progress_resets_budget: bool = True
 
     def __post_init__(self):
         if self.max_attempts < 1 or self.deterministic_attempts < 1:
@@ -171,9 +162,6 @@ class RunSupervisor:
         self.policy = policy or RetryPolicy()
         self._attempts: Dict[str, int] = {}
         self._signatures: Dict[str, List[str]] = {}
-        #: Checkpoint progress (writes done) at each run's last failure,
-        #: for the forward-progress budget reset.
-        self._progress: Dict[str, int] = {}
         #: Terminal failures (verdict ``fail`` or ``quarantine``), in
         #: the order they became terminal.
         self.failures: List[RunFailure] = []
@@ -182,29 +170,15 @@ class RunSupervisor:
     def attempts(self, fingerprint: str) -> int:
         return self._attempts.get(fingerprint, 0)
 
-    def on_failure(self, request, exc: BaseException, *,
-                   progress: Optional[int] = None
-                   ) -> Tuple[str, Optional[float]]:
+    def on_failure(self, request,
+                   exc: BaseException) -> Tuple[str, Optional[float]]:
         """Record one failed attempt of ``request`` and decide its fate.
-
-        ``progress`` is the writes-completed mark of the run's newest
-        checkpoint capsule (``None`` when checkpointing is off or no
-        capsule exists). An attempt that pushed that mark past the
-        previous failure's made forward progress; under
-        :attr:`RetryPolicy.forward_progress_resets_budget` it resets the
-        transient attempt count (quarantine's identical-signature rule
-        is *not* reset — a deterministic bug recurring downstream of a
-        capsule still gets benched).
+        A retried run re-executes from write 0.
 
         Returns ``(verdict, delay_s)``: ``("retry", delay)`` with the
         deterministic backoff, or ``("fail" | "quarantine", None)``.
         """
         fp = request.fingerprint
-        if progress is not None:
-            advanced = progress > self._progress.get(fp, -1)
-            self._progress[fp] = max(progress, self._progress.get(fp, -1))
-            if advanced and self.policy.forward_progress_resets_budget:
-                self._attempts[fp] = 0
         attempt = self._attempts[fp] = self._attempts.get(fp, 0) + 1
         signature = failure_signature(exc)
         failure_class = classify_failure(exc)

@@ -21,7 +21,7 @@ the property suite checks against a brute-force O(n^2) oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..config.system import SystemConfig
 from ..core.policies.registry import get_scheme

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -33,7 +33,6 @@ from ..experiments.base import (
     RunScale,
     _SIM_CACHE,
     active_disk_cache,
-    active_telemetry,
     fetch,
 )
 from ..experiments.engine import WorkerPool, dedupe_requests, execute_plan

@@ -9,12 +9,6 @@ import numpy as np
 from ..config.system import WriteLevelModel
 
 
-def _resolve_kernel(name: str) -> "Kernel":
-    from . import get_kernel
-
-    return get_kernel(name)
-
-
 class Kernel:
     """One implementation of the write-pipeline hot loops.
 
@@ -61,19 +55,6 @@ class Kernel:
         columns, and ``chip_active.sum(axis=0) == active``.
         """
         raise NotImplementedError
-
-    def __reduce__(self):
-        """Kernels pickle as their registry name and resume as the
-        process-wide singleton from :func:`repro.kernel.get_kernel`.
-
-        This is the kernels' resumable-state contract: both backends
-        are pure functions of their arguments (all randomness comes
-        from RNG streams passed in, which checkpoint with the power
-        manager), so a snapshot capsule needs only the name — any
-        instance-local scratch an implementation adds must stay
-        derivable, or it must override ``__reduce__``.
-        """
-        return (_resolve_kernel, (self.name,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

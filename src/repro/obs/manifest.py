@@ -43,12 +43,6 @@ assigned parent pid, span count). Worker-computed
 ``fingerprint``/``trace_id``; ``sim_run.series`` entries gain a
 ``dropped`` count and runs a ``samples_dropped`` total.
 
-The checkpoint/resume plane (v6) adds ``checkpoint`` (one per capsule
-lifecycle step: ``action`` ``save``/``resume``/``discard``, run
-fingerprint, writes_done/cycle progress, capsule path or the error that
-invalidated it — see :mod:`repro.sim.checkpoint` and
-docs/robustness.md).
-
 The exploration engine (v9) adds ``explore_point`` (one per evaluated
 design-space point: session id, run fingerprint, generation/index, the
 point's parameter values, composed scheme, acquisition ``source`` and
@@ -62,6 +56,9 @@ Worker snapshots travel in the engine's outcome files (v11), so
 v12 drops the record kind and the ``service_state`` block that v7
 added for a second, multi-process run supervisor: the gateway's worker
 pool now supervises every run it serves (docs/observability.md).
+
+v13 drops the ``checkpoint`` record kind that v6 added for mid-run
+checkpoint capsules: a retried run re-executes from write 0.
 
 See docs/observability.md and docs/service.md for the full schema.
 """
@@ -86,9 +83,8 @@ from typing import Dict, Iterable, List, Optional, Union
 #: v5: tracing-plane records — ``span``, ``worker_telemetry`` — plus
 #: instrumented worker ``sim_run`` records and sample-drop counts.
 #: v6: ``checkpoint`` records — one per capsule lifecycle step
-#: (``action`` save/resume/discard, fingerprint, writes_done, cycle,
-#: capsule path or discard error) — emitted by the checkpoint/resume
-#: plane, including from engine workers via the snapshot merge.
+#: (``action`` save/resume/discard) — from the checkpoint/resume plane
+#: (gone in v13).
 #: v7: lifecycle records of a second, multi-process run supervisor,
 #: plus its block inside ``service_state`` (both gone in v12).
 #: v8: ``batch_cohort`` records — one per batched-execution cohort
@@ -109,7 +105,9 @@ from typing import Dict, Iterable, List, Optional, Union
 #: records drop their ``sidecar`` field.
 #: v12: the v7 supervisor's record kind and ``service_state`` block
 #: are gone; the gateway's worker pool supervises every run.
-MANIFEST_SCHEMA_VERSION = 12
+#: v13: the v6 ``checkpoint`` record kind is gone; a retried run
+#: re-executes from write 0.
+MANIFEST_SCHEMA_VERSION = 13
 
 
 def _jsonable(value):

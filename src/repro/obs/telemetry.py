@@ -236,9 +236,6 @@ class Telemetry:
             "metrics": self.registry.snapshot(),
             "trace": self.trace.to_state(),
             "freq_ghz": self._freq_ghz,
-            # Checkpoint lifecycle seen inside the worker (save/resume/
-            # discard records), folded into the parent manifest on merge.
-            "events": list(self.resilience_events),
         }
 
     def merge_worker_telemetry(self, payload: Dict[str, object]) -> None:
@@ -286,15 +283,6 @@ class Telemetry:
         metrics = payload.get("metrics")
         if isinstance(metrics, dict):
             self.registry.merge_snapshot(metrics)
-        events = payload.get("events")
-        if isinstance(events, list):
-            for event in events:
-                if isinstance(event, dict):
-                    record = dict(event)
-                    record["worker"] = worker_pid
-                    self.resilience_events.append(record)
-                    if record.get("type") == "checkpoint":
-                        self._emit("checkpoint", record)
 
         self.worker_telemetry.append({
             "type": "worker_telemetry",
@@ -437,35 +425,6 @@ class Telemetry:
         }
         self.resilience_events.append(record)
         self._emit("explore_frontier", record)
-
-    def record_checkpoint(self, *, action: str, fingerprint: str,
-                          writes_done: Optional[int] = None,
-                          cycle: Optional[int] = None,
-                          path: Optional[str] = None,
-                          error: Optional[str] = None) -> None:
-        """Record one checkpoint lifecycle step (manifest ``checkpoint``
-        record, schema v6). ``action`` is ``save`` (a capsule was
-        written), ``resume`` (a run continued from one) or ``discard``
-        (an invalid capsule was dropped and the run restarted clean).
-        Also emitted live (for ``/watch`` streams) and as an instant
-        span so resumes are visible on the run's trace."""
-        record: Dict[str, object] = {
-            "type": "checkpoint",
-            "action": action,
-            "fingerprint": fingerprint,
-            "writes_done": writes_done,
-            "cycle": cycle,
-            "path": path,
-            "error": error,
-            "ts": time.time(),
-        }
-        self.resilience_events.append(record)
-        self.tracer.instant(
-            "sim.checkpoint", fingerprint=fingerprint,
-            attrs={"action": action, "writes_done": writes_done,
-                   "cycle": cycle},
-        )
-        self._emit("checkpoint", record)
 
     def record_service_request(self, *, method: str, path: str,
                                status: int, wall_ms: float,

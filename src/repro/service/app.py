@@ -46,9 +46,7 @@ JSON snapshot by default and Prometheus text format 0.0.4 under
 ``Accept: text/plain``. ``GET /watch?fingerprint=...`` streams
 newline-delimited JSON progress events (queued → running → retry →
 done, plus periodic counter deltas) over chunked transfer encoding
-while a run is in flight; with checkpointing installed (``serve
---checkpoint-every``) the stream also carries ``checkpoint`` lifecycle
-records as the run's capsules advance (see docs/robustness.md).
+while a run is in flight.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from typing import Dict, List, Optional, Tuple
 from ..experiments.base import (
     RunRequest,
     _SIM_CACHE,
-    active_checkpoints,
     cache_get,
 )
 from ..experiments.engine import WorkerPool, dedupe_requests, plan_outcomes
@@ -78,7 +75,7 @@ from ..obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..obs.prometheus import render_registry
 from ..obs.tracing import Tracer
 from .admission import AdmissionQueue
-from .coalescer import Coalescer, Lease
+from .coalescer import Coalescer
 from .schemas import (
     DrainingError,
     ExperimentRequest,
@@ -862,29 +859,11 @@ class Gateway:
 
             last_counters = dict(
                 self.registry.snapshot().get("counters") or {})
-            # With checkpointing on, poll the run's newest capsule each
-            # tick: workers save capsules mid-run but their telemetry
-            # only merges at completion, so the header peek is the one
-            # live progress signal a watcher can get.
-            checkpoints = active_checkpoints()
-            last_ckpt_writes = -1
             while True:
                 try:
                     event = await asyncio.wait_for(
                         queue.get(), timeout=self.watch_tick_s)
                 except asyncio.TimeoutError:
-                    if checkpoints is not None:
-                        meta = checkpoints[0].latest_meta(fingerprint)
-                        writes = (int(meta.get("writes_done", -1))
-                                  if meta else -1)
-                        if writes > last_ckpt_writes:
-                            last_ckpt_writes = writes
-                            await guard.send({
-                                "event": "checkpoint", "action": "save",
-                                "fingerprint": fingerprint,
-                                "writes_done": writes,
-                                "cycle": meta.get("cycle"),
-                                "ts": time.time()})
                     counters = dict(
                         self.registry.snapshot().get("counters") or {})
                     delta = {name: value - last_counters.get(name, 0)

@@ -1,12 +1,5 @@
 """Event-driven timing simulation of the MLC PCM memory subsystem."""
 
-from .checkpoint import (
-    CKPT_SCHEMA_VERSION,
-    Capsule,
-    Checkpointer,
-    CheckpointPlan,
-    CheckpointStore,
-)
 from .cpu import Core
 from .events import SimEngine
 from .memory_system import MemorySystem, ReadRequest, WriteJob
@@ -15,11 +8,6 @@ from .simcache import SIM_SCHEMA_VERSION, SimCache, run_fingerprint
 from .stats import SimStats
 
 __all__ = [
-    "Capsule",
-    "Checkpointer",
-    "CheckpointPlan",
-    "CheckpointStore",
-    "CKPT_SCHEMA_VERSION",
     "Core",
     "MemorySystem",
     "ReadRequest",

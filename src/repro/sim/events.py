@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import heapq
-import pickle
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError, WatchdogError
 
@@ -53,7 +52,6 @@ class SimEngine:
         self._probe: Optional[Callback] = None
         self._probe_interval = 0
         self._probe_next = math.inf
-        self._after_event: Optional[Callback] = None
 
     def set_probe(self, interval: int, probe: Optional[Callback]) -> None:
         """Call ``probe(now)`` at most once per ``interval`` cycles,
@@ -69,55 +67,6 @@ class SimEngine:
         self._probe = probe
         self._probe_interval = interval
         self._probe_next = self.now
-
-    def set_after_event(self, hook: Optional[Callback]) -> None:
-        """Call ``hook(now)`` after every dispatched callback (once its
-        watchdog accounting is done). Like probes, the hook must not
-        mutate simulation state; unlike probes it fires on *every*
-        event, so it is the anchor for checkpointing — between two
-        callbacks the heap plus object graph is a complete, consistent
-        description of the run."""
-        self._after_event = hook
-
-    def snapshot(self, refs: Any = None) -> bytes:
-        """Pickle the engine — heap, clock, watchdog counters — together
-        with ``refs`` (the caller's object graph: memory system, cores,
-        stats, …). Scheduled callbacks are bound methods/partials, so
-        pickling the heap drags the entire connected simulation state
-        along, shared references and cycles included.
-
-        The probe and after-event hook are transient observers owned by
-        telemetry/checkpointing; they are detached for the dump and the
-        restored engine starts without them (reattach explicitly)."""
-        probe, probe_next = self._probe, self._probe_next
-        hook = self._after_event
-        self._probe = None
-        self._probe_next = math.inf
-        self._after_event = None
-        try:
-            return pickle.dumps(
-                {"engine": self, "refs": refs},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        finally:
-            self._probe = probe
-            self._probe_next = probe_next
-            self._after_event = hook
-
-    @classmethod
-    def restore(cls, payload: bytes) -> Tuple["SimEngine", Any]:
-        """Inverse of :meth:`snapshot`. Returns ``(engine, refs)``.
-
-        Raises whatever :mod:`pickle` raises on a damaged payload;
-        callers treat any failure as "capsule invalid" and rebuild from
-        scratch."""
-        state = pickle.loads(payload)
-        engine = state["engine"]
-        if not isinstance(engine, cls):
-            raise SimulationError(
-                f"snapshot payload does not contain a {cls.__name__}"
-            )
-        return engine, state.get("refs")
 
     def schedule(self, when: int, callback: Callback) -> None:
         """Run ``callback(time)`` at absolute time ``when``."""
@@ -165,8 +114,6 @@ class SimEngine:
                     f"event budget exceeded ({self._max_events}); "
                     "likely a scheduling livelock"
                 )
-            if self._after_event is not None:
-                self._after_event(when)
         return self.now
 
     @property

@@ -70,13 +70,7 @@ class WriteJob:
 
 
 class MemorySystem:
-    """Controller + bridge + DIMM, driven by :class:`SimEngine`.
-
-    Every callback handed to the engine must be a bound method or a
-    :func:`functools.partial` over one — never a closure — so a mid-run
-    :meth:`SimEngine.snapshot` can pickle the whole system for
-    checkpoint/resume (``repro.sim.checkpoint``).
-    """
+    """Controller + bridge + DIMM, driven by :class:`SimEngine`."""
 
     def __init__(
         self,

@@ -9,22 +9,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..config.system import SystemConfig, canonical_value
 from ..core.policies.registry import SchemeSpec, get_scheme
 from ..errors import SimulationError, WatchdogError
-from ..obs.logging import get_logger
 from ..pcm.dimm import DIMM
 from ..trace.generator import generate_trace
 from ..trace.records import Trace
-from .checkpoint import Checkpointer, CheckpointPlan
 from .cpu import Core
 from .events import SimEngine
 from .memory_system import MemorySystem
 from .stats import SimStats
-
-log = get_logger("sim.runner")
 
 
 @dataclass
@@ -84,7 +80,6 @@ def run_simulation(
     n_pcm_writes: int = 2400,
     max_refs_per_core: int = 400_000,
     telemetry=None,
-    checkpoint: Optional[CheckpointPlan] = None,
 ) -> SimResult:
     """Simulate one workload under one power-budgeting scheme.
 
@@ -92,12 +87,6 @@ def run_simulation(
     metrics, time series and trace events from the run; attaching it
     never changes simulation results (the sampler piggybacks on event
     dispatch and every hook only reads state).
-
-    Pass a :class:`repro.sim.checkpoint.CheckpointPlan` as
-    ``checkpoint`` to capsule the run every ``every_writes`` completed
-    writes and to *resume* from the latest valid capsule for the plan's
-    fingerprint, if one exists. A resumed run is byte-identical to an
-    uninterrupted one; on success the run's capsules are dropped.
     """
     spec: SchemeSpec = get_scheme(scheme)
     cfg = spec.apply_to_config(config)
@@ -107,7 +96,7 @@ def run_simulation(
             n_pcm_writes=n_pcm_writes,
             max_refs_per_core=max_refs_per_core,
         )
-    return _run(cfg, spec, trace, telemetry=telemetry, checkpoint=checkpoint)
+    return _run(cfg, spec, trace, telemetry=telemetry)
 
 
 def run_schemes(
@@ -136,99 +125,22 @@ def run_schemes(
     return results
 
 
-def _load_checkpoint(plan: CheckpointPlan, spec: SchemeSpec, trace: Trace,
-                     telemetry=None):
-    """Restore the latest valid capsule for the plan's run, or ``None``.
-
-    Any failure — no capsule, damaged payload, a capsule written for a
-    different scheme/workload, an object graph the current code can't
-    unpickle — discards the run's capsules and falls back to a fresh
-    start, which is always correct.
-    """
-    capsule = plan.store.latest(plan.fingerprint)
-    if capsule is None:
-        return None
-    try:
-        engine, refs = SimEngine.restore(capsule.state)
-        if not isinstance(refs, dict):
-            raise SimulationError("capsule refs missing")
-        for key in ("stats", "mem", "manager", "cores"):
-            if key not in refs:
-                raise SimulationError(f"capsule refs missing {key!r}")
-        if refs.get("scheme") != spec.name \
-                or refs.get("workload") != trace.workload:
-            raise SimulationError(
-                f"capsule is for {refs.get('workload')}/{refs.get('scheme')}, "
-                f"not {trace.workload}/{spec.name}"
-            )
-    except Exception as exc:
-        log.warning(
-            "checkpoint capsule for %s… unusable (%s: %s) — restarting "
-            "from write 0", plan.fingerprint[:12], type(exc).__name__, exc)
-        plan.store.discard(plan.fingerprint)
-        if telemetry is not None:
-            telemetry.record_checkpoint(
-                action="discard", fingerprint=plan.fingerprint,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return None
-    log.info(
-        "resuming %s/%s from checkpoint @ write %d (cycle %d)",
-        trace.workload, spec.name, capsule.writes_done, capsule.cycle)
-    if telemetry is not None:
-        telemetry.record_checkpoint(
-            action="resume", fingerprint=plan.fingerprint,
-            writes_done=capsule.writes_done, cycle=capsule.cycle,
-        )
-    return engine, refs
-
-
 def _run(cfg: SystemConfig, spec: SchemeSpec, trace: Trace,
-         telemetry=None, checkpoint: Optional[CheckpointPlan] = None
-         ) -> SimResult:
-    restored = None
-    if checkpoint is not None:
-        restored = _load_checkpoint(checkpoint, spec, trace, telemetry)
-    if restored is not None:
-        engine, refs = restored
-        stats = refs["stats"]
-        mem = refs["mem"]
-        manager = refs["manager"]
-        cores: List[Core] = refs["cores"]
-        if telemetry is not None:
-            telemetry.attach(
-                cfg, spec.name, trace.workload, engine, mem, manager
-            )
-    else:
-        engine = SimEngine()
-        stats = SimStats()
-        dimm = DIMM(cfg)
-        manager = spec.build_manager(cfg, dimm)
-        mem = MemorySystem(cfg, dimm, manager, engine, stats)
-        if telemetry is not None:
-            telemetry.attach(
-                cfg, spec.name, trace.workload, engine, mem, manager
-            )
+         telemetry=None) -> SimResult:
+    engine = SimEngine()
+    stats = SimStats()
+    dimm = DIMM(cfg)
+    manager = spec.build_manager(cfg, dimm)
+    mem = MemorySystem(cfg, dimm, manager, engine, stats)
+    if telemetry is not None:
+        telemetry.attach(cfg, spec.name, trace.workload, engine, mem, manager)
 
-        cores = [
-            Core(core_id, stream, engine, mem)
-            for core_id, stream in enumerate(trace.per_core)
-        ]
-        for core in cores:
-            core.start()
-        refs = {
-            "scheme": spec.name,
-            "workload": trace.workload,
-            "stats": stats,
-            "mem": mem,
-            "manager": manager,
-            "cores": cores,
-        }
-
-    if checkpoint is not None:
-        engine.set_after_event(
-            Checkpointer(checkpoint, engine, refs, telemetry=telemetry)
-        )
+    cores = [
+        Core(core_id, stream, engine, mem)
+        for core_id, stream in enumerate(trace.per_core)
+    ]
+    for core in cores:
+        core.start()
 
     try:
         try:
@@ -260,12 +172,6 @@ def _run(cfg: SystemConfig, spec: SchemeSpec, trace: Trace,
         if telemetry is not None:
             telemetry.discard_run()
         raise
-    if checkpoint is not None:
-        # The run completed; its capsules can never be resumed again
-        # (the result lands in the cache), so drop them now rather than
-        # leaving garbage for `checkpoints gc`.
-        engine.set_after_event(None)
-        checkpoint.store.discard(checkpoint.fingerprint)
     if telemetry is not None:
         telemetry.finish_run(stats, end)
     return SimResult(

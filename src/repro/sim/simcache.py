@@ -14,9 +14,8 @@ the *canonical* form of everything that determines its outcome:
 :class:`SimCache` stores one pickled :class:`~repro.sim.runner.SimResult`
 per fingerprint under ``<root>/<aa>/<fingerprint>.pkl`` (two-level
 fan-out keeps directories small). Entries are self-verifying: the file
-starts with a SHA-256 digest of the payload (:func:`seal`, shared with
-checkpoint capsules), and the payload embeds the fingerprint and
-schema version. A truncated, corrupted, mis-keyed or stale-schema entry
+starts with a SHA-256 digest of the payload (:func:`seal`), and the
+payload embeds the fingerprint and schema version. A truncated, corrupted, mis-keyed or stale-schema entry
 is detected on load, deleted, and reported as a miss — never
 deserialized blindly into an experiment.
 
@@ -77,7 +76,7 @@ def write_atomic(path: Path, data: bytes) -> None:
 
 def seal(payload: bytes) -> bytes:
     """``payload`` behind its SHA-256 digest: the self-verifying layout
-    of cache entries and checkpoint capsules."""
+    of cache entries."""
     return hashlib.sha256(payload).digest() + payload
 
 

@@ -23,7 +23,8 @@ A fault plan is a list of :class:`FaultSpec`. Install one either
                       "match": "lbm_m/fpb"}]'
 
 Injection points wired into the library (each passes a ``key`` the
-spec's ``match`` substring selects on):
+spec's ``match`` substring selects on; :data:`POINTS` lists them, and a
+spec naming any other point is rejected):
 
 =============== ===================================== ==================
 point           fires from                            key
@@ -32,13 +33,6 @@ point           fires from                            key
 ``serial_run``  parent process, before a lazy run     ``workload/scheme/fingerprint``
 ``cache_put``   :meth:`SimCache.put`, before writing  cache key (fingerprint)
 ``cache_corrupt`` :meth:`SimCache.put`, on the bytes  cache key (fingerprint)
-``ckpt_put``    :meth:`CheckpointStore.put`, before   ``fingerprint:writes_done``
-                writing a capsule
-``ckpt_corrupt`` :meth:`CheckpointStore.put`, on the  fingerprint
-                capsule bytes
-``sim_progress`` :class:`~repro.sim.checkpoint.       ``fingerprint:writes_done``
-                Checkpointer`, once per completed
-                write (mid-run, between boundaries)
 ``explore_point`` :class:`~repro.explore.session.     ``session:fingerprint``
                 ExploreSession`, before each point
                 is journaled/evaluated (kills an
@@ -67,6 +61,10 @@ from typing import List, Optional, Sequence, Tuple
 
 #: Environment variable carrying a JSON fault plan into worker processes.
 ENV_VAR = "REPRO_FAULTS"
+
+#: The injection points wired into the library (the table above).
+POINTS = ("worker_run", "serial_run", "cache_put", "cache_corrupt",
+          "explore_point")
 
 #: Exception types a ``mode="error"`` spec may raise, by name. Kept to a
 #: closed set so a fault plan can never name arbitrary code.
@@ -112,6 +110,9 @@ class FaultSpec:
     exit_code: int = 13         # for mode="crash"
 
     def __post_init__(self):
+        if self.point not in POINTS:
+            raise ValueError(f"unknown fault point {self.point!r}; "
+                             f"choose from {list(POINTS)}")
         if self.mode not in ("error", "crash", "hang", "corrupt"):
             raise ValueError(f"unknown fault mode {self.mode!r}")
         if self.nth < 1:

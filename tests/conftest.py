@@ -3,9 +3,9 @@
 Beyond the tiny configs, this hosts the process-state isolation
 machinery every integration suite (and ``benchmarks/conftest.py``)
 used to hand-roll: the experiment layer keeps process-wide state —
-in-memory run cache, trace memo, disk-cache/telemetry/checkpoint
-installations, failed-run registry, fault plan — and a test that leaks
-any of it poisons its neighbours. Suites request :func:`isolated_run_state`
+in-memory run cache, trace memo, disk-cache/telemetry installations,
+failed-run registry, fault plan — and a test that leaks any of it
+poisons its neighbours. Suites request :func:`isolated_run_state`
 (usually via a module-local ``autouse`` wrapper) and, when they need a
 real on-disk cache, :func:`tmp_sim_cache`.
 """
@@ -29,7 +29,6 @@ from repro.experiments import engine
 from repro.experiments.base import (
     clear_failed_runs,
     clear_sim_cache,
-    use_checkpoints,
     use_disk_cache,
     use_telemetry,
 )
@@ -42,17 +41,16 @@ from repro.trace import generator
 def reset_run_state() -> None:
     """Return every piece of process-wide experiment-layer state to its
     pristine default: no fault plan, empty in-memory run cache and
-    trace memo, no failed-run verdicts, and no disk cache / telemetry /
-    checkpoint installation. Call on both sides of anything that
-    mutates them. Forked engine workers inherit the trace memo, so a
-    test that counts generations must not start from a neighbour's."""
+    trace memo, no failed-run verdicts, and no disk cache or telemetry
+    installation. Call on both sides of anything that mutates them.
+    Forked engine workers inherit the trace memo, so a test that counts
+    generations must not start from a neighbour's."""
     clear_faults()
     clear_sim_cache()
     generator.clear_trace_cache()
     clear_failed_runs()
     use_disk_cache(None)
     use_telemetry(None)
-    use_checkpoints(None)
 
 
 @pytest.fixture

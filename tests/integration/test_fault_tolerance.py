@@ -575,10 +575,10 @@ class TestMemberFailure:
         truth = sweep_truth(survivors)
         execute_one = engine._execute_one
 
-        def execute_or_fail(request, obs, ckpt):
+        def execute_or_fail(request, obs):
             if request.fingerprint == target.fingerprint:
                 raise UnpicklableError("injected")
-            return execute_one(request, obs, ckpt)
+            return execute_one(request, obs)
 
         monkeypatch.setattr(engine, "_execute_one", execute_or_fail)
         use_disk_cache(SimCache(tmp_path / "cache"))

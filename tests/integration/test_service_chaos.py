@@ -18,8 +18,6 @@ prove the *service* half of the contract with injected faults
   worker runs on; a deterministic raise executes twice and is
   quarantined; and the worker respawn budget is counted per plan, not
   over the gateway's lifetime;
-* with checkpointing on, a run killed mid-simulation resumes on its new
-  worker from its last capsule;
 * a run's deadline counts from when a worker takes it, so runs queued
   behind others in a batch are not charged for the wait.
 """
@@ -32,16 +30,10 @@ import time
 
 import pytest
 
-from repro.experiments.base import (
-    clear_sim_cache,
-    use_checkpoints,
-    use_telemetry,
-)
+from repro.experiments.base import clear_sim_cache
 from repro.experiments.resilience import RetryPolicy
-from repro.obs import Telemetry
 from repro.service.schemas import SimRequest
 from repro.service.testing import GatewayHarness
-from repro.sim.checkpoint import CheckpointStore
 from repro.testing.faults import ENV_VAR, clear_faults
 
 from ..conftest import count_worker_runs
@@ -359,42 +351,6 @@ def test_respawn_budget_is_counted_per_plan(monkeypatch, tmp_path):
     assert counters["service_runs_failed"] == 0
     for i in range(len(runs)):
         assert (tmp_path / f"crash{i}.stamp").exists()
-
-
-def test_run_killed_mid_simulation_resumes_from_its_capsule(
-        monkeypatch, tmp_path):
-    """With a capsule every 10 writes, a run's worker is killed at
-    write 25 of 40. The run is retried on a new worker, which resumes
-    from the write-20 capsule instead of from write 0; the waiter gets
-    the serial bytes, and the finished run leaves no capsule behind."""
-    fields = run_fields("lbm_m", "fpb")
-    fingerprint = fingerprint_of(fields)
-    expected = expected_payloads(fields)
-    log = tmp_path / "runs.log"
-    count_worker_runs(monkeypatch, log)
-    monkeypatch.setenv(ENV_VAR, json.dumps([{
-        "point": "sim_progress", "mode": "crash",
-        "match": f"{fingerprint}:25",
-        "stamp": str(tmp_path / "crash.stamp"),
-    }]))
-    store = CheckpointStore(tmp_path / "ckpt")
-    use_checkpoints(store, 10)
-    telemetry = Telemetry()
-    use_telemetry(telemetry)
-    with GatewayHarness(jobs=1, queue_limit=8, batch_max=4,
-                        policy=fast_policy(max_attempts=2)) as harness:
-        payload = harness.client(timeout_s=120).run(**fields)
-        counters = harness.client().metrics()["metrics"]["counters"]
-
-    assert payload.pop("source") == "computed"
-    assert payload == expected[fingerprint]
-    assert counters["service_runs_failed"] == 0
-    crashed, resumed = worker_pids(log, fields)
-    assert crashed != resumed
-    assert [record["writes_done"] for record in telemetry.resilience_events
-            if record.get("type") == "checkpoint"
-            and record["action"] == "resume"] == [20]
-    assert store.latest(fingerprint) is None
 
 
 def test_run_deadline_counts_from_when_a_worker_starts_the_run(

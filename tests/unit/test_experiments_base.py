@@ -188,6 +188,17 @@ class TestCLIParser:
             build_parser().parse_args(["serve", "--replicas", "2"])
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig16", "--checkpoint-every", "50"],
+        ["serve", "--checkpoint-every", "50"],
+        ["checkpoints", "list"],
+    ])
+    def test_the_retired_checkpoint_surface_is_rejected(self, argv):
+        from repro.experiments.cli import build_parser
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
 
 class TestCSVExport:
     def test_to_csv(self):

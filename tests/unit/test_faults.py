@@ -75,6 +75,12 @@ class TestParsePlan:
         with pytest.raises(ValueError, match="must be an object"):
             parse_plan('["cache_put"]')
 
+    def test_rejects_a_point_nothing_fires(self):
+        """A spec naming an unwired point would never fire, and a chaos
+        test built on it would pass without injecting anything."""
+        with pytest.raises(ValueError, match="unknown fault point"):
+            parse_plan('[{"point": "sim_progress"}]')
+
 
 class TestFiring:
     def test_noop_without_plan(self):
@@ -146,17 +152,17 @@ class TestCorruptMode:
         assert corrupt_payload("cache_corrupt", "k", b"abc") == b"abc"
 
     def test_empty_payload_passes_through(self):
-        install_faults([FaultSpec(point="p", mode="corrupt")])
-        assert corrupt_payload("p", "k", b"") == b""
+        install_faults([FaultSpec(point="cache_corrupt", mode="corrupt")])
+        assert corrupt_payload("cache_corrupt", "k", b"") == b""
 
     def test_modes_keep_separate_counters(self):
         """A ``corrupt_payload`` call must neither fire an error-mode
         spec nor advance its ``nth`` counter, and vice versa."""
         install_faults([
-            FaultSpec(point="p", mode="error", nth=2),
-            FaultSpec(point="p", mode="corrupt", times=1),
+            FaultSpec(point="cache_corrupt", mode="error", nth=2),
+            FaultSpec(point="cache_corrupt", mode="corrupt", times=1),
         ])
-        assert corrupt_payload("p", "k", b"x") != b"x"
-        maybe_inject("p", key="k")  # error call 1 of nth=2: silent
+        assert corrupt_payload("cache_corrupt", "k", b"x") != b"x"
+        maybe_inject("cache_corrupt", key="k")  # error call 1 of nth=2: silent
         with pytest.raises(OSError):
-            maybe_inject("p", key="k")  # error call 2: fires
+            maybe_inject("cache_corrupt", key="k")  # error call 2: fires

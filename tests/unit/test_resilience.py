@@ -198,66 +198,3 @@ class TestSupervisor:
             "verdict": FAIL,
         }
 
-
-class TestForwardProgress:
-    """Checkpoint-aware budgeting: an attempt that advanced the run's
-    newest capsule resets the transient retry budget."""
-
-    def test_advancing_progress_resets_the_budget(self):
-        sup = RunSupervisor(RetryPolicy(max_attempts=2))
-        req = FakeRequest()
-        # Three crashes, each after more checkpointed writes than the
-        # last: under a 2-attempt budget this run would normally be dead
-        # at the second failure, but every attempt got further.
-        for progress in (100, 200, 300):
-            verdict, _ = sup.on_failure(req, OSError("crash"),
-                                        progress=progress)
-            assert verdict == RETRY
-        assert sup.failures == []
-
-    def test_stagnant_progress_charges_the_budget(self):
-        """Crashing at the same capsule mark every time is not forward
-        progress — the budget runs out exactly as without checkpoints."""
-        sup = RunSupervisor(RetryPolicy(max_attempts=2))
-        req = FakeRequest()
-        assert sup.on_failure(req, OSError("crash"),
-                              progress=100)[0] == RETRY
-        verdict, _ = sup.on_failure(req, OSError("crash"), progress=100)
-        assert verdict == FAIL
-
-    def test_none_progress_is_no_checkpointing(self):
-        sup = RunSupervisor(RetryPolicy(max_attempts=2))
-        req = FakeRequest()
-        assert sup.on_failure(req, OSError("crash"))[0] == RETRY
-        assert sup.on_failure(req, OSError("crash"))[0] == FAIL
-
-    def test_flag_off_disables_the_reset(self):
-        sup = RunSupervisor(RetryPolicy(
-            max_attempts=2, forward_progress_resets_budget=False))
-        req = FakeRequest()
-        assert sup.on_failure(req, OSError("crash"),
-                              progress=100)[0] == RETRY
-        verdict, _ = sup.on_failure(req, OSError("crash"), progress=200)
-        assert verdict == FAIL
-
-    def test_quarantine_unaffected_by_progress(self):
-        """The identical-signature rule still benches a deterministic
-        bug even when each attempt checkpoints further: the bug lives
-        downstream of the capsule and will recur forever."""
-        sup = RunSupervisor(RetryPolicy())
-        req = FakeRequest()
-        assert sup.on_failure(req, ValueError("same bug"),
-                              progress=100)[0] == RETRY
-        verdict, _ = sup.on_failure(req, ValueError("same bug"),
-                                    progress=200)
-        assert verdict == QUARANTINE
-
-    def test_regression_is_not_progress(self):
-        """A retry that resumed from an older capsule (the newest was
-        corrupt) reports a lower mark — charged, not reset."""
-        sup = RunSupervisor(RetryPolicy(max_attempts=2))
-        req = FakeRequest()
-        assert sup.on_failure(req, OSError("crash"),
-                              progress=200)[0] == RETRY
-        verdict, _ = sup.on_failure(req, OSError("crash"), progress=100)
-        assert verdict == FAIL

@@ -7,13 +7,11 @@ never a blindly-deserialized result.
 """
 
 import hashlib
-import json
 import pickle
 
 import pytest
 
 from repro.sim import simcache
-from repro.sim.checkpoint import CKPT_SCHEMA_VERSION, CheckpointStore
 from repro.sim.runner import SimResult
 from repro.sim.simcache import SIM_SCHEMA_VERSION, SimCache, run_fingerprint
 from repro.sim.stats import SimStats
@@ -77,10 +75,9 @@ class TestRoundTrip:
 
 
 class TestSealedLayout:
-    def test_cache_entry_and_capsule_bytes(self, tmp_path):
-        """Both stores write ``sha256(p) + p`` for a pickled record
-        ``p``; a capsule puts its JSON header and a newline in front.
-        Pinned byte for byte, so existing caches and capsules load."""
+    def test_cache_entry_bytes(self, tmp_path):
+        """The cache writes ``sha256(p) + p`` for a pickled record ``p``.
+        Pinned byte for byte, so existing caches load."""
         def sealed(record):
             p = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
             return hashlib.sha256(p).digest() + p, len(p)
@@ -92,15 +89,6 @@ class TestSealedLayout:
         entry, _ = sealed({"schema": SIM_SCHEMA_VERSION, "key": key,
                            "result": result})
         assert cache.path_for(key).read_bytes() == entry
-
-        store = CheckpointStore(tmp_path / "ckpt")
-        path = store.put(key, b"state", cycle=7, writes_done=3)
-        fields = {"schema": CKPT_SCHEMA_VERSION,
-                  "sim_schema": SIM_SCHEMA_VERSION, "fingerprint": key,
-                  "cycle": 7, "writes_done": 3}
-        body, size = sealed({**fields, "state": b"state"})
-        header = json.dumps({**fields, "bytes": size}, sort_keys=True)
-        assert path.read_bytes() == header.encode("utf-8") + b"\n" + body
 
 
 class TestIntegrity:
