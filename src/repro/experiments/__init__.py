@@ -10,7 +10,6 @@ from .base import (
     RunRequest,
     RunScale,
     clear_sim_cache,
-    sim,
     speedup_rows,
     speedup_runs,
     use_disk_cache,
@@ -36,7 +35,6 @@ __all__ = [
     "execute_plan",
     "get_experiment",
     "plan_runs",
-    "sim",
     "speedup_rows",
     "speedup_runs",
     "use_disk_cache",

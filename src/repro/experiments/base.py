@@ -20,9 +20,10 @@ An experiment names each simulation it reads exactly once, in
 :meth:`Experiment.runs`, and turns their results into rows in
 :meth:`Experiment.render`, which never simulates. The base class derives
 the rest: :meth:`Experiment.plan` hands the same requests to the engine
-(:mod:`repro.experiments.engine`), which dedupes the union across
-figures and executes it on worker processes, and :meth:`Experiment.run`
-fetches each result and renders.
+(:mod:`repro.experiments.engine`), the one place a run is computed: it
+dedupes the union across figures and executes it on supervised worker
+processes. :meth:`Experiment.run` then reads each result from the
+caches (:func:`fetch`) and renders, and calling an experiment does both.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from ..config.system import SystemConfig
 from ..errors import ExperimentError, RunFailedError
 from ..sim.runner import SimResult, run_simulation
 from ..sim.simcache import SimCache, run_fingerprint
-from ..testing.faults import maybe_inject
 from ..trace.generator import generate_trace
 from ..trace.workloads import ALL_WORKLOADS, QUICK_WORKLOADS
 
@@ -171,28 +171,36 @@ class Experiment(abc.ABC):
     def plan(self, config: SystemConfig,
              scale: RunScale) -> Tuple[RunRequest, ...]:
         """The requests of :meth:`runs`, for the engine to dedupe across
-        experiments and execute in parallel before :meth:`run`."""
+        experiments and execute before :meth:`run`."""
         return tuple(self.runs(config, scale).values())
 
     def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
-        """Fetch every run (cache, then compute), then render."""
+        """Render from the caches. Every run must have been planned:
+        :func:`fetch` raises for one that was not, or that failed."""
+        # Interval measurement must be monotonic: an NTP step mid-run
+        # would make a wall-clock difference negative or garbage.
+        start = time.monotonic()
         results = {key: fetch(request)
                    for key, request in self.runs(config, scale).items()}
-        return self.render(config, scale, results)
+        result = self.render(config, scale, results)
+        result.elapsed_seconds = time.monotonic() - start
+        result.scale = scale.name
+        return result
 
     def __call__(
         self,
         config: Optional[SystemConfig] = None,
         scale: RunScale = DEFAULT,
     ) -> ExperimentResult:
+        """Execute :meth:`plan` on the engine, then :meth:`run`;
+        ``elapsed_seconds`` covers both."""
+        from .engine import execute_plan
+
         config = config or baseline_config()
-        # Interval measurement must be monotonic: an NTP step mid-run
-        # would make a wall-clock difference negative or garbage, and
-        # elapsed_seconds feeds manifests and the service admission EWMA.
         start = time.monotonic()
+        execute_plan(self.plan(config, scale))
         result = self.run(config, scale)
         result.elapsed_seconds = time.monotonic() - start
-        result.scale = scale.name
         return result
 
 
@@ -206,16 +214,16 @@ _SIM_CACHE: Dict[str, SimResult] = {}
 #: --cache-dir plumbing; library users call :func:`use_disk_cache`).
 _DISK_CACHE: Optional[SimCache] = None
 
-#: Telemetry observing all fresh simulation runs of this process (the
+#: Telemetry observing every fresh run this process's plans compute (the
 #: CLI's --trace/--metrics-out plumbing). Cache hits contributed their
-#: telemetry when first run and are not re-instrumented; telemetry stays
-#: attached per-process and never changes simulation results.
+#: telemetry when first run and are not re-instrumented; telemetry never
+#: changes simulation results.
 _ACTIVE_TELEMETRY = None
 
 
 def use_telemetry(telemetry) -> None:
     """Install (or with ``None`` remove) the process-wide telemetry
-    observer consulted by :func:`sim`."""
+    observer the engine instruments its runs under."""
     global _ACTIVE_TELEMETRY
     _ACTIVE_TELEMETRY = telemetry
 
@@ -226,7 +234,8 @@ def active_telemetry():
 
 def use_disk_cache(cache: Optional[SimCache]) -> None:
     """Install (or with ``None`` remove) the process-wide on-disk run
-    cache consulted by :func:`sim` behind the in-memory cache."""
+    cache the engine and :func:`fetch` consult behind the in-memory
+    cache."""
     global _DISK_CACHE
     _DISK_CACHE = cache
 
@@ -253,8 +262,7 @@ def cache_get(key: str) -> Optional[SimResult]:
 
 #: Runs the engine has proven to fail permanently (retries exhausted or
 #: quarantined), fingerprint -> human-readable cause. :func:`fetch`
-#: raises :class:`RunFailedError` for these instead of re-executing a
-#: run that is known to crash, hang, or violate an invariant.
+#: raises :class:`RunFailedError` for these.
 _FAILED_RUNS: Dict[str, str] = {}
 
 
@@ -311,9 +319,10 @@ def execute_request(request: RunRequest, telemetry=None) -> SimResult:
 
 
 def fetch(request: RunRequest) -> SimResult:
-    """Resolve one run: in-memory cache, then disk cache, then compute
-    (populating both caches). A run the engine marked permanently
-    failed raises :class:`RunFailedError` instead of recomputing."""
+    """Read one planned run's result: from the in-memory cache, else
+    from the disk cache. Never computes. A run the engine marked
+    permanently failed raises :class:`RunFailedError`, and a run no plan
+    produced raises :class:`ExperimentError`."""
     key = request.fingerprint
     result = cache_get(key)
     if result is not None:
@@ -332,19 +341,9 @@ def fetch(request: RunRequest) -> SimResult:
             _SIM_CACHE[key] = result
             record_cache_event(request, "disk")
             return result
-    maybe_inject("serial_run", key=request_key(request))
-    result = execute_request(request, telemetry=_ACTIVE_TELEMETRY)
-    _SIM_CACHE[key] = result
-    if _DISK_CACHE is not None:
-        _DISK_CACHE.put(key, result)
-    record_cache_event(request, "computed")
-    return result
-
-
-def sim(config: SystemConfig, workload: str, scheme: str,
-        scale: RunScale) -> SimResult:
-    """Cached single simulation run."""
-    return fetch(RunRequest(config, workload, scheme, scale))
+    raise ExperimentError(
+        f"run {request.workload}/{request.scheme} was never planned: "
+        f"execute it with execute_plan() before reading it")
 
 
 def speedup_runs(

@@ -19,8 +19,8 @@ runs, and nothing trace-relevant is ever mixed. The cohort is the
 engine's unit of work (:func:`repro.experiments.engine.execute_plan`):
 one worker task runs every member against its process-local trace
 memo, so the trace is generated once per cohort, and results stay
-byte-identical to serial execution because every member still runs
-the ordinary per-request path.
+byte-identical to running each member alone because every member still
+runs the ordinary per-request path.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ Examples::
         --trace run.json --metrics-out run.jsonl
 
 Simulation runs are cached on disk under ``.simcache/`` (override with
-``--cache-dir``, disable with ``--no-cache``) and fanned out over
-``--jobs`` worker processes; results are bit-identical to serial runs.
+``--cache-dir``, disable with ``--no-cache``) and computed on ``--jobs``
+worker processes (default 1); results are bit-identical at every
+``--jobs``.
 
-Parallel runs are *supervised* (docs/robustness.md): failures are
-classified and retried (``--retries``), hung workers are killed
-after ``--timeout`` seconds, a crashed worker is replaced, and
+Every run is *supervised* (docs/robustness.md), at every ``--jobs``:
+failures are classified and retried (``--retries``), hung workers are
+killed after ``--timeout`` seconds, a crashed worker is replaced, and
 ``--keep-going`` renders the unaffected experiments when some runs
 failed permanently. The exit code is honest: 0 only when everything
 ran (and, under ``--check``, matched the paper's claimed shapes);
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes for the planned simulation runs "
-             "(default 1 = serial; 0 = one per CPU)",
+             "(default 1; 0 = one per CPU)",
     )
     run.add_argument(
         "--cache-dir", type=pathlib.Path, default=pathlib.Path(DEFAULT_CACHE_DIR),
@@ -247,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
-        help="worker processes, kept for every generation (default 1 = "
-             "serial; 0 = one per CPU)",
+        help="worker processes, kept for every generation (default 1; "
+             "0 = one per CPU)",
     )
     explore.add_argument(
         "--resume", action="store_true",
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     golden.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes for the corpus simulations "
-             "(default 1 = serial; 0 = one per CPU)",
+             "(default 1; 0 = one per CPU)",
     )
     golden.add_argument(
         "--cache-dir", type=pathlib.Path,
@@ -401,15 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_one(exp_id: str, scale: RunScale, config: SystemConfig,
              out_dir: Optional[pathlib.Path], bars: bool = False,
              csv: bool = False) -> Tuple[str, int]:
-    """Run one experiment; returns its report text and the number of
-    shape-check discrepancies (for ``--check``)."""
+    """Render one experiment from its planned runs; returns its report
+    text and the number of shape-check discrepancies (for ``--check``)."""
     from ..analysis.report import render_bars
     from .checks import check_result
 
     experiment = get_experiment(exp_id)
-    log.debug("running %s at scale %s (seed %d, kernel %s)",
+    log.debug("rendering %s at scale %s (seed %d, kernel %s)",
               exp_id, scale.name, config.seed, config.kernel)
-    result = experiment(config, scale)
+    result = experiment.run(config, scale)
     text = result.to_table()
     if bars:
         try:
@@ -567,25 +568,12 @@ def _golden_main(args) -> int:
     if not args.no_cache:
         cache = SimCache(args.cache_dir)
         use_disk_cache(cache)
-    def prefetch(scale, seed, kernels):
-        if args.jobs <= 1:
-            return
-        requests = [
-            variant
-            for request, _ in golden.corpus_runs(scale, seed=seed)
-            for variant in golden.kernel_requests(request, kernels)
-        ]
-        execute_plan(requests, jobs=args.jobs, policy=RetryPolicy())
-
     try:
         if args.check:
             document = golden.load_corpus(args.path)
-            if not args.sample:
-                prefetch(golden.corpus_scale(document),
-                         int(document["seed"]), document["kernels"])
             drifts = golden.verify_corpus(
                 document, sample=args.sample,
-                sample_seed=args.sample_seed,
+                sample_seed=args.sample_seed, jobs=args.jobs,
                 progress=lambda line: log.debug("%s", line))
             if drifts:
                 for drift in drifts:
@@ -598,9 +586,8 @@ def _golden_main(args) -> int:
                      "kernels: %s)", checked, len(document["runs"]),
                      ", ".join(document["kernels"]))
             return EXIT_OK
-        prefetch(QUICK, 1, available_kernels())
         document = golden.build_corpus(
-            progress=lambda line: log.info("%s", line))
+            jobs=args.jobs, progress=lambda line: log.info("%s", line))
         discrepancies = golden.claim_discrepancies(document)
         if discrepancies:
             for discrepancy in discrepancies:
@@ -614,7 +601,7 @@ def _golden_main(args) -> int:
                  document["n_runs"], ", ".join(document["kernels"]),
                  document["sim_schema_version"])
         return EXIT_OK
-    except golden.GoldenMismatch as exc:
+    except (golden.GoldenMismatch, RunFailedError) as exc:
         log.error("%s", exc)
         return EXIT_FAILURE
     finally:
@@ -708,26 +695,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     wall_start = time.monotonic()
     try:
         try:
-            requests = plan_runs(targets, base_config, scale)
-            if requests and (args.jobs > 1 or cache is not None):
-                summary = execute_plan(requests, jobs=args.jobs,
-                                       policy=policy)
-                log.info(
-                    "plan: %d runs (%d unique) — %d in memory, %d from "
-                    "cache, %d computed on %d worker(s)\n",
-                    summary["planned"], summary["unique"],
-                    summary["memory"], summary["disk"],
-                    summary["computed"], args.jobs,
+            summary = execute_plan(plan_runs(targets, base_config, scale),
+                                   jobs=args.jobs, policy=policy)
+            log.info(
+                "plan: %d runs (%d unique) — %d in memory, %d from "
+                "cache, %d computed on %d worker(s)\n",
+                summary["planned"], summary["unique"],
+                summary["memory"], summary["disk"],
+                summary["computed"], args.jobs,
+            )
+            if summary["failed"] or summary["quarantined"]:
+                exit_code = EXIT_FAILURE
+                log.error(
+                    "plan: %d run(s) failed, %d quarantined "
+                    "(%d retried, %d pool respawn(s), %d timeout(s))",
+                    summary["failed"], summary["quarantined"],
+                    summary["retried"], summary["pool_respawns"],
+                    summary["timeouts"],
                 )
-                if summary["failed"] or summary["quarantined"]:
-                    exit_code = EXIT_FAILURE
-                    log.error(
-                        "plan: %d run(s) failed, %d quarantined "
-                        "(%d retried, %d pool respawn(s), %d timeout(s))",
-                        summary["failed"], summary["quarantined"],
-                        summary["retried"], summary["pool_respawns"],
-                        summary["timeouts"],
-                    )
             for exp_id in targets:
                 if telemetry is not None:
                     telemetry.current_experiment = exp_id

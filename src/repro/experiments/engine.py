@@ -1,6 +1,7 @@
 """Parallel experiment execution engine with failure supervision.
 
-The engine takes the union of every experiment's declared run set
+The engine is the only code that computes a run, at every worker
+count. It takes the union of every experiment's declared run set
 (:meth:`Experiment.plan`), deduplicates it by canonical run fingerprint,
 strips out runs already satisfiable from the in-memory or on-disk cache,
 and fans the remainder across the slots of a :class:`WorkerPool`, each a
@@ -11,8 +12,8 @@ its plans, so its workers keep their trace memos, and each cohort goes
 to the idle slot that last ran its trace structure. The gateway's pool
 supervises every run it serves: the plans behind ``/run``,
 ``/experiment`` and ``/explore`` take turns on it. Results land in the
-shared caches, so each experiment's ``run()`` fetches warm hits and
-renders its rows from them.
+shared caches, and each experiment's ``run()`` reads them there and
+renders its rows.
 
 The unit of work is a **cohort** (:func:`repro.experiments.batch.
 partition_cohorts`): runs sharing a trace structure execute in one
@@ -28,9 +29,9 @@ per member, and a task cut short keeps the members it finished.
 
 Correctness guarantees:
 
-* **Bit-identical to serial.** Every run's random streams derive from
-  ``config.seed`` (``repro.rng``), so a worker process computes exactly
-  the bytes the main process would, whichever cohort it runs in.
+* **Bit-identical at every worker count.** Every run's random streams
+  derive from ``config.seed`` (``repro.rng``), so a run's bytes do not
+  depend on the worker, the cohort or the pool size that computed it.
   Results cross the process boundary by pickling, which round-trips
   ints and IEEE doubles exactly.
 * **Telemetry crosses back in the outcome file, never by sharing.**
@@ -79,8 +80,8 @@ proven by the chaos tests in ``tests/integration/test_fault_tolerance``):
   manifest and exit nonzero.
 
 Terminal failures are published to :func:`repro.experiments.base.
-mark_run_failed`; experiments that later ask for such a run get a
-:class:`~repro.errors.RunFailedError` instead of a blind re-execution.
+mark_run_failed`; experiments that later read such a run get a
+:class:`~repro.errors.RunFailedError`.
 """
 
 from __future__ import annotations
@@ -751,10 +752,11 @@ def execute_plan(
     jobs: int = 1,
     *,
     policy: Optional[RetryPolicy] = None,
-    force: bool = False,
     pool: Optional[WorkerPool] = None,
 ) -> Dict[str, object]:
-    """Warm the run caches for ``requests`` using ``jobs`` workers.
+    """Compute the runs of ``requests`` the caches lack, on ``jobs``
+    supervised worker processes (one by default). This is the only code
+    that computes a run.
 
     Returns a summary with partial-result semantics: counts of planned
     and unique requests, cache hits (``memory`` / ``disk``), fresh
@@ -767,13 +769,9 @@ def execute_plan(
     :func:`~repro.experiments.base.mark_run_failed`, and surface as
     :class:`~repro.errors.RunFailedError` if an experiment needs them.
 
-    With ``jobs <= 1`` nothing is prefetched (the serial lazy path in
-    :func:`repro.experiments.base.fetch` is already optimal) — only the
-    dedupe/disk-probe bookkeeping runs. Pass ``force=True`` to execute
-    the pending runs even then, on a single supervised worker process —
-    callers like the service gateway need the engine's failure
-    supervision (retries, watchdog, crash containment) regardless of
-    parallelism.
+    Every ``jobs`` gets the same supervision: retries, the per-run
+    watchdog and crash containment. Runs already cached start no
+    worker.
 
     The workers come from ``pool`` when the caller keeps one across
     plans (at most ``pool.size`` of them run the plan, and a plan
@@ -821,13 +819,13 @@ def execute_plan(
                 continue
         pending.append(request)
 
-    if not pending or (jobs <= 1 and not force):
+    if not pending:
         return summary
 
     n_workers = min(max(jobs, 1), len(pending))
     cohorts = partition_cohorts(pending, min(n_workers, _usable_cpus()))
     n_workers = min(n_workers, len(cohorts))  # no worker without a cohort
-    log.debug("prefetching %d runs as %d cohort(s) on %d workers "
+    log.debug("computing %d runs as %d cohort(s) on %d workers "
               "(%d memory hits, %d disk hits)", len(pending), len(cohorts),
               n_workers, summary["memory"], summary["disk"])
     with (WorkerPool(n_workers) if pool is None
@@ -858,11 +856,8 @@ def plan_outcomes(
     fingerprint's outcome as ``(result, source)``.
 
     The serving-side wrapper around :func:`execute_plan` behind the
-    gateway's dispatch: always forced (``force=True`` — callers need
-    the engine's retries/watchdog/crash containment even at
-    ``jobs=1``), with the per-request provenance the service layer
-    reports to clients.
-    ``source`` is ``disk`` (the run was already in the on-disk
+    gateway's dispatch, with the per-request provenance the service
+    layer reports to clients. ``source`` is ``disk`` (the run was already in the on-disk
     cache before the plan), ``computed`` (freshly executed — or
     satisfied from this process's memory cache, which for a cold
     service request is the same thing), or ``failed`` with the terminal
@@ -880,8 +875,7 @@ def plan_outcomes(
         for request in requests
         if disk is not None and request.fingerprint in disk
     }
-    summary = execute_plan(requests, jobs=jobs, policy=policy, force=True,
-                           pool=pool)
+    summary = execute_plan(requests, jobs=jobs, policy=policy, pool=pool)
     if summary_out is not None:
         summary_out.update(summary)
     failures = failed_runs()

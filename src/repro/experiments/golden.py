@@ -45,6 +45,7 @@ from ..sim.simcache import SIM_SCHEMA_VERSION
 from ..util.seeds import derive_key
 from .base import QUICK, SCALES, RunRequest, RunScale, fetch
 from .checks import check_result, has_check
+from .engine import execute_plan
 from .registry import available_experiments, get_experiment
 
 log = get_logger("experiments.golden")
@@ -102,11 +103,16 @@ def kernel_requests(request: RunRequest,
 
 def build_corpus(scale: RunScale = QUICK, *, seed: int = 1,
                  kernels: Optional[Sequence[str]] = None,
+                 jobs: int = 1,
                  progress: Optional[Callable[[str], None]] = None) -> Dict:
-    """Compute the full corpus document (runs every simulation; uses
-    the installed caches, so a warm ``SimCache`` makes this cheap)."""
+    """Compute the full corpus document: every simulation on every
+    kernel, planned on ``jobs`` engine workers (the installed caches
+    make a warm rebuild cheap)."""
     kernels = list(kernels or available_kernels())
     runs = corpus_runs(scale, seed=seed)
+    execute_plan([variant for request, _ in runs
+                  for variant in kernel_requests(request, kernels)],
+                 jobs=jobs)
     entries: List[Dict[str, object]] = []
     for i, (request, exp_ids) in enumerate(runs, start=1):
         fingerprints: Dict[str, str] = {}
@@ -212,9 +218,8 @@ def claim_discrepancies(document: Dict) -> List[str]:
     scale and seed, and return each paper claim its result breaks as
     ``"<exp id>: <discrepancy>"`` (empty = every claim holds).
 
-    Experiments fetch their runs through the installed caches; after
-    :func:`build_corpus` every run they read is cached, so nothing is
-    simulated again.
+    Each experiment plans its runs again; after :func:`build_corpus`
+    every one of them is cached, so nothing is simulated again.
     """
     scale = corpus_scale(document)
     base = baseline_config(seed=int(document["seed"])).with_kernel(
@@ -300,10 +305,12 @@ def _planned(document: Dict
 
 def verify_entries(document: Dict, entries: Sequence[Dict], *,
                    kernels: Optional[Sequence[str]] = None,
+                   jobs: int = 1,
                    progress: Optional[Callable[[str], None]] = None,
                    ) -> List[str]:
-    """Recompute ``entries`` on ``kernels`` and return drift messages
-    (empty = conformant). Uses the installed caches.
+    """Recompute ``entries`` on ``kernels``, planned on ``jobs`` engine
+    workers, and return drift messages (empty = conformant). Uses the
+    installed caches.
 
     Sweep experiments plan *derived* configs, so requests are
     reconstructed by re-planning every experiment (cheap — no
@@ -314,10 +321,14 @@ def verify_entries(document: Dict, entries: Sequence[Dict], *,
     check_schema_version(document)
     kernels = list(kernels or document["kernels"])
     planned = _planned(document)
+    requests = [planned.get(_entry_key(entry), (None, ()))[0]
+                for entry in entries]
+    execute_plan([variant for request in requests if request is not None
+                  for variant in kernel_requests(request, kernels)],
+                 jobs=jobs)
     drifts: List[str] = []
-    for entry in entries:
+    for entry, request in zip(entries, requests):
         label = f"{entry['workload']}/{entry['scheme']}"
-        request, _exp_ids = planned.get(_entry_key(entry), (None, ()))
         if request is None:
             drifts.append(
                 f"{label}: no registered experiment plans this run "
@@ -346,21 +357,22 @@ def verify_entries(document: Dict, entries: Sequence[Dict], *,
 def verify_corpus(document: Dict, *, sample: Optional[int] = None,
                   sample_seed: Optional[int] = None,
                   kernels: Optional[Sequence[str]] = None,
+                  jobs: int = 1,
                   progress: Optional[Callable[[str], None]] = None,
                   ) -> List[str]:
     """Conformance-check the corpus: all entries (plus coverage — every
     currently-planned run must be in the corpus), or a deterministic
     ``sample`` of entries (optionally salted by ``sample_seed``; see
-    :func:`select_spot_checks`). Returns drift messages (empty =
-    conformant).
+    :func:`select_spot_checks`), computed on ``jobs`` engine workers.
+    Returns drift messages (empty = conformant).
     """
     if sample is not None:
         return verify_entries(
             document,
             select_spot_checks(document, sample, seed=sample_seed),
-            kernels=kernels, progress=progress)
+            kernels=kernels, jobs=jobs, progress=progress)
     drifts = verify_entries(document, document["runs"], kernels=kernels,
-                            progress=progress)
+                            jobs=jobs, progress=progress)
     recorded = {_entry_key(entry) for entry in document["runs"]}
     for key, (request, exp_ids) in _planned(document).items():
         if key not in recorded:

@@ -115,8 +115,8 @@ class ExploreSession:
     Each generation's new points are computed by the supervised engine
     on ``pool`` when the caller passes its long-lived
     :class:`~repro.experiments.engine.WorkerPool` (the gateway does),
-    else on a private pool of ``settings.jobs`` workers when that is
-    more than one, else serially in this process."""
+    else on a private pool of ``settings.jobs`` workers kept for the
+    whole session."""
 
     def __init__(
         self,
@@ -309,11 +309,10 @@ class ExploreSession:
         frontier: List[_PointRecord] = []
         generation = -1
 
-        # With workers, one pool serves every generation: its workers
-        # keep the traces they generated for the generations after.
+        # One pool serves every generation: its workers keep the traces
+        # they generated for the generations after.
         with (nullcontext(self.pool) if self.pool is not None
-              else WorkerPool(settings.jobs) if settings.jobs > 1
-              else nullcontext()) as pool:
+              else WorkerPool(settings.jobs)) as pool:
             for generation, points in enumerate(strategy.generations()):
                 records = self._evaluate_generation(
                     generation, points, restored, counts, pool)
@@ -345,7 +344,7 @@ class ExploreSession:
         points: List[Point],
         restored: Dict[str, _PointRecord],
         counts: Dict[str, int],
-        pool: Optional[WorkerPool],
+        pool: WorkerPool,
     ) -> List[_PointRecord]:
         settings = self.settings
         lowered: List[Optional[tuple]] = []
@@ -367,15 +366,12 @@ class ExploreSession:
         )
         disk = active_disk_cache()
         # Where each new point's result comes from, judged before the
-        # prefetch below puts it in the memory cache.
+        # plan below puts it in the memory cache.
         sources = {request.fingerprint: _source_of(request.fingerprint, disk)
                    for request in pending}
-        if pending and pool is not None:
-            # Warm the caches through the supervised engine (pool
-            # parallelism over structure-sharing cohorts); the serial
-            # loop below then resolves every point as a hit.
-            execute_plan(pending, pool.size, policy=self.policy,
-                         force=True, pool=pool)
+        # The supervised engine computes the new points; the loop below
+        # then reads every one from the caches.
+        execute_plan(pending, pool.size, policy=self.policy, pool=pool)
 
         records: List[_PointRecord] = []
         for index, (point, scheme, request, error) in enumerate(lowered):
@@ -407,8 +403,8 @@ class ExploreSession:
                 if held.error is not None:
                     counts["failed"] += 1
             else:
-                # A repeat of a point this generation already fetched
-                # finds it in memory, as the serial path does.
+                # A repeat of a point this generation already read
+                # finds it in memory.
                 source = (sources.pop(fingerprint, None)
                           or _source_of(fingerprint, disk))
                 try:

@@ -17,13 +17,12 @@ Every record carries a ``type`` tag; the two core types are:
     One per run acquisition through the experiment-layer run cache:
     workload, scheme, run fingerprint, ``source`` (``memory`` /
     ``disk`` / ``computed``), the derived ``cache_hit`` flag, worker
-    provenance and the requesting experiment. A ``cache_summary``
-    record aggregates them per invocation.
+    provenance and the requesting experiment.
 
 Failure supervision (v3) adds one record per supervision event:
 ``retry`` (a failed attempt being retried, with its deterministic
-backoff delay), ``run_failure`` (a run failing permanently),
-``quarantine`` (a run failing identically twice and being benched),
+backoff delay), ``run_failure`` (a run failing permanently; verdict
+``quarantine`` when it failed identically twice and was benched),
 ``pool_respawn`` (a broken or abandoned worker pool being rebuilt),
 and a ``plan_summary`` aggregating the engine's counters.
 
@@ -60,6 +59,10 @@ pool now supervises every run it serves (docs/observability.md).
 v13 drops the ``checkpoint`` record kind that v6 added for mid-run
 checkpoint capsules: a retried run re-executes from write 0.
 
+v14 drops two record kinds nothing read: ``cache_summary`` (a tally of
+the ``cache_event`` records) and ``quarantine`` (a copy of the
+``run_failure`` record whose ``verdict`` is ``quarantine``).
+
 See docs/observability.md and docs/service.md for the full schema.
 """
 
@@ -74,10 +77,11 @@ from typing import Dict, Iterable, List, Optional, Union
 #: Schema version stamped into every header record; bump on breaking
 #: changes so downstream consumers (plotters, dashboards) can dispatch.
 #: v2: ``cache_event``/``cache_summary`` records, uninstrumented
-#: ``sim_run`` records from parallel workers.
+#: ``sim_run`` records from parallel workers (``cache_summary`` gone in
+#: v14).
 #: v3: failure-supervision records — ``run_failure``, ``retry``,
 #: ``quarantine``, ``pool_respawn`` — plus the ``plan_summary``
-#: aggregate written by the CLI.
+#: aggregate written by the CLI (``quarantine`` gone in v14).
 #: v4: service-gateway records — ``service_request``,
 #: ``service_summary``, ``service_state``.
 #: v5: tracing-plane records — ``span``, ``worker_telemetry`` — plus
@@ -107,7 +111,9 @@ from typing import Dict, Iterable, List, Optional, Union
 #: are gone; the gateway's worker pool supervises every run.
 #: v13: the v6 ``checkpoint`` record kind is gone; a retried run
 #: re-executes from write 0.
-MANIFEST_SCHEMA_VERSION = 13
+#: v14: the ``cache_summary`` and ``quarantine`` record kinds are gone;
+#: ``run_failure.verdict`` already names a quarantined run.
+MANIFEST_SCHEMA_VERSION = 14
 
 
 def _jsonable(value):

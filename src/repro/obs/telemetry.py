@@ -38,9 +38,6 @@ from .tracing import Tracer, trace_id_for
 
 log = get_logger("obs.telemetry")
 
-#: Version of the worker snapshot payload (:meth:`Telemetry.worker_snapshot`).
-WORKER_SNAPSHOT_SCHEMA = 1
-
 
 class _RunContext:
     """Book-keeping for one simulation run being observed."""
@@ -95,7 +92,7 @@ class Telemetry:
         #: through the experiment-layer cache (hit or compute).
         self.sim_requests: List[Dict[str, object]] = []
         #: Failure-supervision records (``run_failure`` / ``retry`` /
-        #: ``quarantine`` / ``pool_respawn``), in event order.
+        #: ``pool_respawn`` / ``batch_cohort``), in event order.
         self.resilience_events: List[Dict[str, object]] = []
         #: ``service_request`` manifest records: one per gateway request
         #: against a simulation endpoint (``/run``, ``/experiment``).
@@ -227,7 +224,6 @@ class Telemetry:
         :meth:`merge_worker_telemetry`. It travels in the run's outcome
         file."""
         return {
-            "schema": WORKER_SNAPSHOT_SCHEMA,
             "fingerprint": fingerprint,
             "worker_pid": os.getpid(),
             "trace_id": trace_id_for(fingerprint),
@@ -334,19 +330,10 @@ class Telemetry:
 
     def record_run_failure(self, failure: Dict[str, object]) -> None:
         """Record a terminal run failure (manifest ``run_failure``
-        record; verdict ``quarantine`` additionally emits a
-        ``quarantine`` record so benched runs are grep-able)."""
+        record; its ``verdict`` is ``fail`` or ``quarantine``)."""
         record = {"type": "run_failure", **failure}
         self.resilience_events.append(record)
         self._emit("run_failure", record)
-        if failure.get("verdict") == "quarantine":
-            self.resilience_events.append({
-                "type": "quarantine",
-                "fingerprint": failure.get("fingerprint"),
-                "workload": failure.get("workload"),
-                "scheme": failure.get("scheme"),
-                "error": failure.get("error"),
-            })
 
     def record_pool_respawn(self, *, respawns: int, reason: str,
                             requeued: int,
@@ -601,18 +588,6 @@ class Telemetry:
         writer.extend(self.worker_telemetry)
         if self.plan_summary is not None:
             writer.append({"type": "plan_summary", **self.plan_summary})
-        if self.sim_requests:
-            hits = sum(1 for r in self.sim_requests if r["cache_hit"])
-            by_source: Dict[str, int] = {}
-            for r in self.sim_requests:
-                source = str(r["source"])
-                by_source[source] = by_source.get(source, 0) + 1
-            writer.append({
-                "type": "cache_summary",
-                "requests": len(self.sim_requests),
-                "hits": hits,
-                "by_source": by_source,
-            })
         if self.service_requests:
             by_status: Dict[str, int] = {}
             for request in self.service_requests:

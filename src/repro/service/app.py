@@ -615,8 +615,8 @@ class Gateway:
         sources: Dict[str, int] = {}
         for _, source in resolved.values():
             sources[source] = sources.get(source, 0) + 1
-        # Render from what admission resolved, never the memory cache:
-        # a run evicted since would be recomputed in this process.
+        # Render from what admission resolved, never the memory cache,
+        # which may have evicted a run since.
         results = {key: resolved[request.fingerprint][0]
                    for key, request in runs.items()}
         started = time.monotonic()

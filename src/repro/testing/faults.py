@@ -30,7 +30,6 @@ spec naming any other point is rejected):
 point           fires from                            key
 =============== ===================================== ==================
 ``worker_run``  engine worker, before the run         ``workload/scheme/fingerprint``
-``serial_run``  parent process, before a lazy run     ``workload/scheme/fingerprint``
 ``cache_put``   :meth:`SimCache.put`, before writing  cache key (fingerprint)
 ``cache_corrupt`` :meth:`SimCache.put`, on the bytes  cache key (fingerprint)
 ``explore_point`` :class:`~repro.explore.session.     ``session:fingerprint``
@@ -63,8 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 ENV_VAR = "REPRO_FAULTS"
 
 #: The injection points wired into the library (the table above).
-POINTS = ("worker_run", "serial_run", "cache_put", "cache_corrupt",
-          "explore_point")
+POINTS = ("worker_run", "cache_put", "cache_corrupt", "explore_point")
 
 #: Exception types a ``mode="error"`` spec may raise, by name. Kept to a
 #: closed set so a fault plan can never name arbitrary code.

@@ -27,8 +27,10 @@ from repro.config.system import (
 )
 from repro.experiments import engine
 from repro.experiments.base import (
+    RunRequest,
     clear_failed_runs,
     clear_sim_cache,
+    fetch,
     use_disk_cache,
     use_telemetry,
 )
@@ -99,6 +101,14 @@ def count_worker_runs(monkeypatch, path) -> None:
         inject(point, key=key)
 
     monkeypatch.setattr(engine, "maybe_inject", counting)
+
+
+def planned(config: SystemConfig, workload: str, scheme: str, scale):
+    """One run's result the way the product obtains it: computed by the
+    engine, then read from the caches."""
+    request = RunRequest(config, workload, scheme, scale)
+    engine.execute_plan([request])
+    return fetch(request)
 
 
 @pytest.fixture

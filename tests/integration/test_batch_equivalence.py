@@ -30,8 +30,8 @@ from repro.experiments.base import (
     RunScale,
     cache_get,
     clear_sim_cache,
+    execute_request,
     failed_runs,
-    fetch,
 )
 from repro.experiments.batch import partition_cohorts
 from repro.experiments.engine import dedupe_requests, execute_plan
@@ -58,11 +58,10 @@ def registry_plan(kernel: str):
 
 
 def serial_truth(requests):
-    """Fingerprint -> result, computed serially with pristine caches."""
-    clear_sim_cache()
-    truth = {request.fingerprint: fetch(request) for request in requests}
-    clear_sim_cache()
-    return truth
+    """Fingerprint -> result, computed serially in this process,
+    uncached."""
+    return {request.fingerprint: execute_request(request)
+            for request in requests}
 
 
 def executed_results(requests, **plan_kwargs):

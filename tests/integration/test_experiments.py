@@ -3,9 +3,9 @@ scale on the tiny system and produces well-formed results."""
 
 import pytest
 
-from repro.experiments.base import RunScale, clear_sim_cache, fetch
+from repro.experiments.base import RunScale, clear_sim_cache
+from repro.experiments.engine import execute_plan
 from repro.experiments.registry import available_experiments, get_experiment
-from repro.testing.faults import FaultSpec, clear_faults, install_faults
 
 from ..conftest import make_tiny_config, reset_run_state
 
@@ -58,19 +58,14 @@ def test_experiment_runs_and_renders(exp_id):
 
 @pytest.mark.parametrize("exp_id", available_experiments())
 def test_render_reads_only_planned_runs(exp_id):
-    """Once every planned run is fetched, the experiment renders without
-    a single further simulation: its plan names everything it reads."""
+    """Once its plan is executed, the experiment renders from the
+    caches: ``run()`` raises on any read of a run its plan did not
+    name."""
     experiment = get_experiment(exp_id)
     config = make_tiny_config()
     clear_sim_cache()
-    for request in experiment.plan(config, MICRO):
-        fetch(request)
-    install_faults([FaultSpec(point="serial_run", error="RuntimeError",
-                              message="unplanned run")])
-    try:
-        result = experiment(config, MICRO)
-    finally:
-        clear_faults()
+    execute_plan(experiment.plan(config, MICRO))
+    result = experiment.run(config, MICRO)
     assert result.rows
 
 

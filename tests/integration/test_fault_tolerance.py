@@ -33,9 +33,10 @@ from repro.experiments.base import (
     _SIM_CACHE,
     clear_failed_runs,
     clear_sim_cache,
+    execute_request,
     failed_runs,
+    fetch,
     mark_run_failed,
-    sim,
     use_disk_cache,
     use_telemetry,
 )
@@ -68,16 +69,15 @@ def micro_plan(config):
 
 
 def serial_truth(config, requests):
-    """Ground truth per fingerprint, computed serially and uncached."""
-    clear_sim_cache()
-    use_disk_cache(None)
+    """Ground truth per fingerprint, computed in this process and
+    uncached."""
     truth = {}
     for request in requests:
-        result = sim(config, request.workload, request.scheme, MICRO)
+        result = execute_request(
+            RunRequest(config, request.workload, request.scheme, MICRO))
         truth[request.fingerprint] = (
             result.cycles, result.cpi, result.stats.snapshot(),
         )
-    clear_sim_cache()
     return truth
 
 
@@ -92,17 +92,13 @@ def budget_sweep(n_budgets: int = 4):
 
 def sweep_truth(requests):
     """Ground truth per fingerprint for requests with their own
-    configs, computed serially and uncached."""
-    clear_sim_cache()
-    use_disk_cache(None)
+    configs, computed in this process and uncached."""
     truth = {}
     for request in requests:
-        result = sim(request.config, request.workload, request.scheme,
-                     MICRO)
+        result = execute_request(request)
         truth[request.fingerprint] = (
             result.cycles, result.cpi, result.stats.snapshot(),
         )
-    clear_sim_cache()
     return truth
 
 
@@ -210,7 +206,7 @@ class TestWorkerCrash:
         use_disk_cache(SimCache(tmp_path / "cache"))
         policy = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
                              backoff_cap_s=0.05)
-        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+        summary = execute_plan(requests, jobs=1, policy=policy)
 
         assert summary["computed"] == 3
         assert summary["failed"] == 1
@@ -300,8 +296,7 @@ class TestHungWorker:
         use_telemetry(telemetry)
         policy = RetryPolicy(max_attempts=1, run_timeout_s=3.0,
                              backoff_base_s=0.01)
-        summary = execute_plan([innocent, hung], jobs=1, force=True,
-                               policy=policy)
+        summary = execute_plan([innocent, hung], jobs=1, policy=policy)
 
         assert summary["computed"] == 1
         assert innocent.fingerprint in _SIM_CACHE
@@ -336,7 +331,7 @@ class TestHungWorker:
         budget = 3.0
         policy = RetryPolicy(max_attempts=1, run_timeout_s=budget)
         start = time.monotonic()
-        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+        summary = execute_plan(requests, jobs=1, policy=policy)
         elapsed = time.monotonic() - start
 
         assert elapsed < 3 * budget   # a cohort-sized budget is 4 × 3 s
@@ -468,13 +463,13 @@ class TestSlotFailures:
                          for scheme in ("fpb", "ideal"))
         with engine.WorkerPool(1) as pool:
             [slot] = pool.slots
-            execute_plan([first], jobs=1, force=True, pool=pool)
+            execute_plan([first], jobs=1, pool=pool)
             dead = slot.process.pid
             os.kill(dead, signal.SIGKILL)
             deadline = time.monotonic() + 10
             while slot.alive() and time.monotonic() < deadline:
                 time.sleep(0.05)
-            summary = execute_plan([second], jobs=1, force=True, pool=pool)
+            summary = execute_plan([second], jobs=1, pool=pool)
             assert slot.process.pid != dead
 
         assert summary["computed"] == 1
@@ -498,7 +493,7 @@ class TestQueueTime:
         }]))
         use_disk_cache(SimCache(tmp_path / "cache"))
         policy = RetryPolicy(max_attempts=1, run_timeout_s=2.5)
-        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+        summary = execute_plan(requests, jobs=1, policy=policy)
         assert summary["timeouts"] == 0
         assert summary["computed"] == 4
 
@@ -517,7 +512,7 @@ class TestQueueTime:
         with engine.WorkerPool(1) as pool, \
                 ThreadPoolExecutor(max_workers=2) as threads:
             futures = [threads.submit(execute_plan, [request], jobs=1,
-                                      force=True, policy=policy, pool=pool)
+                                      policy=policy, pool=pool)
                        for request in requests]
             summaries = [future.result(timeout=120) for future in futures]
         for summary in summaries:
@@ -546,8 +541,7 @@ class TestMemberFailure:
         }]))
         use_disk_cache(SimCache(tmp_path / "cache"))
         policy = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
-        summary = execute_plan(requests, jobs=jobs, force=True,
-                               policy=policy)
+        summary = execute_plan(requests, jobs=jobs, policy=policy)
 
         assert summary["quarantined"] == 1
         assert summary["failed"] == 0
@@ -585,7 +579,7 @@ class TestMemberFailure:
         telemetry = Telemetry()
         use_telemetry(telemetry)
         policy = RetryPolicy(backoff_base_s=0.01, backoff_cap_s=0.05)
-        summary = execute_plan(requests, jobs=1, force=True, policy=policy)
+        summary = execute_plan(requests, jobs=1, policy=policy)
 
         assert summary["computed"] == 3
         assert summary["quarantined"] == 1
@@ -595,6 +589,12 @@ class TestMemberFailure:
         actions = [r["action"] for r in telemetry.resilience_events
                    if r["type"] == "batch_cohort"]
         assert actions.count("dissolved") == 1
+        # The run_failure record alone names the quarantine.
+        [record] = [r for r in telemetry.resilience_events
+                    if r["type"] == "run_failure"]
+        assert record["verdict"] == "quarantine"
+        assert not [r for r in telemetry.resilience_events
+                    if r["type"] == "quarantine"]
         for fingerprint, (cycles, cpi, snapshot) in truth.items():
             got = _SIM_CACHE[fingerprint]
             assert (got.cycles, got.cpi) == (cycles, cpi)
@@ -661,21 +661,24 @@ class TestFailedRunRegistry:
         mark_run_failed(request.fingerprint,
                         "OSError: boom (fail after 3 attempt(s))")
         with pytest.raises(RunFailedError, match="boom") as info:
-            sim(config, "tig_m", "fpb", MICRO)
+            fetch(request)
         assert info.value.fingerprint == request.fingerprint
         # Clearing the registry (what a re-plan does) restores the run.
         clear_failed_runs([request.fingerprint])
-        assert sim(config, "tig_m", "fpb", MICRO).cycles > 0
+        execute_plan([request])
+        assert fetch(request).cycles > 0
 
 
 class TestCLIAcceptance:
     """The acceptance bar, driven through the real CLI: a fault injected
-    into 1 of N planned runs, ``run --jobs 2 --keep-going`` completes
-    the other N-1 bit-identical to serial, marks the failure in the
-    manifest and summary, and exits nonzero."""
+    into 1 of N planned runs, ``run --keep-going`` completes the other
+    N-1 bit-identical to serial, marks the failure in the manifest and
+    summary, and exits nonzero, at the default ``--jobs 1`` as at
+    ``--jobs 2``."""
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_keep_going_run_with_injected_crash(self, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, jobs):
         from repro.experiments import cli
         from repro.experiments.base import SCALES
 
@@ -698,7 +701,7 @@ class TestCLIAcceptance:
         manifest = tmp_path / "manifest.jsonl"
         out_dir = tmp_path / "out"
         exit_code = cli.main([
-            "run", "fig17", "tab1", "--scale", "micro", "--jobs", "2",
+            "run", "fig17", "tab1", "--scale", "micro", "--jobs", jobs,
             "--keep-going", "--retries", "1", "--seed", "1",
             "--cache-dir", str(tmp_path / "cache"),
             "--metrics-out", str(manifest),

@@ -18,7 +18,8 @@ from repro.experiments.base import (
     RunScale,
     _SIM_CACHE,
     clear_sim_cache,
-    sim,
+    execute_request,
+    fetch,
     use_disk_cache,
 )
 from repro.experiments.engine import dedupe_requests, execute_plan
@@ -39,9 +40,11 @@ def isolated_caches(isolated_run_state):
 
 
 def run_serial(config):
-    clear_sim_cache()
-    use_disk_cache(None)
-    return Fig17MRSplit().run(config, MICRO)
+    """Fig. 17 rendered from runs computed in this process, uncached."""
+    exp = Fig17MRSplit()
+    results = {key: execute_request(request)
+               for key, request in exp.runs(config, MICRO).items()}
+    return exp.render(config, MICRO, results)
 
 
 class TestParallelEquivalence:
@@ -95,13 +98,15 @@ class TestParallelEquivalence:
         cache = SimCache(tmp_path / "cache")
         use_disk_cache(cache)
         request = RunRequest(config, "tig_m", "fpb", MICRO)
-        original = sim(config, "tig_m", "fpb", MICRO)
+        execute_plan([request])
+        original = fetch(request)
 
         # Truncate the stored entry, then resolve the same run cold.
         path = cache.path_for(request.fingerprint)
         path.write_bytes(path.read_bytes()[:50])
         clear_sim_cache()
-        recomputed = sim(config, "tig_m", "fpb", MICRO)
+        execute_plan([request])
+        recomputed = fetch(request)
 
         assert cache.corrupt == 1  # detected, not deserialized blindly
         assert recomputed.cycles == original.cycles
@@ -162,11 +167,9 @@ class TestWorkerPool:
 
         pooled = {request.fingerprint: _SIM_CACHE[request.fingerprint]
                   for plan in plans for request in plan}
-        clear_sim_cache()
         for plan in plans:
             for request in plan:
-                serial = sim(config, request.workload, request.scheme,
-                             MICRO)
+                serial = execute_request(request)
                 assert (pooled[request.fingerprint].result_fingerprint()
                         == serial.result_fingerprint())
 
@@ -183,16 +186,18 @@ class TestPlanDedupe:
         fingerprints = {r.fingerprint for r in requests}
         assert len(unique) == len(fingerprints)
 
-    def test_jobs_one_probes_but_does_not_compute(self, tmp_path):
+    def test_jobs_one_computes_every_pending_run(self, tmp_path):
+        """One worker computes the whole plan: ``jobs=1`` is a pool
+        size, not a way to skip the engine."""
         config = make_tiny_config()
         use_disk_cache(SimCache(tmp_path / "cache"))
         requests = Fig17MRSplit().plan(config, MICRO)
         summary = execute_plan(requests, jobs=1)
         expected = {
             "planned": len(requests), "unique": 4,
-            "memory": 0, "disk": 0, "computed": 0,
+            "memory": 0, "disk": 0, "computed": 4,
         }
         assert {k: summary[k] for k in expected} == expected
         assert summary["failed"] == summary["quarantined"] == 0
         assert summary["failures"] == []
-        assert not _SIM_CACHE  # nothing ran
+        assert all(request.fingerprint in _SIM_CACHE for request in requests)

@@ -4,7 +4,6 @@ multi-round writes."""
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from repro.config.system import SchedulerConfig
 from repro.core.policies.registry import get_scheme

@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config.system import SchedulerConfig
 from repro.sim.runner import run_simulation
 

@@ -32,7 +32,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.base import _SIM_CACHE, clear_sim_cache, fetch
+from repro.experiments.base import (
+    _SIM_CACHE,
+    clear_sim_cache,
+    execute_request,
+)
 from repro.experiments.registry import get_experiment
 from repro.explore import ExploreSession, frontier_report
 from repro.obs.manifest import config_to_dict
@@ -45,12 +49,7 @@ from repro.service.schemas import (
     SimResponse,
 )
 from repro.service.testing import GatewayHarness
-from repro.testing.faults import (
-    ENV_VAR,
-    FaultSpec,
-    clear_faults,
-    install_faults,
-)
+from repro.testing.faults import ENV_VAR, clear_faults
 
 from ..conftest import count_trace_generations
 
@@ -116,7 +115,7 @@ def serial_wire_payload(fields):
     key)."""
     sim_request = SimRequest.from_wire(fields)
     request = sim_request.to_run_request()
-    result = fetch(request)
+    result = execute_request(request)
     payload = SimResponse(sim_request, request.fingerprint, "serial",
                           result).to_wire()
     payload.pop("source")
@@ -460,18 +459,15 @@ def test_experiment_renders_without_simulating_in_the_gateway(
     engine, then renders from exactly those results: a run missing from
     the plan (tab3 reads Figure 13's runs) or evicted from the memory
     cache meanwhile (fig17 under a 1-entry bound) is never simulated in
-    the gateway process, where a serial run raises here."""
+    the gateway process."""
     fields = {"scale": "quick", "n_pcm_writes": 20,
               "max_refs_per_core": 4000}
-    install_faults([FaultSpec(point="serial_run", error="RuntimeError",
-                              message="simulated in the gateway")])
     with GatewayHarness(jobs=1, **gateway_kwargs) as harness:
         payload = harness.client().experiment(exp_id, **fields)
         counters = harness.client().metrics()["metrics"]["counters"]
     assert payload["planned_runs"]["total"] == n_runs
     assert counters["service_runs_computed"] == n_runs
 
-    clear_faults()
     request = ExperimentRequest.from_wire({"experiment": exp_id, **fields})
     expected = get_experiment(exp_id)(request.config(), request.scale)
     assert payload["rows"] == json.loads(
@@ -480,18 +476,16 @@ def test_experiment_renders_without_simulating_in_the_gateway(
 
 def test_explore_computes_on_the_pool_not_in_the_gateway(monkeypatch):
     """``POST /explore`` computes each generation's points on the
-    gateway's worker pool, never in the gateway process, where a serial
-    run raises here. Its frontier is the one an in-process session
-    computes, every point counts as computed, and a cold ``/run`` sent
-    while the exploration's plan runs takes its turn on the pool."""
+    gateway's worker pool, never in the gateway process. Its frontier is
+    the one a session on a private pool computes, every point counts as
+    computed, and a cold ``/run`` sent while the exploration's plan runs
+    takes its turn on the pool."""
     body = {"space": {"name": "gw", "axes": [
                 {"param": "dimm_tokens", "values": [490, 560]}]},
             "strategy": "grid", "budget_points": 2, "workload": "tig_m",
             **MICRO_FIELDS}
     cold = run_fields("mcf_m", "fpb")
     monkeypatch.setenv(ENV_VAR, json.dumps([
-        {"point": "serial_run", "error": "RuntimeError",
-         "message": "simulated in the gateway"},
         # Keeps the exploration's plan running when the /run arrives.
         {"point": "worker_run", "mode": "hang", "hang_s": 1.0,
          "match": "tig_m/"},

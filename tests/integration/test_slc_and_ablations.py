@@ -2,8 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
-
 from repro.config.presets import slc_config
 from repro.experiments.base import RunScale
 from repro.experiments.registry import get_experiment

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.base import RunScale, sim
+from repro.experiments.base import RunScale
 from repro.experiments.registry import get_experiment
 from repro.obs.telemetry import Telemetry
 from repro.sim.runner import run_simulation
 
-from ..conftest import make_tiny_config
+from ..conftest import make_tiny_config, planned
 
 #: Micro scale: enough PCM writes to fill the WRQ and open a burst.
 MICRO = RunScale("micro", 40, 10_000, ("mcf_m",))
@@ -33,7 +33,7 @@ MICRO = RunScale("micro", 40, 10_000, ("mcf_m",))
 
 @pytest.fixture(scope="module")
 def baseline_result():
-    return sim(make_tiny_config(), "mcf_m", "dimm+chip", MICRO)
+    return planned(make_tiny_config(), "mcf_m", "dimm+chip", MICRO)
 
 
 def test_burst_accounting_is_coherent(baseline_result):
@@ -50,7 +50,7 @@ def test_baseline_bursts_ideal_does_not(baseline_result):
     spends a large share of execution in write bursts; with unlimited
     power (ideal) the same workload at the same scale never saturates
     the write queue."""
-    ideal = sim(make_tiny_config(), "mcf_m", "ideal", MICRO)
+    ideal = planned(make_tiny_config(), "mcf_m", "ideal", MICRO)
     assert baseline_result.stats.burst_fraction \
         > ideal.stats.burst_fraction
     # ~52% of cycles in burst, the paper's Figure 10 ballpark.

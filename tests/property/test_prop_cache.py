@@ -1,6 +1,5 @@
 """Property tests: cache invariants under random access streams."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core.policies.base import PowerManager
 from repro.core.write_op import WriteOperation
-from repro.pcm.chip import TOKEN_EPS
 from repro.pcm.dimm import DIMM
 
 from ..conftest import make_tiny_config

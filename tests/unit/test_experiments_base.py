@@ -11,12 +11,12 @@ from repro.experiments.base import (
     RunScale,
     SCALES,
     fetch,
-    sim,
     speedup_rows,
     speedup_runs,
 )
+from repro.experiments.engine import execute_plan
 
-from ..conftest import make_tiny_config
+from ..conftest import make_tiny_config, planned
 
 MICRO = RunScale("micro", 30, 8_000, ("tig_m",))
 
@@ -64,20 +64,20 @@ class TestExperimentResult:
 class TestSimCache:
     def test_memoized(self):
         config = make_tiny_config()
-        a = sim(config, "tig_m", "ideal", MICRO)
-        b = sim(config, "tig_m", "ideal", MICRO)
+        a = planned(config, "tig_m", "ideal", MICRO)
+        b = planned(config, "tig_m", "ideal", MICRO)
         assert a is b
 
     def test_distinct_schemes_not_shared(self):
         config = make_tiny_config()
-        a = sim(config, "tig_m", "ideal", MICRO)
-        b = sim(config, "tig_m", "dimm+chip", MICRO)
+        a = planned(config, "tig_m", "ideal", MICRO)
+        b = planned(config, "tig_m", "dimm+chip", MICRO)
         assert a is not b
 
     def test_config_knobs_in_key(self):
         config = make_tiny_config()
-        a = sim(config, "tig_m", "fpb", MICRO)
-        b = sim(config.with_dimm_tokens(466), "tig_m", "fpb", MICRO)
+        a = planned(config, "tig_m", "fpb", MICRO)
+        b = planned(config.with_dimm_tokens(466), "tig_m", "fpb", MICRO)
         assert a is not b
 
     def test_previously_unkeyed_field_not_shared(self):
@@ -90,12 +90,13 @@ class TestSimCache:
         lowered = replace(
             config, power=replace(config.power, lcp_efficiency=0.80),
         )
-        a = sim(config, "tig_m", "fpb", MICRO)
-        b = sim(lowered, "tig_m", "fpb", MICRO)
+        a = planned(config, "tig_m", "fpb", MICRO)
+        b = planned(lowered, "tig_m", "fpb", MICRO)
         assert a is not b
 
 
 def fetch_all(runs):
+    execute_plan(runs.values())
     return {key: fetch(request) for key, request in runs.items()}
 
 

@@ -75,11 +75,12 @@ class TestParsePlan:
         with pytest.raises(ValueError, match="must be an object"):
             parse_plan('["cache_put"]')
 
-    def test_rejects_a_point_nothing_fires(self):
+    @pytest.mark.parametrize("point", ["sim_progress", "serial_run"])
+    def test_rejects_a_point_nothing_fires(self, point):
         """A spec naming an unwired point would never fire, and a chaos
         test built on it would pass without injecting anything."""
         with pytest.raises(ValueError, match="unknown fault point"):
-            parse_plan('[{"point": "sim_progress"}]')
+            parse_plan(json.dumps([{"point": point}]))
 
 
 class TestFiring:
@@ -102,29 +103,29 @@ class TestFiring:
     def test_nth_skips_earlier_calls_then_keeps_firing(self):
         """``times=None`` from ``nth`` on — the shape of a
         deterministically-broken run."""
-        install_faults([FaultSpec(point="serial_run", nth=3)])
-        maybe_inject("serial_run")
-        maybe_inject("serial_run")
+        install_faults([FaultSpec(point="cache_put", nth=3)])
+        maybe_inject("cache_put")
+        maybe_inject("cache_put")
         for _ in range(2):
             with pytest.raises(OSError):
-                maybe_inject("serial_run")
+                maybe_inject("cache_put")
 
     def test_times_bounds_total_firings(self):
-        install_faults([FaultSpec(point="serial_run", times=1)])
+        install_faults([FaultSpec(point="cache_put", times=1)])
         with pytest.raises(OSError):
-            maybe_inject("serial_run")
-        maybe_inject("serial_run")  # spent
+            maybe_inject("cache_put")
+        maybe_inject("cache_put")  # spent
 
     def test_stamp_makes_a_cross_process_one_shot(self, tmp_path):
         stamp = str(tmp_path / "fired.stamp")
-        install_faults([FaultSpec(point="serial_run", stamp=stamp)])
+        install_faults([FaultSpec(point="cache_put", stamp=stamp)])
         with pytest.raises(OSError):
-            maybe_inject("serial_run")
+            maybe_inject("cache_put")
         assert (tmp_path / "fired.stamp").exists()
-        maybe_inject("serial_run")  # stamp claimed: never again
+        maybe_inject("cache_put")  # stamp claimed: never again
         # a fresh plan (standing in for a fresh process) honours it too
-        install_faults([FaultSpec(point="serial_run", stamp=stamp)])
-        maybe_inject("serial_run")
+        install_faults([FaultSpec(point="cache_put", stamp=stamp)])
+        maybe_inject("cache_put")
 
     def test_env_plan_drives_injection(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, json.dumps(

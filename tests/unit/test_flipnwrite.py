@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.pcm.cells import bytes_to_levels
 from repro.pcm.flipnwrite import FlipNWrite, flip_savings_sample
 from repro.rng import make_rng
 

@@ -1,7 +1,6 @@
 """Memory-controller mechanics, driven with hand-built traces."""
 
 import numpy as np
-import pytest
 
 from repro.core.policies.registry import get_scheme
 from repro.pcm.dimm import DIMM

@@ -9,8 +9,6 @@ never a blindly-deserialized result.
 import hashlib
 import pickle
 
-import pytest
-
 from repro.sim import simcache
 from repro.sim.runner import SimResult
 from repro.sim.simcache import SIM_SCHEMA_VERSION, SimCache, run_fingerprint
