@@ -276,14 +276,6 @@ class WriteOperation:
         self._check_iteration(i)
         return float(self._profiles(reset_set_ratio)[1][i])
 
-    def chip_profile(self, i: int, reset_set_ratio: float) -> np.ndarray:
-        """Cached equivalent of ``chip_alloc(i, ratio, ipm=True)``.
-
-        Returns a read-only view into the cached profile matrix.
-        """
-        self._check_iteration(i)
-        return self._profiles(reset_set_ratio)[2][i]
-
     def chip_plan(
         self, i: int, reset_set_ratio: float
     ) -> Tuple[np.ndarray, float, np.ndarray]:

@@ -177,11 +177,15 @@ class Experiment(abc.ABC):
     def run(self, config: SystemConfig, scale: RunScale) -> ExperimentResult:
         """Render from the caches. Every run must have been planned:
         :func:`fetch` raises for one that was not, or that failed."""
+        return self._render_from_caches(config, scale,
+                                        self.runs(config, scale))
+
+    def _render_from_caches(self, config: SystemConfig, scale: RunScale,
+                            runs: Runs) -> ExperimentResult:
         # Interval measurement must be monotonic: an NTP step mid-run
         # would make a wall-clock difference negative or garbage.
         start = time.monotonic()
-        results = {key: fetch(request)
-                   for key, request in self.runs(config, scale).items()}
+        results = {key: fetch(request) for key, request in runs.items()}
         result = self.render(config, scale, results)
         result.elapsed_seconds = time.monotonic() - start
         result.scale = scale.name
@@ -192,14 +196,16 @@ class Experiment(abc.ABC):
         config: Optional[SystemConfig] = None,
         scale: RunScale = DEFAULT,
     ) -> ExperimentResult:
-        """Execute :meth:`plan` on the engine, then :meth:`run`;
-        ``elapsed_seconds`` covers both."""
+        """Execute the runs on the engine, then render them as
+        :meth:`run` does; ``elapsed_seconds`` covers both. The requests
+        are built once, for both steps."""
         from .engine import execute_plan
 
         config = config or baseline_config()
         start = time.monotonic()
-        execute_plan(self.plan(config, scale))
-        result = self.run(config, scale)
+        runs = self.runs(config, scale)
+        execute_plan(runs.values())
+        result = self._render_from_caches(config, scale, runs)
         result.elapsed_seconds = time.monotonic() - start
         return result
 

@@ -252,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
              "0 = one per CPU)",
     )
     explore.add_argument(
-        "--resume", action="store_true",
-        help="restore already-evaluated points from the session journal "
-             "(found by the deterministic session id) instead of "
-             "starting fresh",
-    )
-    explore.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("results/explore"),
         metavar="DIR",
         help="report directory: <space>-<strategy>-<seed>.json (full), "
@@ -267,13 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "--cache-dir", type=pathlib.Path,
         default=pathlib.Path(DEFAULT_CACHE_DIR), metavar="DIR",
-        help="on-disk run cache directory; session journals live under "
-             "<cache-dir>/explore/ (default .simcache/)",
+        help="on-disk run cache directory; rerunning an interrupted "
+             "exploration reads the points it already evaluated from "
+             "here (default .simcache/)",
     )
     explore.add_argument(
         "--no-cache", action="store_true",
-        help="disable the on-disk run cache (journals then live under "
-             "<out>/journal/)",
+        help="disable the on-disk run cache (a rerun then recomputes "
+             "every point)",
     )
     explore.add_argument(
         "--metrics-out", type=pathlib.Path, default=None, metavar="PATH",
@@ -480,8 +475,6 @@ def _explore_main(args) -> int:
     if not args.no_cache:
         cache = SimCache(args.cache_dir)
         use_disk_cache(cache)
-    journal_dir = ((args.cache_dir if cache is not None else args.out)
-                   / "explore")
 
     policy = RetryPolicy(max_attempts=args.retries + 1,
                          run_timeout_s=args.timeout)
@@ -503,22 +496,20 @@ def _explore_main(args) -> int:
             jobs=args.jobs,
         )
         session = ExploreSession(
-            settings, base_config, policy=policy,
-            journal_dir=journal_dir, telemetry=telemetry,
+            settings, base_config, policy=policy, telemetry=telemetry,
             registry=telemetry.registry if telemetry else None,
         )
         log.info("explore: space %s (%s), strategy %s, budget %d, "
-                 "seed %d — session %s%s",
+                 "seed %d — session %s",
                  space.name, space.fingerprint()[:12], args.strategy,
-                 args.budget_points, args.seed, session.session_id[:12],
-                 " (resuming)" if args.resume else "")
-        report = session.run(resume=args.resume)
+                 args.budget_points, args.seed, session.session_id[:12])
+        report = session.run()
     except ExploreError as exc:
         log.error("explore failed: %s", exc)
         return EXIT_FAILURE
     except KeyboardInterrupt:
-        log.error("interrupted — evaluated points are journaled; rerun "
-                  "with --resume to continue this session")
+        log.error("interrupted — rerun the same command to continue: "
+                  "points already computed are read from the run cache")
         return EXIT_INTERRUPTED
     finally:
         use_telemetry(None)
@@ -538,10 +529,9 @@ def _explore_main(args) -> int:
 
     counts = report["counts"]
     log.info("explore: %d point(s) — %d computed, %d cached, "
-             "%d restored, %d failed; frontier size %d",
+             "%d failed; frontier size %d",
              counts["evaluated"], counts["computed"], counts["cached"],
-             counts["restored"], counts["failed"],
-             len(report["frontier"]))
+             counts["failed"], len(report["frontier"]))
 
     args.out.mkdir(parents=True, exist_ok=True)
     stem = f"{space.name}-{args.strategy}-{args.seed}"

@@ -184,11 +184,10 @@ def _execute_one(
     """One run in this process, uncached — the member body of an engine
     worker: ``(result, telemetry snapshot)``.
 
-    With an ``obs`` spec (``sample_interval`` /
-    ``max_samples_per_series`` / ``parent_span_id``) the run executes
-    under a process-local :class:`~repro.obs.Telemetry` whose JSON-safe
-    :meth:`~repro.obs.Telemetry.worker_snapshot` comes back for the
-    parent to merge; without one the snapshot is ``None``.
+    With an ``obs`` spec (``sample_interval`` / ``parent_span_id``) the
+    run executes under a process-local :class:`~repro.obs.Telemetry`
+    whose JSON-safe :meth:`~repro.obs.Telemetry.worker_snapshot` comes
+    back for the parent to merge; without one the snapshot is ``None``.
     """
     maybe_inject("worker_run", key=request_key(request))
     if obs is None:
@@ -198,9 +197,7 @@ def _execute_one(
 
     fingerprint = request.fingerprint
     telemetry = Telemetry(
-        sample_interval=int(obs.get("sample_interval") or 5_000),
-        max_samples_per_series=obs.get("max_samples_per_series"),
-    )
+        sample_interval=int(obs.get("sample_interval") or 5_000))
     context = tracing.SpanContext(
         tracing.trace_id_for(fingerprint),
         str(obs.get("parent_span_id") or ""),
@@ -417,8 +414,6 @@ class _PlanSupervisor:
         context = tracing.current_context()
         return {
             "sample_interval": self.telemetry.sample_interval,
-            "max_samples_per_series":
-                self.telemetry.max_samples_per_series,
             "parent_span_id":
                 context.span_id if context is not None else None,
         }

@@ -10,8 +10,9 @@ Public surface:
   interface, deterministic given ``(space, strategy, seed)``;
 * :func:`~repro.explore.pareto.pareto_frontier` and the default
   throughput / power / pump-area objectives (Eq. 1);
-* :class:`~repro.explore.session.ExploreSession` — journaled,
-  resumable execution through the ordinary plan/execute/cache engine.
+* :class:`~repro.explore.session.ExploreSession` — execution through
+  the ordinary plan/execute/cache engine; a rerun of an interrupted
+  session reads the points it already paid for from the run caches.
 """
 
 from .pareto import (

@@ -1,14 +1,13 @@
-"""Resumable exploration sessions over the run machinery.
+"""Exploration sessions over the run machinery.
 
 An :class:`ExploreSession` turns a ``(space, strategy, budget, seed)``
 tuple into a stream of ordinary fingerprinted runs: each probed point
 lowers to a ``RunRequest``, so it inherits the SimCache, the engine's
 resilience and cohorts, telemetry and service coverage unchanged. The
-session's own state is a **journal** — one JSON line per evaluated
-point (mirroring the manifest v9 ``explore_point`` record) in a file
-named by the deterministic session id — so a killed exploration
-restarts from the journal plus the warm caches and re-executes nothing
-it already paid for.
+run caches are the only record of a session's progress: rerunning a
+killed exploration with the same settings replays the same point
+sequence, reads every point it already paid for from the caches, and
+computes only the rest.
 
 Determinism contract: the session id, the point sequence, and the
 frontier are pure functions of the settings and base config. The
@@ -19,10 +18,8 @@ reports are byte-identical across re-runs.
 
 from __future__ import annotations
 
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..config.system import SystemConfig, config_fingerprint
@@ -42,7 +39,7 @@ from .pareto import DEFAULT_OBJECTIVES, extract_objectives, pareto_frontier
 from .space import ExploreError, Point, SearchSpace
 from .strategies import STRATEGIES, make_strategy
 
-#: Journal/report schema version (independent of the manifest's).
+#: Report schema version (independent of the manifest's).
 EXPLORE_SCHEMA = 1
 
 
@@ -75,14 +72,14 @@ class ExploreSettings:
 
 @dataclass
 class _PointRecord:
-    """One evaluated point, as journaled and reported."""
+    """One evaluated point, as reported."""
 
     generation: int
     index: int
     point: Dict[str, object]
     scheme: str
     fingerprint: str
-    source: str  # memory | disk | computed | journal | invalid | failed
+    source: str  # memory | disk | computed | invalid | failed
     objectives: Optional[Dict[str, float]]
     error: Optional[str] = None
 
@@ -110,7 +107,7 @@ class _PointRecord:
 
 
 class ExploreSession:
-    """One deterministic, resumable design-space exploration.
+    """One deterministic design-space exploration.
 
     Each generation's new points are computed by the supervised engine
     on ``pool`` when the caller passes its long-lived
@@ -124,7 +121,6 @@ class ExploreSession:
         base_config: Optional[SystemConfig] = None,
         *,
         policy=None,
-        journal_dir: Optional[Path] = None,
         registry=None,
         telemetry=None,
         on_event=None,
@@ -136,8 +132,6 @@ class ExploreSession:
             base_config = baseline_config(seed=1)
         self.base_config = base_config
         self.policy = policy
-        self.journal_dir = Path(journal_dir) if journal_dir else None
-        self.registry = registry
         self.telemetry = telemetry
         self.on_event = on_event
         self.pool = pool
@@ -166,9 +160,6 @@ class ExploreSession:
                     "strategy generations evaluated"),
                 "points": registry.counter(
                     "explore_points_total", "points evaluated"),
-                "restored": registry.counter(
-                    "explore_points_restored",
-                    "points restored from a session journal"),
                 "failed": registry.counter(
                     "explore_points_failed",
                     "points whose run failed or did not lower"),
@@ -183,56 +174,6 @@ class ExploreSession:
                 "current Pareto frontier size")
         else:
             self._frontier_gauge = None
-
-    # -- journal ------------------------------------------------------
-
-    @property
-    def journal_path(self) -> Optional[Path]:
-        if self.journal_dir is None:
-            return None
-        return self.journal_dir / f"{self.session_id}.jsonl"
-
-    def _journal_append(self, record: Dict[str, object]) -> None:
-        path = self.journal_path
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def _journal_load(self) -> Dict[str, _PointRecord]:
-        """Previously evaluated points, keyed by run fingerprint.
-        Tolerates a torn final line (the kill-mid-write case)."""
-        path = self.journal_path
-        restored: Dict[str, _PointRecord] = {}
-        if path is None or not path.exists():
-            return restored
-        for line in path.read_text(encoding="utf-8").splitlines():
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            if record.get("type") == "explore_session":
-                if record.get("session") != self.session_id:
-                    raise ExploreError(
-                        f"journal {path} belongs to session "
-                        f"{record.get('session')!r}, not "
-                        f"{self.session_id!r}"
-                    )
-                continue
-            if record.get("type") != "explore_point":
-                continue
-            restored[record["run_fingerprint"]] = _PointRecord(
-                generation=record["generation"],
-                index=record["index"],
-                point=record["point"],
-                scheme=record["scheme"],
-                fingerprint=record["run_fingerprint"],
-                source="journal",
-                objectives=record["objectives"],
-                error=record.get("error"),
-            )
-        return restored
 
     # -- telemetry ----------------------------------------------------
 
@@ -276,36 +217,17 @@ class ExploreSession:
 
     # -- execution ----------------------------------------------------
 
-    def run(self, resume: bool = False) -> Dict[str, object]:
-        """Execute (or resume) the exploration; returns the report."""
+    def run(self) -> Dict[str, object]:
+        """Execute the exploration; returns the report."""
         settings = self.settings
-        path = self.journal_path
-        restored: Dict[str, _PointRecord] = {}
-        if resume:
-            restored = self._journal_load()
-        elif path is not None and path.exists():
-            path.unlink()
-        if not restored:
-            self._journal_append({
-                "type": "explore_session",
-                "schema": EXPLORE_SCHEMA,
-                "session": self.session_id,
-                "space": settings.space.to_dict(),
-                "strategy": settings.strategy,
-                "budget_points": settings.budget_points,
-                "seed": settings.seed,
-                "workload": settings.workload,
-                "scheme": settings.scheme,
-                "scale": settings.scale.name,
-            })
         if self._counters is not None:
             self._counters["sessions"].inc()
 
         strategy = make_strategy(settings.strategy, settings.space,
                                  settings.budget_points, settings.seed)
         evaluated: List[_PointRecord] = []
-        counts = {"evaluated": 0, "restored": 0, "failed": 0,
-                  "cached": 0, "computed": 0}
+        counts = {"evaluated": 0, "failed": 0, "cached": 0,
+                  "computed": 0}
         frontier: List[_PointRecord] = []
         generation = -1
 
@@ -315,16 +237,9 @@ class ExploreSession:
               else WorkerPool(settings.jobs)) as pool:
             for generation, points in enumerate(strategy.generations()):
                 records = self._evaluate_generation(
-                    generation, points, restored, counts, pool)
+                    generation, points, counts, pool)
                 evaluated.extend(records)
                 frontier = self._frontier_of(evaluated)
-                self._journal_append({
-                    "type": "explore_frontier",
-                    "session": self.session_id,
-                    "generation": generation,
-                    "size": len(frontier),
-                    "points": [r.fingerprint for r in frontier],
-                })
                 self._emit_frontier(generation, frontier)
                 if self._counters is not None:
                     self._counters["generations"].inc()
@@ -342,7 +257,6 @@ class ExploreSession:
         self,
         generation: int,
         points: List[Point],
-        restored: Dict[str, _PointRecord],
         counts: Dict[str, int],
         pool: WorkerPool,
     ) -> List[_PointRecord]:
@@ -360,17 +274,14 @@ class ExploreSession:
             lowered.append((point, scheme, request, None))
 
         pending = dedupe_requests(
-            entry[2] for entry in lowered
-            if entry[2] is not None
-            and entry[2].fingerprint not in restored
-        )
+            entry[2] for entry in lowered if entry[2] is not None)
         disk = active_disk_cache()
         # Where each new point's result comes from, judged before the
         # plan below puts it in the memory cache.
         sources = {request.fingerprint: _source_of(request.fingerprint, disk)
                    for request in pending}
-        # The supervised engine computes the new points; the loop below
-        # then reads every one from the caches.
+        # The supervised engine computes the points no cache holds; the
+        # loop below then reads every one from the caches.
         execute_plan(pending, pool.size, policy=self.policy, pool=pool)
 
         records: List[_PointRecord] = []
@@ -383,7 +294,6 @@ class ExploreSession:
                                            self.session_id, repr(point)),
                     source="invalid", objectives=None, error=error,
                 )
-                counts["failed"] += 1
                 self._finish_point(record, counts)
                 records.append(record)
                 continue
@@ -391,75 +301,42 @@ class ExploreSession:
             fingerprint = request.fingerprint
             maybe_inject("explore_point",
                          key=f"{self.session_id}:{fingerprint}")
-            held = restored.get(fingerprint)
-            if held is not None:
+            # A repeat of a point this generation already read finds it
+            # in memory.
+            source = (sources.pop(fingerprint, None)
+                      or _source_of(fingerprint, disk))
+            try:
+                result = fetch(request)
+            except RunFailedError as exc:
                 record = _PointRecord(
                     generation=generation, index=index,
                     point=dict(point), scheme=scheme,
-                    fingerprint=fingerprint, source="journal",
-                    objectives=held.objectives, error=held.error,
+                    fingerprint=fingerprint, source="failed",
+                    objectives=None, error=str(exc),
                 )
-                counts["restored"] += 1
-                if held.error is not None:
-                    counts["failed"] += 1
             else:
-                # A repeat of a point this generation already read
-                # finds it in memory.
-                source = (sources.pop(fingerprint, None)
-                          or _source_of(fingerprint, disk))
-                try:
-                    result = fetch(request)
-                except RunFailedError as exc:
-                    record = _PointRecord(
-                        generation=generation, index=index,
-                        point=dict(point), scheme=scheme,
-                        fingerprint=fingerprint, source="failed",
-                        objectives=None, error=str(exc),
-                    )
-                    counts["failed"] += 1
-                else:
-                    record = _PointRecord(
-                        generation=generation, index=index,
-                        point=dict(point), scheme=scheme,
-                        fingerprint=fingerprint, source=source,
-                        objectives=extract_objectives(
-                            result, request.config, scheme),
-                    )
-                    counts["cached" if source != "computed"
-                           else "computed"] += 1
+                record = _PointRecord(
+                    generation=generation, index=index,
+                    point=dict(point), scheme=scheme,
+                    fingerprint=fingerprint, source=source,
+                    objectives=extract_objectives(
+                        result, request.config, scheme),
+                )
             self._finish_point(record, counts)
             records.append(record)
         return records
 
     def _finish_point(self, record: _PointRecord,
                       counts: Dict[str, int]) -> None:
+        key = ("failed" if record.error is not None
+               else "computed" if record.source == "computed"
+               else "cached")
         counts["evaluated"] += 1
-        if record.source != "journal":
-            self._journal_append({
-                "type": "explore_point",
-                "session": self.session_id,
-                "generation": record.generation,
-                "index": record.index,
-                "point": record.point,
-                "scheme": record.scheme,
-                "run_fingerprint": record.fingerprint,
-                "source": record.source,
-                "objectives": record.objectives,
-                "error": record.error,
-            })
+        counts[key] += 1
         self._emit_point(record)
         if self._counters is not None:
             self._counters["points"].inc()
-            key = {
-                "journal": "restored",
-                "computed": "computed",
-                "memory": "cached",
-                "disk": "cached",
-            }.get(record.source)
-            if key is not None:
-                self._counters[key].inc()
-            if record.error is not None:
-                self._counters["failed"].inc()
+            self._counters[key].inc()
 
     def _frontier_of(self,
                      evaluated: List[_PointRecord]) -> List[_PointRecord]:

@@ -292,9 +292,6 @@ class SearchSpace:
             for axis, u in zip(self.axes, uniforms)
         )
 
-    def point_dict(self, point: Point) -> Dict[str, object]:
-        return dict(point)
-
     def lower(self, point: Point, base_config: SystemConfig,
               base_scheme: str) -> Tuple[SystemConfig, str]:
         """Lower a point to ``(config, scheme_name)``; every config or

@@ -148,9 +148,3 @@ def reset_logging() -> None:
         logger.removeHandler(handler)
     logger.propagate = True
     logger.setLevel(logging.NOTSET)
-
-
-def library_null_handler() -> None:
-    """Attach a ``NullHandler`` so library use without CLI setup never
-    triggers the 'no handlers' warning."""
-    logging.getLogger(ROOT_LOGGER).addHandler(logging.NullHandler())

@@ -39,8 +39,7 @@ see :mod:`repro.obs.tracing`) and ``worker_telemetry`` (one per worker
 snapshot merged into the parent: fingerprint, worker pid, trace id,
 assigned parent pid, span count). Worker-computed
 ``sim_run`` records are now fully instrumented and carry
-``fingerprint``/``trace_id``; ``sim_run.series`` entries gain a
-``dropped`` count and runs a ``samples_dropped`` total.
+``fingerprint``/``trace_id``.
 
 The exploration engine (v9) adds ``explore_point`` (one per evaluated
 design-space point: session id, run fingerprint, generation/index, the
@@ -62,6 +61,11 @@ checkpoint capsules: a retried run re-executes from write 0.
 v14 drops two record kinds nothing read: ``cache_summary`` (a tally of
 the ``cache_event`` records) and ``quarantine`` (a copy of the
 ``run_failure`` record whose ``verdict`` is ``quarantine``).
+
+v15 drops the sample-drop counts v5 added (``sim_run.series[*]
+.dropped``, ``sim_run.samples_dropped`` and
+``worker_telemetry.samples_dropped``): telemetry keeps every sample,
+so they always read 0.
 
 See docs/observability.md and docs/service.md for the full schema.
 """
@@ -85,7 +89,8 @@ from typing import Dict, Iterable, List, Optional, Union
 #: v4: service-gateway records — ``service_request``,
 #: ``service_summary``, ``service_state``.
 #: v5: tracing-plane records — ``span``, ``worker_telemetry`` — plus
-#: instrumented worker ``sim_run`` records and sample-drop counts.
+#: instrumented worker ``sim_run`` records and sample-drop counts (the
+#: counts gone in v15).
 #: v6: ``checkpoint`` records — one per capsule lifecycle step
 #: (``action`` save/resume/discard) — from the checkpoint/resume plane
 #: (gone in v13).
@@ -113,7 +118,10 @@ from typing import Dict, Iterable, List, Optional, Union
 #: re-executes from write 0.
 #: v14: the ``cache_summary`` and ``quarantine`` record kinds are gone;
 #: ``run_failure.verdict`` already names a quarantined run.
-MANIFEST_SCHEMA_VERSION = 14
+#: v15: the sample-drop counts are gone — ``sim_run.series[*].dropped``,
+#: ``sim_run.samples_dropped`` and ``worker_telemetry.samples_dropped``;
+#: telemetry keeps every sample.
+MANIFEST_SCHEMA_VERSION = 15
 
 
 def _jsonable(value):

@@ -228,10 +228,6 @@ class TraceBuilder:
             "otherData": other,
         }
 
-    def to_json(self, freq_ghz: float = 4.0,
-                other_data: Optional[Dict[str, object]] = None) -> str:
-        return json.dumps(self.to_dict(freq_ghz, other_data))
-
     def write(self, path, freq_ghz: float = 4.0,
               other_data: Optional[Dict[str, object]] = None) -> None:
         path = Path(path)

@@ -13,7 +13,7 @@ The sampler only reads state (pools, queues, pump) and appends to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.policies.base import PowerManager
@@ -21,27 +21,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class TimeSeries:
-    """One sampled signal: parallel (cycle, value) arrays.
+    """One sampled signal: parallel (cycle, value) arrays."""
 
-    With a ``capacity``, samples past the cap are counted in
-    :attr:`dropped` instead of stored — :meth:`Telemetry.finish_run`
-    surfaces the drop count in its run summary and warns once.
-    """
+    __slots__ = ("name", "times", "values")
 
-    __slots__ = ("name", "times", "values", "capacity", "dropped")
-
-    def __init__(self, name: str, capacity: Optional[int] = None):
+    def __init__(self, name: str):
         self.name = name
         self.times: List[int] = []
         self.values: List[float] = []
-        self.capacity = capacity
-        #: Samples discarded because ``capacity`` was reached.
-        self.dropped = 0
 
     def append(self, time: int, value: float) -> None:
-        if self.capacity is not None and len(self.times) >= self.capacity:
-            self.dropped += 1
-            return
         self.times.append(time)
         self.values.append(value)
 
@@ -72,17 +61,15 @@ class StateSampler:
                      "paused_writes", "inflight_writes")
 
     def __init__(self, mem: "MemorySystem", manager: "PowerManager",
-                 series: Dict[str, TimeSeries],
-                 capacity: Optional[int] = None):
+                 series: Dict[str, TimeSeries]):
         self._mem = mem
         self._manager = manager
         self._series = series
-        self._capacity = capacity
 
     def _get(self, name: str) -> TimeSeries:
         ts = self._series.get(name)
         if ts is None:
-            ts = TimeSeries(name, capacity=self._capacity)
+            ts = TimeSeries(name)
             self._series[name] = ts
         return ts
 

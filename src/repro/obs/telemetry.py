@@ -29,14 +29,11 @@ import os
 import time
 from typing import Callable, Dict, List, Optional
 
-from .logging import get_logger
 from .manifest import ManifestWriter, run_header
 from .metrics import MetricsRegistry
 from .perfetto import TID_BURST, TID_GCP, TID_SCHED, TraceBuilder
 from .sampler import StateSampler, TimeSeries
 from .tracing import Tracer, trace_id_for
-
-log = get_logger("obs.telemetry")
 
 
 class _RunContext:
@@ -63,14 +60,10 @@ class Telemetry:
     """Collects metrics, time series, trace events and run manifests."""
 
     def __init__(self, sample_interval: int = 5_000,
-                 registry: Optional[MetricsRegistry] = None,
-                 max_samples_per_series: Optional[int] = None):
+                 registry: Optional[MetricsRegistry] = None):
         if sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
-        if max_samples_per_series is not None and max_samples_per_series <= 0:
-            raise ValueError("max_samples_per_series must be positive")
         self.sample_interval = sample_interval
-        self.max_samples_per_series = max_samples_per_series
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = TraceBuilder()
         #: Wall-clock span records (engine supervision, service request
@@ -163,8 +156,7 @@ class Telemetry:
 
         mem.obs = self
         manager.obs = self
-        sampler = StateSampler(mem, manager, run.series,
-                               capacity=self.max_samples_per_series)
+        sampler = StateSampler(mem, manager, run.series)
         engine.set_probe(self.sample_interval, sampler.probe)
 
     def finish_run(self, stats, end: int) -> Dict[str, object]:
@@ -179,7 +171,6 @@ class Telemetry:
         for name, series in run.series.items():
             for t, v in zip(series.times, series.values):
                 self.trace.counter(run.pid, name, t, {name: v})
-        dropped_total = sum(s.dropped for s in run.series.values())
         record: Dict[str, object] = {
             "type": "sim_run",
             "pid": run.pid,
@@ -192,23 +183,12 @@ class Telemetry:
             "series": {
                 name: {
                     "samples": len(series),
-                    "dropped": series.dropped,
                     "last": series.last()[1],
                     "max": max(series.values) if series.values else 0.0,
                 }
                 for name, series in sorted(run.series.items())
             },
-            "samples_dropped": dropped_total,
         }
-        if dropped_total:
-            log.warning(
-                "telemetry dropped %d sample(s) across %d series in "
-                "%s/%s (max_samples_per_series=%s) — summaries cover "
-                "only the retained prefix",
-                dropped_total,
-                sum(1 for s in run.series.values() if s.dropped),
-                run.workload, run.scheme, self.max_samples_per_series,
-            )
         run.record = record
         self.runs.append(record)
         self._run = None
@@ -287,8 +267,6 @@ class Telemetry:
             "trace_id": trace_id,
             "pid": new_pid,
             "spans": adopted,
-            "samples_dropped": (run.get("samples_dropped", 0)
-                                if isinstance(run, dict) else 0),
         })
 
     def record_sim_request(self, *, workload: str, scheme: str,
@@ -375,8 +353,8 @@ class Telemetry:
                              error: Optional[str] = None) -> None:
         """Record one evaluated exploration point (manifest
         ``explore_point`` record, schema v9). ``source`` says how the
-        run was acquired (``memory``/``disk``/``computed``/``journal``
-        restore/``invalid`` lowering/``failed``). The record's
+        run was acquired (``memory``/``disk``/``computed``/``invalid``
+        lowering/``failed``). The record's
         ``fingerprint`` field carries the *session* id so ``/watch``
         streams keyed on it receive frontier progress; the run's own
         content address is ``run_fingerprint``."""

@@ -40,9 +40,6 @@ class DIMM:
         """Per-chip count of the given line-local cells."""
         return self.mapping.counts_by_chip(cell_indices, offset)
 
-    def total_free_chip_tokens(self) -> float:
-        return sum(chip.free for chip in self.chips)
-
     def __repr__(self) -> str:
         return (
             f"DIMM(chips={self.n_chips}, banks={self.n_banks}, "

@@ -101,26 +101,6 @@ class WearTracker:
         worst = self.max_wear(line_addr)
         return max(0.0, 1.0 - worst / self.endurance)
 
-    def lifetime_writes_estimate(self, line_addr: int) -> float:
-        """Projected total line writes before the first cell wears out,
-        assuming the observed per-write wear pattern continues."""
-        wear = self._wear.get(line_addr)
-        if wear is None or not wear.any():
-            return float("inf")
-        writes_so_far = wear.sum() / max(1, wear.max())
-        # Writes to this line observed so far:
-        per_write_max = wear.max() / max(
-            1, self._line_write_count(line_addr)
-        )
-        return self.endurance / per_write_max
-
-    def _line_write_count(self, line_addr: int) -> int:
-        # Approximation: the sum of wear divided by mean cells per write
-        # is not tracked per line; use max wear as the per-line count
-        # upper bound (each write ages a cell at most once).
-        wear = self._wear.get(line_addr)
-        return int(wear.max()) if wear is not None else 0
-
     @property
     def lines_tracked(self) -> int:
         return len(self._wear)

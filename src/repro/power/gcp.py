@@ -144,17 +144,6 @@ class GlobalChargePump:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    @property
-    def live_grants(self) -> List[GCPGrant]:
-        return list(self._grants.values())
-
-    @property
-    def output_occupancy(self) -> float:
-        """In-use fraction of pump capacity, in [0, 1] (telemetry)."""
-        if self.max_output_tokens <= 0:
-            return 0.0
-        return self.output_in_use / self.max_output_tokens
-
     def mean_tokens_per_acquire(self) -> float:
         if not self.acquire_count:
             return 0.0

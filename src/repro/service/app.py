@@ -57,7 +57,6 @@ import json
 import signal
 import time
 import urllib.parse
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..experiments.base import (
@@ -225,8 +224,6 @@ class Gateway:
         self._c_coalesced = reg.counter(
             "service_coalesced_total",
             "requests that shared an in-flight run")
-        self._c_hit_memory = reg.counter(
-            "service_hits_memory", "runs served from the in-memory cache")
         self._c_hit_disk = reg.counter(
             "service_hits_disk", "runs served from the on-disk cache")
         self._c_computed = reg.counter(
@@ -552,7 +549,6 @@ class Gateway:
         fingerprint = request.fingerprint
         result = cache_get(fingerprint)  # LRU: a hit refreshes recency
         if result is not None:
-            self._c_hit_memory.inc()
             self._count_source("memory")
             return result, "memory"
         if self.draining:
@@ -609,9 +605,17 @@ class Gateway:
         scale = exp_request.scale
         runs = experiment.runs(config, scale)
         plan = dedupe_requests(runs.values())
-        waits = [self._resolve_run(request) for request in plan]
-        resolved = dict(zip((request.fingerprint for request in plan),
-                            await asyncio.gather(*waits)))
+        # Each cold run holds an admission slot until it is dispatched,
+        # so the plan goes in waves the queue can hold: a plan larger
+        # than the queue must not be refused by its own runs.
+        resolved: Dict[str, Tuple[object, str]] = {}
+        wave_size = self.admission.limit
+        for first in range(0, len(plan), wave_size):
+            wave = plan[first:first + wave_size]
+            outcomes = await asyncio.gather(
+                *(self._resolve_run(request) for request in wave))
+            resolved.update(zip((request.fingerprint for request in wave),
+                                outcomes))
         sources: Dict[str, int] = {}
         for _, source in resolved.values():
             sources[source] = sources.get(source, 0) + 1
@@ -646,8 +650,6 @@ class Gateway:
             session = ExploreSession(
                 settings,
                 policy=self.policy,
-                journal_dir=(Path(self.cache.root) / "explore"
-                             if self.cache is not None else None),
                 registry=self.registry,
                 telemetry=self.telemetry,
                 on_event=(self._on_telemetry_event
@@ -664,12 +666,12 @@ class Gateway:
                            "space": settings.space.name,
                            "strategy": settings.strategy}):
             async with self._explore_lock:
-                # Resume semantics make a re-POST of the same settings
-                # idempotent: journaled points restore without re-entry.
-                # Each generation's runs take their turn on the pool
-                # between dispatcher batches.
+                # A re-POST of the same settings reads every point an
+                # earlier request computed from the run caches. Each
+                # generation's runs take their turn on the pool between
+                # dispatcher batches.
                 try:
-                    report = await asyncio.to_thread(session.run, True)
+                    report = await asyncio.to_thread(session.run)
                 except RuntimeError:
                     if not self.draining:
                         raise

@@ -245,7 +245,7 @@ class ExperimentRequest:
 
 #: Points a single /explore request may evaluate; generous for smoke
 #: explorations while keeping one request from monopolizing the gateway
-#: (larger searches belong on the CLI, where --resume also applies).
+#: (larger searches belong on the CLI).
 MAX_BUDGET_POINTS = 128
 
 
@@ -256,8 +256,7 @@ class ExploreRequest:
     ``space`` is either a built-in space name or an inline JSON space
     definition (the same schema ``--space FILE`` accepts on the CLI).
     The request is normalized to :class:`repro.explore.ExploreSettings`,
-    whose deterministic session id keys journal resume and ``/watch``
-    streams.
+    whose deterministic session id keys ``/watch`` streams.
     """
 
     settings: object  # repro.explore.ExploreSettings

@@ -589,6 +589,10 @@ class MemorySystem:
         if gcp_peak > 0:
             self.stats.gcp_used_writes += 1
             self.stats.gcp_tokens_per_write_sum += gcp_peak
+        # Each round points back at its job (``_job``): dropping the
+        # rounds breaks the cycle, so refcounting frees a finished write
+        # without waiting for the cycle collector.
+        job.rounds.clear()
 
     # ------------------------------------------------------------------
     # Write-active accounting

@@ -34,9 +34,9 @@ point           fires from                            key
 ``cache_corrupt`` :meth:`SimCache.put`, on the bytes  cache key (fingerprint)
 ``explore_point`` :class:`~repro.explore.session.     ``session:fingerprint``
                 ExploreSession`, before each point
-                is journaled/evaluated (kills an
-                exploration mid-session; the resume
-                tests replay from the journal)
+                is evaluated (kills an exploration
+                mid-session; the rerun test reads
+                its points from the run cache)
 =============== ===================================== ==================
 
 Determinism: firing depends only on the plan and the sequence of

@@ -1,4 +1,4 @@
-"""Integration tests: exploration-session determinism and resume.
+"""Integration tests: exploration-session determinism and reruns.
 
 The acceptance contract of :mod:`repro.explore`:
 
@@ -6,10 +6,10 @@ The acceptance contract of :mod:`repro.explore`:
   sequence and frontier report, across strategies and across ``--jobs``
   execution modes;
 * an exploration killed mid-session (a deterministic ``explore_point``
-  fault) resumed from its journal converges to the identical frontier
-  while **re-executing zero** already-cached fingerprints — asserted on
-  the telemetry ``cache_event`` records;
-* the journal + v9 manifest records account for every evaluated point.
+  fault) and run again with the same settings converges to the
+  identical frontier while **re-executing zero** fingerprints its run
+  cache holds — asserted on the telemetry ``cache_event`` records;
+* the v9 manifest records account for every evaluated point.
 
 Runs use a micro scale and a tiny config so tier-1 stays fast.
 """
@@ -60,11 +60,9 @@ def settings(**overrides) -> ExploreSettings:
     return ExploreSettings(**fields)
 
 
-def run_session(sets: ExploreSettings, tmp_path, name: str,
-                resume: bool = False, telemetry=None):
-    session = ExploreSession(sets, BASE, journal_dir=tmp_path / name,
-                             telemetry=telemetry)
-    return session, session.run(resume=resume)
+def run_session(sets: ExploreSettings, telemetry=None):
+    session = ExploreSession(sets, BASE, telemetry=telemetry)
+    return session, session.run()
 
 
 def frontier_bytes(report) -> bytes:
@@ -79,31 +77,29 @@ def isolated(isolated_run_state):
 class TestDeterminism:
     @pytest.mark.parametrize("strategy", ["grid", "random", "adaptive"])
     def test_same_settings_byte_identical_points_and_frontier(
-            self, strategy, tmp_path, tmp_sim_cache):
+            self, strategy, tmp_sim_cache):
         sets = settings(strategy=strategy)
-        _, first = run_session(sets, tmp_path, "a")
+        _, first = run_session(sets)
         clear_sim_cache()  # force the disk/compute path the second time
-        _, second = run_session(sets, tmp_path, "b")
+        _, second = run_session(sets)
         assert ([p["point"] for p in first["points"]]
                 == [p["point"] for p in second["points"]])
         assert ([p["fingerprint"] for p in first["points"]]
                 == [p["fingerprint"] for p in second["points"]])
         assert frontier_bytes(first) == frontier_bytes(second)
 
-    def test_session_id_is_deterministic_and_sensitive(self, tmp_path):
-        a = ExploreSession(settings(), BASE, journal_dir=tmp_path / "x")
-        b = ExploreSession(settings(), BASE, journal_dir=tmp_path / "y")
-        c = ExploreSession(settings(seed=4), BASE,
-                           journal_dir=tmp_path / "z")
+    def test_session_id_is_deterministic_and_sensitive(self):
+        a = ExploreSession(settings(), BASE)
+        b = ExploreSession(settings(), BASE)
+        c = ExploreSession(settings(seed=4), BASE)
         assert a.session_id == b.session_id
         assert a.session_id != c.session_id
 
     def test_jobs_equivalent_to_serial(self, tmp_path, tmp_sim_cache):
-        serial = run_session(settings(), tmp_path, "serial")[1]
+        serial = run_session(settings())[1]
         clear_sim_cache()
         use_disk_cache(SimCache(tmp_path / "parallel-cache"))
-        parallel = run_session(settings(jobs=2), tmp_path,
-                               "parallel")[1]
+        parallel = run_session(settings(jobs=2))[1]
         assert frontier_bytes(serial) == frontier_bytes(parallel)
         # Both sessions ran cold, and each says so.
         assert serial["counts"] == parallel["counts"]
@@ -119,92 +115,50 @@ class TestWorkers:
         one."""
         log = tmp_path / "traces.log"
         count_trace_generations(monkeypatch, log)
-        pooled = run_session(settings(strategy="adaptive", jobs=2),
-                             tmp_path, "pooled")[1]
+        pooled = run_session(settings(strategy="adaptive", jobs=2))[1]
         assert pooled["generations"] >= 2
         assert len(log.read_text().splitlines()) <= 2
 
         clear_sim_cache()
         use_disk_cache(None)
-        serial = run_session(settings(strategy="adaptive"), tmp_path,
-                             "serial")[1]
+        serial = run_session(settings(strategy="adaptive"))[1]
         assert frontier_bytes(pooled) == frontier_bytes(serial)
 
 
-class TestResume:
-    def kill_after(self, n: int):
-        """Arm a fault that kills the session on evaluated point n+1."""
-        install_faults([FaultSpec(point="explore_point", mode="error",
-                                  nth=n + 1, error="RuntimeError")])
-
-    def test_kill_then_resume(self, tmp_path, tmp_sim_cache):
+class TestRerun:
+    def test_kill_then_rerun(self, tmp_path, tmp_sim_cache):
+        """A session killed at its sixth point and run again with the
+        same settings reads every point from its run cache: the
+        reference frontier, and nothing computed twice."""
         sets = settings()
-        reference = run_session(sets, tmp_path, "ref")[1]
+        reference = run_session(sets)[1]
 
         clear_sim_cache()
-        self.kill_after(5)
+        use_disk_cache(SimCache(tmp_path / "rerun-cache"))
+        install_faults([FaultSpec(point="explore_point", mode="error",
+                                  nth=6, error="RuntimeError")])
         with pytest.raises(RuntimeError):
-            run_session(sets, tmp_path, "killed")
+            run_session(sets)
         clear_faults()
 
-        # The journal holds the 5 points evaluated before the kill.
         clear_sim_cache()
         telemetry = Telemetry()
-        use_telemetry(telemetry)  # capture cache_event records from fetch
+        use_telemetry(telemetry)  # capture the engine's cache_event records
         try:
-            session, resumed = run_session(sets, tmp_path, "killed",
-                                           resume=True,
-                                           telemetry=telemetry)
+            rerun = run_session(sets, telemetry=telemetry)[1]
         finally:
             use_telemetry(None)
-        assert frontier_bytes(resumed) == frontier_bytes(reference)
-        assert resumed["counts"]["restored"] == 5
-        assert resumed["counts"]["evaluated"] == 8
-
-        # Zero re-executed fingerprints: every cache_event for a
-        # restored fingerprint must be absent entirely (journal restore
-        # bypasses fetch), and no event at all may say "computed" for
-        # a fingerprint the first attempt already cached on disk.
-        restored = {p["fingerprint"] for p in resumed["points"]
-                    if p["source"] == "journal"}
-        events = telemetry.sim_requests
-        assert all(e["fingerprint"] not in restored for e in events)
-        computed = {e["fingerprint"] for e in events
-                    if e["source"] == "computed"}
-        cached_before = {p["fingerprint"] for p in resumed["points"]
-                         if p["source"] == "disk"}
-        assert not computed & cached_before
-
-    def test_resume_without_journal_is_a_fresh_run(self, tmp_path,
-                                                   tmp_sim_cache):
-        sets = settings()
-        _, report = run_session(sets, tmp_path, "fresh", resume=True)
-        assert report["counts"]["restored"] == 0
-        assert report["counts"]["evaluated"] == 8
-
-    def test_fresh_run_discards_stale_journal(self, tmp_path,
-                                              tmp_sim_cache):
-        sets = settings()
-        run_session(sets, tmp_path, "same")
-        _, again = run_session(sets, tmp_path, "same", resume=False)
-        assert again["counts"]["restored"] == 0
-
-    def test_journal_tolerates_torn_tail(self, tmp_path, tmp_sim_cache):
-        sets = settings()
-        session, _ = run_session(sets, tmp_path, "torn")
-        path = session.journal_path
-        path.write_bytes(path.read_bytes() + b'{"type": "explore_po')
-        resumed = ExploreSession(sets, BASE,
-                                 journal_dir=tmp_path / "torn")
-        report = resumed.run(resume=True)
-        assert report["counts"]["restored"] == 8
+        assert frontier_bytes(rerun) == frontier_bytes(reference)
+        assert rerun["counts"] == {"evaluated": 8, "failed": 0,
+                                   "cached": 8, "computed": 0}
+        assert not [e for e in telemetry.sim_requests
+                    if e["source"] == "computed"]
 
 
 class TestTelemetry:
-    def test_v9_records_emitted(self, tmp_path, tmp_sim_cache):
+    def test_v9_records_emitted(self, tmp_sim_cache):
         telemetry = Telemetry()
-        _, report = run_session(settings(), tmp_path, "tele",
-                                telemetry=telemetry)
+        _, report = run_session(settings(), telemetry=telemetry)
         kinds = [r["type"] for r in telemetry.resilience_events]
         assert kinds.count("explore_point") == 8
         assert kinds.count("explore_frontier") == report["generations"]
@@ -217,9 +171,9 @@ class TestTelemetry:
     def test_manifest_roundtrip(self, tmp_path, tmp_sim_cache):
         from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, read_manifest
 
-        assert MANIFEST_SCHEMA_VERSION == 14
+        assert MANIFEST_SCHEMA_VERSION == 15
         telemetry = Telemetry()
-        run_session(settings(), tmp_path, "man", telemetry=telemetry)
+        run_session(settings(), telemetry=telemetry)
         path = tmp_path / "manifest.jsonl"
         telemetry.write_manifest(path, BASE, seed=3, scale="micro")
         records = read_manifest(path)

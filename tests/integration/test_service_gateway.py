@@ -452,6 +452,7 @@ def test_memory_cache_stays_bounded():
 @pytest.mark.parametrize("exp_id, gateway_kwargs, n_runs", [
     ("tab3", {}, 24),
     ("fig17", {"memory_cache_limit": 1}, 16),
+    ("tab3", {"queue_limit": 8}, 24),
 ])
 def test_experiment_renders_without_simulating_in_the_gateway(
         exp_id, gateway_kwargs, n_runs):
@@ -459,7 +460,8 @@ def test_experiment_renders_without_simulating_in_the_gateway(
     engine, then renders from exactly those results: a run missing from
     the plan (tab3 reads Figure 13's runs) or evicted from the memory
     cache meanwhile (fig17 under a 1-entry bound) is never simulated in
-    the gateway process."""
+    the gateway process, and a plan larger than the admission queue
+    (tab3's 24 runs against 8 slots) is not refused by its own runs."""
     fields = {"scale": "quick", "n_pcm_writes": 20,
               "max_refs_per_core": 4000}
     with GatewayHarness(jobs=1, **gateway_kwargs) as harness:

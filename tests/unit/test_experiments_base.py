@@ -7,7 +7,9 @@ from repro.experiments.base import (
     DEFAULT,
     FULL,
     QUICK,
+    Experiment,
     ExperimentResult,
+    RunRequest,
     RunScale,
     SCALES,
     fetch,
@@ -93,6 +95,29 @@ class TestSimCache:
         a = planned(config, "tig_m", "fpb", MICRO)
         b = planned(lowered, "tig_m", "fpb", MICRO)
         assert a is not b
+
+
+class TestCall:
+    def test_builds_its_requests_once(self):
+        """Calling an experiment executes and renders the same requests:
+        its ``runs()`` is built once per call."""
+        class Counted(Experiment):
+            exp_id = "counted"
+            calls = 0
+
+            def runs(self, config, scale):
+                Counted.calls += 1
+                return {"fpb": RunRequest(config, "tig_m", "fpb", scale)}
+
+            def render(self, config, scale, results):
+                return ExperimentResult(self.exp_id, "", ["cpi"],
+                                        [{"cpi": results["fpb"].cpi}])
+
+        config = make_tiny_config()
+        result = Counted()(config, MICRO)
+        assert Counted.calls == 1
+        assert result.rows == [
+            {"cpi": fetch(RunRequest(config, "tig_m", "fpb", MICRO)).cpi}]
 
 
 def fetch_all(runs):
@@ -198,6 +223,14 @@ class TestCLIParser:
         from repro.experiments.cli import build_parser
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
+    def test_explore_rejects_the_retired_resume_flag(self):
+        """An interrupted exploration continues by rerunning the same
+        command; there is no ``--resume``."""
+        from repro.experiments.cli import build_parser
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["explore", "--resume"])
         assert exit_info.value.code == 2
 
 

@@ -1,12 +1,18 @@
 """Memory-controller mechanics, driven with hand-built traces."""
 
+import gc
+
 import numpy as np
+import pytest
 
 from repro.core.policies.registry import get_scheme
+from repro.core.write_op import WriteOperation
+from repro.kernel import available_kernels
 from repro.pcm.dimm import DIMM
 from repro.sim.cpu import Core
 from repro.sim.events import SimEngine
-from repro.sim.memory_system import MemorySystem
+from repro.sim.memory_system import MemorySystem, WriteJob
+from repro.sim.runner import run_simulation
 from repro.sim.stats import SimStats
 from repro.trace.records import PCMAccess, READ, WRITE
 
@@ -243,3 +249,30 @@ class TestPreSETPayload:
         _, stats, _ = run_streams([[rec], []], config=config, scheme="ideal")
         assert stats.writes_done == 1
         assert stats.cells_written == 0
+
+
+class TestFinishedWrites:
+    @pytest.mark.parametrize("kernel", available_kernels())
+    def test_freed_without_the_cycle_collector(self, kernel):
+        """A finished write and its job reference each other only while
+        the write is in flight, so refcounting frees both: after a run,
+        a collection finds neither among the unreachable objects."""
+        config = make_tiny_config().with_kernel(kernel)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_simulation(config, "lbm_m", "fpb",
+                                    n_pcm_writes=40,
+                                    max_refs_per_core=8_000)
+            assert result.stats.writes_done > 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [type(obj).__name__ for obj in gc.garbage
+                      if isinstance(obj, (WriteJob, WriteOperation))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert cyclic == []
