@@ -15,9 +15,9 @@ cache geometry, PCM cell model, line size). It digests the same
 structure the trace generator's memo keys on, so a cohort is exactly a
 set of runs that can share one trace-generation pass; swept scalars
 (budgets, GCP efficiency, MR split, write-queue depth) never separate
-runs, and nothing trace-relevant is ever mixed. The cohort is the
-engine's unit of work (:func:`repro.experiments.engine.execute_plan`):
-one worker task runs every member against its process-local trace
+runs, and nothing trace-relevant is ever mixed. The engine schedules
+cohorts (:func:`repro.experiments.engine.execute_plan`): one worker
+runs every member, one run at a time, against its process-local trace
 memo, so the trace is generated once per cohort, and results stay
 byte-identical to running each member alone because every member still
 runs the ordinary per-request path.

@@ -306,13 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --check, verify only a deterministic N-entry sample",
     )
     golden.add_argument(
-        "--sample-seed", type=int, default=None, metavar="SEED",
-        help="with --sample, salt the sample selection with an explicit "
-             "seed so different CI runs can spot-check different "
-             "entries reproducibly (default: unsalted fingerprint "
-             "ranking)",
-    )
-    golden.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes for the corpus simulations "
              "(default 1; 0 = one per CPU)",
@@ -562,8 +555,7 @@ def _golden_main(args) -> int:
         if args.check:
             document = golden.load_corpus(args.path)
             drifts = golden.verify_corpus(
-                document, sample=args.sample,
-                sample_seed=args.sample_seed, jobs=args.jobs,
+                document, sample=args.sample, jobs=args.jobs,
                 progress=lambda line: log.debug("%s", line))
             if drifts:
                 for drift in drifts:

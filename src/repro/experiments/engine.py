@@ -15,17 +15,17 @@ supervises every run it serves: the plans behind ``/run``,
 shared caches, and each experiment's ``run()`` reads them there and
 renders its rows.
 
-The unit of work is a **cohort** (:func:`repro.experiments.batch.
-partition_cohorts`): runs sharing a trace structure execute in one
-worker task, so the trace is generated once per cohort; a lone run is
-a cohort of one. No cohort holds more than ⌈pending runs / workers⌉
-runs, where ``workers`` is the pool size capped at the CPUs this
-process may use: workers beyond the CPUs add no parallelism, while
-every extra cohort generates its trace again. At most one cohort is in
-flight per worker, so a cohort starts as soon as it is submitted. Its
-worker writes each member's outcome to a file as the member finishes,
-so the parent judges every member on its own: the wall-clock budget is
-per member, and a task cut short keeps the members it finished.
+Runs are scheduled in **cohorts** (:func:`repro.experiments.batch.
+partition_cohorts`): runs sharing a trace structure execute back to
+back on one worker, so the trace is generated once per cohort; a lone
+run is a cohort of one. No cohort holds more than ⌈pending runs /
+workers⌉ runs, where ``workers`` is the pool size capped at the CPUs
+this process may use: workers beyond the CPUs add no parallelism,
+while every extra cohort generates its trace again. At most one cohort
+is in flight per worker. The unit of work is one run: a cohort's
+members go to its worker one at a time, each as soon as the previous
+one's future completes, so every run starts as soon as it is submitted
+and its result, exception or worker death arrives on its own future.
 
 Correctness guarantees:
 
@@ -34,12 +34,12 @@ Correctness guarantees:
   depend on the worker, the cohort or the pool size that computed it.
   Results cross the process boundary by pickling, which round-trips
   ints and IEEE doubles exactly.
-* **Telemetry crosses back in the outcome file, never by sharing.**
+* **Telemetry crosses back with the result, never by sharing.**
   When the parent has a :class:`~repro.obs.Telemetry`, each worker
-  attaches its own local one per run, runs instrumented, and puts a
-  JSON-safe snapshot (run record, spans, metrics, trace events) into
-  the member's outcome file; the parent merges it into one manifest
-  and one multi-process Perfetto trace. Span trace ids derive from the
+  attaches its own local one per run, runs instrumented, and returns a
+  JSON-safe snapshot (run record, spans, metrics, trace events) with
+  the run's result; the parent merges it into one manifest and one
+  multi-process Perfetto trace. Span trace ids derive from the
   run fingerprint, so parent and worker agree without extra transport.
   Attaching (or not attaching) telemetry never changes simulation
   results.
@@ -51,32 +51,34 @@ Resilience guarantees (policy in :mod:`repro.experiments.resilience`,
 proven by the chaos tests in ``tests/integration/test_fault_tolerance``):
 
 * **One run's failure never unwinds the plan.** A member that raises
-  inside its cohort does not stop the others; its exception comes back
-  from the worker, is classified (transient vs deterministic), retried
-  as a cohort of one with exponential backoff and fingerprint-derived
-  deterministic jitter, and — if it keeps failing — recorded as a
-  terminal failure while the other runs complete (*partial-result
-  semantics*).
+  does not stop the rest of its cohort; its exception comes back on
+  its own future (one that cannot cross the process boundary comes
+  back as a ``TypeError``, its worker alive), is classified (transient
+  vs deterministic), retried as a cohort of one with exponential
+  backoff and fingerprint-derived deterministic jitter, and — if it
+  keeps failing — recorded as a terminal failure while the other runs
+  complete (*partial-result semantics*).
 * **A killed worker doesn't discard finished work.** A slot holds one
-  worker, so its ``BrokenProcessPool`` names the member that worker was
-  running, and that member is charged. Members whose outcomes were
-  written are kept, members the worker never reached requeue, and only
-  that slot is rebuilt, on its next task; the other slots run on. One
-  respawn budget (``RetryPolicy.max_pool_respawns``) covers the whole
-  plan. A slot whose worker died between plans is rebuilt before use,
-  and no run is charged for it.
+  worker running one member, so its ``BrokenProcessPool`` names that
+  member, and that member is charged. Members delivered before it are
+  kept, members not yet submitted requeue, and only that slot is
+  rebuilt, on its next task; the other slots run on. One respawn
+  budget (``RetryPolicy.max_pool_respawns``) covers the whole plan. A
+  slot whose worker died between plans is rebuilt before use, and no
+  run is charged for it.
 * **A hung worker is killed, not waited on.** With a per-run
-  wall-clock timeout (``RetryPolicy.run_timeout_s``, restarted as each
-  member of a cohort finishes) the engine kills the worker of the slot
-  under a stuck member, charges that member a
+  wall-clock timeout (``RetryPolicy.run_timeout_s``, started as each
+  member is submitted) the engine kills the worker of the slot under a
+  stuck member, charges that member a
   :class:`~repro.errors.WorkerTimeoutError`, and requeues the members
   its cohort never reached without an attempt penalty.
 * **Runs that fail identically twice are quarantined** so a
   deterministic bug costs at most two attempts, and the manifest
   distinguishes "worth a rerun" from "needs triage".
 * **Ctrl-C drains cleanly.** ``KeyboardInterrupt`` kills the workers
-  running the plan, keeps every completed result in the caches, marks
-  the summary interrupted, and re-raises for the CLI to persist the
+  running the plan, keeps every completed result in the caches (the
+  finished members of a cohort still running included), marks the
+  summary interrupted, and re-raises for the CLI to persist the
   manifest and exit nonzero.
 
 Terminal failures are published to :func:`repro.experiments.base.
@@ -88,9 +90,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
-import shutil
-import tempfile
 import threading
 import time
 from collections import deque
@@ -103,7 +102,6 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
@@ -112,7 +110,6 @@ from ..errors import WorkerTimeoutError
 from ..obs import tracing
 from ..obs.logging import get_logger, log_context
 from ..obs.manifest import _jsonable
-from ..sim.simcache import write_atomic
 from ..testing.faults import maybe_inject
 from ..util.procs import (
     close_inherited_sockets, exit_when_orphaned, trim_heap,
@@ -144,38 +141,27 @@ from .resilience import (
 log = get_logger("experiments.engine")
 
 
-def _worker_execute(
-    spool: str, members: Sequence[RunRequest],
-    obs: Optional[Dict[str, object]] = None,
-) -> None:
-    """Process-pool entry point: compute one cohort's runs, uncached and
-    in member order.
+def _worker_run(
+    request: RunRequest, obs: Optional[Dict[str, object]], last: bool,
+) -> Tuple[int, object, Optional[Dict[str, object]]]:
+    """Process-pool entry point: compute one run, uncached, and return
+    ``(worker PID, result, telemetry snapshot)``.
 
-    The first member generates the cohort's shared trace; the rest
-    reuse it from the worker-process trace memo. As each member
-    finishes, its outcome ``(worker PID, seconds since the task began,
-    (result | None, exception | None, telemetry snapshot | None))`` is
-    pickled to the file ``<spool>.<index>``. The parent reads these
-    while the task still runs, to restart the watchdog for each member,
-    and after the task dies, to keep the members that had finished. A
-    member that raises does not stop the others: its exception is its
-    outcome, for the parent's :class:`RunSupervisor` to judge. An
-    outcome that will not pickle ends the task at that member, and the
-    parent charges it.
+    A cohort's members reach one worker in member order: the first
+    generates the cohort's shared trace, the rest reuse it from the
+    worker-process trace memo. A run that raises raises here, and its
+    exception reaches the parent's :class:`RunSupervisor` on the run's
+    own future.
 
-    Once every outcome is written, the worker hands its freed heap back
-    to the OS. It keeps its trace memo: a warm worker is kept for it.
+    After the cohort's ``last`` member the worker hands its freed heap
+    back to the OS. It keeps its trace memo: a warm worker is kept for
+    it.
     """
-    start = time.monotonic()
-    for index, request in enumerate(members):
-        try:
-            result, snapshot = _execute_one(request, obs)
-            outcome = (result, None, snapshot)
-        except Exception as exc:
-            outcome = (None, exc, None)
-        write_atomic(Path(f"{spool}.{index}"), pickle.dumps(
-            (os.getpid(), time.monotonic() - start, outcome)))
-    trim_heap()
+    try:
+        return (os.getpid(), *_execute_one(request, obs))
+    finally:
+        if last:
+            trim_heap()
 
 
 def _execute_one(
@@ -213,8 +199,8 @@ def _execute_one(
     return result, _jsonable(telemetry.worker_snapshot(fingerprint))
 
 
-#: How long killing a slot waits for its worker to exit, so that no
-#: outcome lands after the supervisor last read the slot's files.
+#: How long killing a slot waits for its worker to exit, so a killed
+#: worker is reaped before its slot is rebuilt.
 KILL_WAIT_S = 5.0
 
 
@@ -355,16 +341,14 @@ class WorkerPool:
 
 @dataclass
 class _Flight:
-    """One in-flight cohort task, its slot, and how far its worker has
+    """One in-flight cohort, its slot, and how far its worker has
     got."""
 
     cohort: Cohort
     attempt: int
     slot: _Slot
-    spool: str                 # prefix of the task's outcome files
-    started: float             # monotonic submit time
+    started: float = 0.0       # monotonic submit time of the running member
     done: int = 0              # members accounted for, in member order
-    elapsed: float = 0.0       # worker seconds to the last outcome read
     delivered: int = 0         # members whose result was published
 
     @property
@@ -396,12 +380,9 @@ class _PlanSupervisor:
         #: Backoff heap: ``(ready_at, seq, cohort, attempt)``.
         self.delayed: List[Tuple[float, int, Cohort, int]] = []
         self._delay_seq = 0
-        self._tasks = 0
         self.futures: Dict[Future, _Flight] = {}
         self.respawns = 0
         self.aborted = False
-        #: Outcome files of the plan's tasks; removed after the plan.
-        self.scratch = tempfile.mkdtemp(prefix="repro-plan-")
 
         self.disk = active_disk_cache()
         self.telemetry = active_telemetry()
@@ -437,15 +418,11 @@ class _PlanSupervisor:
                 self._check_deadlines()
         except KeyboardInterrupt:
             self.summary["interrupted"] = True
+            abandoned = self._stop()
             log.warning("interrupted: abandoning %d in-flight cohort(s), "
                         "%d completed result(s) kept",
-                        len(self.futures), self.summary["computed"])
-            for flight in self.futures.values():
-                self.pool.kill(flight.slot)
-            self.futures.clear()
+                        len(abandoned), self.summary["computed"])
             raise
-        finally:
-            shutil.rmtree(self.scratch, ignore_errors=True)
 
     def _promote_delayed(self) -> None:
         now = time.monotonic()
@@ -454,19 +431,22 @@ class _PlanSupervisor:
             self.work.append((cohort, attempt))
 
     def _fill(self) -> None:
-        # One cohort per slot: a submitted cohort starts at once, so
-        # its deadline never counts time spent queued behind another.
         while self.work and len(self.futures) < self.n_workers:
             cohort, attempt = self.work.popleft()
             busy = [flight.slot for flight in self.futures.values()]
-            slot = self.pool.pick(cohort.key, busy)
-            self._tasks += 1
-            spool = os.path.join(self.scratch, str(self._tasks))
-            future = self.pool.submit(
-                slot, cohort.key, _worker_execute, spool, cohort.members,
-                self._obs_spec())
-            self.futures[future] = _Flight(cohort, attempt, slot, spool,
-                                           time.monotonic())
+            self._submit(_Flight(cohort, attempt,
+                                 self.pool.pick(cohort.key, busy)))
+
+    def _submit(self, flight: _Flight) -> None:
+        """Send ``flight``'s next member to its slot. One cohort per
+        slot, one member at a time: the worker is idle, so the member
+        starts at once and its deadline never counts time queued."""
+        last = flight.done == flight.cohort.size - 1
+        future = self.pool.submit(flight.slot, flight.cohort.key,
+                                  _worker_run, flight.running,
+                                  self._obs_spec(), last)
+        flight.started = time.monotonic()
+        self.futures[future] = flight
 
     def _defer(self, cohort: Cohort, attempt: int, delay: float) -> None:
         self._delay_seq += 1
@@ -475,10 +455,10 @@ class _PlanSupervisor:
 
     def _deadline(self, flight: _Flight) -> Optional[float]:
         """When the member ``flight``'s worker is running overruns its
-        wall-clock budget: the budget restarts as each member finishes."""
+        wall-clock budget, which starts as the member is submitted."""
         if self.policy.run_timeout_s is None:
             return None
-        return flight.started + flight.elapsed + self.policy.run_timeout_s
+        return flight.started + self.policy.run_timeout_s
 
     def _wait_timeout(self) -> Optional[float]:
         candidates = [self._deadline(flight)
@@ -498,30 +478,6 @@ class _PlanSupervisor:
 
     # -- completion and failure handling -------------------------------
 
-    def _poll(self, flight: _Flight) -> None:
-        """Take, in member order, the outcomes ``flight``'s worker has
-        written since the last poll: each result is published, each
-        member's exception goes to the supervisor."""
-        while flight.running is not None:
-            path = Path(f"{flight.spool}.{flight.done}")
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                return
-            path.unlink()
-            request = flight.running
-            flight.done += 1
-            try:
-                pid, flight.elapsed, (result, exc, snapshot) = \
-                    pickle.loads(data)
-            except Exception as error:  # an outcome that won't unpickle
-                exc = error
-            if exc is None:
-                self._publish(request, result, pid, snapshot)
-                flight.delivered += 1
-            else:
-                self._handle_failure(flight, request, exc)
-
     def _collect(self, done: Iterable[Future]) -> None:
         for future in done:
             flight = self.futures.pop(future, None)
@@ -530,23 +486,27 @@ class _PlanSupervisor:
             exc = future.exception()
             if isinstance(exc, KeyboardInterrupt):
                 raise exc
-            self._poll(flight)
             if isinstance(exc, BrokenProcessPool):
                 self._slot_broken(flight, exc)
-            elif flight.running is None:
+                continue
+            if exc is None:
+                self._publish(flight, future.result())
+            else:
+                self._charge(flight, exc)
+            if flight.running is None:
                 self._retire(flight)
             else:
-                # The task ended at a member whose outcome it could not
-                # write (one that would not pickle, say); the worker is
-                # fine.
-                exc = exc or RuntimeError("worker wrote no outcome")
-                self._charge(flight, exc)
-                self._retire(flight, f"{type(exc).__name__}: {exc}")
+                self._submit(flight)
 
-    def _publish(self, request: RunRequest, result, worker_pid: int,
-                 snapshot: Optional[Dict[str, object]]) -> None:
-        """Deliver one run's result to the memory cache, disk cache,
-        manifest and telemetry."""
+    def _publish(self, flight: _Flight,
+                 outcome: Tuple[int, object, Optional[Dict[str, object]]],
+                 ) -> None:
+        """Deliver the member ``flight``'s worker was running, from its
+        ``(worker PID, result, telemetry snapshot)``, to the memory
+        cache, disk cache, manifest and telemetry."""
+        worker_pid, result, snapshot = outcome
+        request = flight.running
+        flight.done += 1
         key = request.fingerprint
         _SIM_CACHE[key] = result
         if self.disk is not None:
@@ -556,18 +516,14 @@ class _PlanSupervisor:
         if self.telemetry is not None:
             self.telemetry.merge_worker_telemetry(snapshot)
         self.summary["computed"] += 1
+        flight.delivered += 1
 
     def _charge(self, flight: _Flight, exc: BaseException) -> None:
-        """Charge the member ``flight``'s worker was running with
-        ``exc``."""
+        """Judge the failed attempt, with ``exc``, of the member
+        ``flight``'s worker was running; a retry runs it as a cohort of
+        one."""
         request = flight.running
         flight.done += 1
-        self._handle_failure(flight, request, exc)
-
-    def _handle_failure(self, flight: _Flight, request: RunRequest,
-                        exc: BaseException) -> None:
-        """Judge one failed attempt of ``request``; a retry runs it as
-        a cohort of one."""
         verdict, delay = self.supervisor.on_failure(request, exc)
         if verdict == RETRY:
             self.summary["retried"] += 1
@@ -604,9 +560,9 @@ class _PlanSupervisor:
             self.telemetry.record_run_failure(failure.as_record())
 
     def _retire(self, flight: _Flight, reason: Optional[str] = None) -> None:
-        """Close a cohort task. Members it never reached requeue as one
-        cohort, without an attempt charge. The task is recorded as
-        ``executed`` when its worker wrote every outcome, else as
+        """Close a cohort. Members it never reached requeue as one
+        cohort, without an attempt charge. The cohort is recorded as
+        ``executed`` when its worker ran every member, else as
         ``dissolved`` for ``reason``."""
         cohort = flight.cohort
         rest = cohort.members[flight.done:]
@@ -636,8 +592,7 @@ class _PlanSupervisor:
         self.pool.kill(flight.slot)
         if not self._respawn("broken_pool", exc, [flight]):
             return
-        if flight.running is not None:
-            self._charge(flight, exc)
+        self._charge(flight, exc)
         self._retire(flight, "broken_pool")
 
     def _check_deadlines(self) -> None:
@@ -647,21 +602,15 @@ class _PlanSupervisor:
         for future, flight in list(self.futures.items()):
             if future.done() or now < self._deadline(flight):
                 continue
-            self._poll(flight)  # the worker may have moved on since
-            if flight.running is None or now < self._deadline(flight):
-                continue
             # The slot's worker is stuck on one member: kill that worker
             # alone, charge the member a WorkerTimeoutError, and requeue
             # the members it never reached without a charge.
-            overran = flight.done
             del self.futures[future]
             self.pool.kill(flight.slot)
-            self._poll(flight)  # outcomes written before the kill landed
-            if flight.done == overran:
-                self.summary["timeouts"] += 1
-                self._charge(flight, WorkerTimeoutError(
-                    f"no result within the {self.policy.run_timeout_s:.1f}s"
-                    f" wall-clock budget; worker killed"))
+            self.summary["timeouts"] += 1
+            self._charge(flight, WorkerTimeoutError(
+                f"no result within the {self.policy.run_timeout_s:.1f}s"
+                f" wall-clock budget; worker killed"))
             if not self._respawn("watchdog_timeout", None, [flight]):
                 return
             self._retire(flight, "watchdog_timeout")
@@ -671,7 +620,8 @@ class _PlanSupervisor:
         """Count one slot rebuild against the plan's respawn budget.
         Past it, the other slots are stopped too, every outstanding run
         fails — the unfinished members of ``victims`` and of the other
-        in-flight tasks, and everything queued — and the plan aborts."""
+        in-flight cohorts, and everything queued — and the plan
+        aborts."""
         self.respawns += 1
         self.summary["pool_respawns"] += 1
         if self.respawns > self.policy.max_pool_respawns:
@@ -689,12 +639,21 @@ class _PlanSupervisor:
             )
         return True
 
-    def _abort(self, reason: str, victims: List[_Flight]) -> None:
-        flights = list(self.futures.values())
-        self.futures.clear()
-        for flight in flights:
+    def _stop(self) -> List[_Flight]:
+        """Kill the slot of every in-flight member and return their
+        flights. A member whose result is already back is delivered
+        first: no finished run is thrown away."""
+        flights = []
+        for future, flight in self.futures.items():
+            if future.done() and future.exception() is None:
+                self._publish(flight, future.result())
             self.pool.kill(flight.slot)
-            self._poll(flight)
+            flights.append(flight)
+        self.futures.clear()
+        return flights
+
+    def _abort(self, reason: str, victims: List[_Flight]) -> None:
+        for flight in self._stop():
             if flight.running is None:
                 self._retire(flight)
             else:
@@ -759,7 +718,7 @@ def execute_plan(
     ``retried``, ``quarantined``, ``timeouts``, ``pool_respawns`` — and
     a ``failures`` list (one record per terminal failure, mirroring the
     manifest's ``run_failure`` records). ``batch_cohorts`` counts the
-    cohort tasks that finished on a worker. Failed runs never unwind
+    cohorts that ran to their last member. Failed runs never unwind
     the plan; they are recorded here, registered with
     :func:`~repro.experiments.base.mark_run_failed`, and surface as
     :class:`~repro.errors.RunFailedError` if an experiment needs them.
@@ -776,7 +735,8 @@ def execute_plan(
 
     ``KeyboardInterrupt`` propagates after the workers running the plan
     are killed and ``summary["interrupted"]`` is set — every
-    already-computed result stays in the caches.
+    already-computed result stays in the caches, the finished members
+    of an interrupted cohort included.
     """
     planned = list(requests)
     unique = dedupe_requests(planned)

@@ -42,7 +42,6 @@ from ..config.system import config_fingerprint
 from ..kernel import available_kernels
 from ..obs.logging import get_logger
 from ..sim.simcache import SIM_SCHEMA_VERSION
-from ..util.seeds import derive_key
 from .base import QUICK, SCALES, RunRequest, RunScale, fetch
 from .checks import check_result, has_check
 from .engine import execute_plan
@@ -233,8 +232,7 @@ def claim_discrepancies(document: Dict) -> List[str]:
     return discrepancies
 
 
-def select_spot_checks(document: Dict, count: int, *,
-                       seed: Optional[int] = None) -> List[Dict]:
+def select_spot_checks(document: Dict, count: int) -> List[Dict]:
     """A deterministic, experiment-diverse sample of corpus entries.
 
     Entries are ranked by their result fingerprint (stable across
@@ -249,19 +247,9 @@ def select_spot_checks(document: Dict, count: int, *,
     (:func:`corpus_runs`, at the document's scale and seed); the list
     stored in the entry is used only for an entry that no experiment
     plans any more, or when ``document`` names no scale to plan at.
-
-    With a ``seed`` the ranking key is salted
-    (:func:`repro.util.seeds.derive_key` over ``(seed, fingerprint)``,
-    i.e. ``sha256("seed:fingerprint")``), so callers — CI spot-check jobs in particular —
-    can rotate *which* entries get sampled while staying fully
-    reproducible for a given seed.
     """
-    if seed is None:
-        rank = lambda e: str(e["result_fingerprint"])  # noqa: E731
-    else:
-        def rank(e: Dict) -> str:
-            return derive_key(seed, e["result_fingerprint"])
-    ranked = sorted(document["runs"], key=rank)
+    ranked = sorted(document["runs"],
+                    key=lambda entry: str(entry["result_fingerprint"]))
     planned = _planned(document) if "scale" in document else {}
 
     def experiments(entry: Dict) -> set:
@@ -355,21 +343,20 @@ def verify_entries(document: Dict, entries: Sequence[Dict], *,
 
 
 def verify_corpus(document: Dict, *, sample: Optional[int] = None,
-                  sample_seed: Optional[int] = None,
                   kernels: Optional[Sequence[str]] = None,
                   jobs: int = 1,
                   progress: Optional[Callable[[str], None]] = None,
                   ) -> List[str]:
     """Conformance-check the corpus: all entries (plus coverage — every
     currently-planned run must be in the corpus), or a deterministic
-    ``sample`` of entries (optionally salted by ``sample_seed``; see
-    :func:`select_spot_checks`), computed on ``jobs`` engine workers.
+    ``sample`` of entries (:func:`select_spot_checks`), computed on
+    ``jobs`` engine workers.
     Returns drift messages (empty = conformant).
     """
     if sample is not None:
         return verify_entries(
             document,
-            select_spot_checks(document, sample, seed=sample_seed),
+            select_spot_checks(document, sample),
             kernels=kernels, jobs=jobs, progress=progress)
     drifts = verify_entries(document, document["runs"], kernels=kernels,
                             jobs=jobs, progress=progress)

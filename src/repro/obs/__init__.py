@@ -1,7 +1,8 @@
 """Telemetry and observability for the simulator.
 
-The subsystem has four layers, all optional — a simulation run with no
-telemetry attached pays only a handful of ``is not None`` checks:
+Every part of the subsystem is optional — a simulation run with no
+telemetry attached pays only a handful of ``is not None`` checks. Its
+modules:
 
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
   log-scale histograms components register against.
@@ -17,6 +18,11 @@ telemetry attached pays only a handful of ``is not None`` checks:
   processes so one request yields one connected trace.
 * :mod:`repro.obs.prometheus` — text exposition (format 0.0.4) of any
   metrics registry, for scrapers and the gateway's ``/metrics``.
+* :mod:`repro.obs.sampler` — token-flow and queue-depth time series,
+  sampled at existing event timestamps so results stay bit-identical.
+* :mod:`repro.obs.logging` — the harness's loggers, with context
+  fields (fingerprint, worker pid, ...) and the active trace id on
+  every line.
 
 Quickstart::
 

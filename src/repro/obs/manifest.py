@@ -48,8 +48,9 @@ objective vector or error) and ``explore_frontier`` (one per strategy
 generation: the Pareto frontier's size and member fingerprints) — see
 :mod:`repro.explore` and docs/exploration.md.
 
-Worker snapshots travel in the engine's outcome files (v11), so
-``worker_telemetry`` records no longer carry a ``sidecar`` path.
+Worker snapshots travel back with each run's result, not in sidecar
+files (v11), so ``worker_telemetry`` records no longer carry a
+``sidecar`` path.
 
 v12 drops the record kind and the ``service_state`` block that v7
 added for a second, multi-process run supervisor: the gateway's worker

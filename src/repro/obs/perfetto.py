@@ -32,7 +32,7 @@ Two timestamp domains coexist in one builder:
   trace starts near zero.
 
 :meth:`merge` folds another builder (or its :meth:`to_state` dict, the
-JSON-safe form workers return in their outcome files) into this one,
+JSON-safe form workers return with each run's result) into this one,
 with an optional pid remap so each worker's logical run pids land on
 fresh parent pids. Duplicate process/thread name metadata is deduplicated at
 export, last registration wins — so a merged worker process can be
@@ -145,8 +145,8 @@ class TraceBuilder:
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
         """The builder's raw contents as a JSON-safe dict (timestamps
-        still in their native domain), for transport in a worker's
-        outcome file."""
+        still in their native domain), for transport back from a
+        worker with its run's result."""
         return {
             "events": [dict(e) for e in self._events],
             "meta": [dict(m) for m in self._meta],

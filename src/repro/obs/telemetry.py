@@ -15,8 +15,8 @@ each run becomes its own Perfetto process and its own ``sim_run``
 manifest record.
 
 Cross-process capture: an engine worker builds its own ``Telemetry``,
-runs one simulation under it, and returns :meth:`worker_snapshot` in
-the run's outcome file; the parent folds that back in with
+runs one simulation under it, and returns :meth:`worker_snapshot`
+with the run's result; the parent folds that back in with
 :meth:`merge_worker_telemetry` — run records keep full series
 summaries, spans land in the shared :class:`~repro.obs.tracing.Tracer`,
 trace events merge into one multi-process Perfetto export, and worker
@@ -201,8 +201,8 @@ class Telemetry:
     def worker_snapshot(self, fingerprint: str) -> Dict[str, object]:
         """Everything a worker process observed for one run, as a
         JSON-safe payload the parent can
-        :meth:`merge_worker_telemetry`. It travels in the run's outcome
-        file."""
+        :meth:`merge_worker_telemetry`. It travels back with the run's
+        result."""
         return {
             "fingerprint": fingerprint,
             "worker_pid": os.getpid(),
@@ -329,13 +329,13 @@ class Telemetry:
     def record_batch_cohort(self, *, action: str, key: str, size: int,
                             delivered: Optional[int] = None,
                             detail: Optional[str] = None) -> None:
-        """Record one cohort task of plan execution (manifest
+        """Record one cohort of plan execution (manifest
         ``batch_cohort`` record, schema v10). ``action`` is ``executed``
-        (the worker wrote every member's outcome; ``delivered`` of
-        ``size`` runs produced results) or ``dissolved`` (a task of
-        several runs was cut short — its worker died, hung or failed —
-        so its finished members were kept and the rest requeued;
-        ``detail`` names the reason)."""
+        (the worker ran every member; ``delivered`` of ``size`` runs
+        produced results) or ``dissolved`` (a cohort of several runs was
+        cut short — its worker died or hung — so its finished members
+        were kept and the rest requeued; ``detail`` names the
+        reason)."""
         self.resilience_events.append({
             "type": "batch_cohort",
             "action": action,

@@ -549,8 +549,6 @@ class MemorySystem:
         for job in self.pending_rounds:
             if not self._try_start_job(job, now):
                 still.append(job)
-            elif job.current is None and job.rounds is not None:
-                pass  # finished synchronously (empty round)
         self.pending_rounds = still
 
     def _finish_round(self, job: WriteJob, write: WriteOperation, now: int) -> None:

@@ -1,8 +1,11 @@
 """Top-level simulation driver.
 
 :func:`run_simulation` wires trace + scheme + config into one run and
-returns a :class:`SimResult`. :func:`run_schemes` replays the same trace
-under several schemes and is the building block of every experiment.
+returns a :class:`SimResult`; every run an experiment reads is computed
+through it (:func:`repro.experiments.engine.execute_plan` →
+:func:`repro.experiments.base.execute_request` → :func:`run_simulation`).
+:func:`run_schemes` is a library convenience that replays one trace
+under several schemes.
 """
 
 from __future__ import annotations

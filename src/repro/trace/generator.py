@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,8 +57,6 @@ def trace_structure(
     workload: str,
     n_pcm_writes: int,
     max_refs_per_core: int,
-    *,
-    seed: Optional[int] = None,
 ) -> Tuple[Tuple[str, object], ...]:
     """Everything a generated trace depends on, as ``(name, value)``
     pairs: the trace memo's key, and the batch tier's cohort key.
@@ -75,7 +73,7 @@ def trace_structure(
         ("n_pcm_writes", n_pcm_writes),
         ("max_refs_per_core", max_refs_per_core),
         ("kernel", config.kernel),
-        ("seed", config.seed if seed is None else seed),
+        ("seed", config.seed),
         ("cpu", canonical_value(config.cpu)),
         ("caches", canonical_value(config.caches)),
         ("pcm", canonical_value(config.pcm)),
@@ -89,8 +87,6 @@ def generate_trace(
     *,
     n_pcm_writes: int = 2400,
     max_refs_per_core: int = 400_000,
-    seed: Optional[int] = None,
-    prewarm: bool = True,
     use_cache: bool = True,
 ) -> Trace:
     """Generate (or fetch from the memo of the last
@@ -100,18 +96,13 @@ def generate_trace(
     cores; cores stop early at ``max_refs_per_core`` CPU references so
     cache-resident benchmarks (xalancbmk) terminate.
     """
-    seed = config.seed if seed is None else seed
-    key = (
-        trace_structure(config, workload, n_pcm_writes, max_refs_per_core,
-                        seed=seed),
-        prewarm,
-    )
+    key = trace_structure(config, workload, n_pcm_writes, max_refs_per_core)
     if use_cache and key in _TRACE_CACHE:
         _TRACE_CACHE.move_to_end(key)
         return _TRACE_CACHE[key]
 
     spec = get_workload(workload)
-    trace = _generate(config, spec, n_pcm_writes, max_refs_per_core, seed, prewarm)
+    trace = _generate(config, spec, n_pcm_writes, max_refs_per_core)
     if use_cache:
         _TRACE_CACHE[key] = trace
         if len(_TRACE_CACHE) > TRACE_CACHE_LIMIT:
@@ -124,8 +115,6 @@ def _generate(
     spec: WorkloadSpec,
     n_pcm_writes: int,
     max_refs_per_core: int,
-    seed: int,
-    prewarm: bool,
 ) -> Trace:
     line_size = config.memory.line_size
     benchmarks = spec.instantiate()
@@ -139,7 +128,7 @@ def _generate(
     for core_id, bench in enumerate(benchmarks):
         stream, stats, l3_accesses = _generate_core(
             config, core_id, bench, sampler,
-            quota, max_refs_per_core, seed, prewarm,
+            quota, max_refs_per_core,
         )
         _calibrate_gaps(
             stream, stats, l3_accesses,
@@ -163,8 +152,6 @@ def _generate_core(
     sampler: IterationSampler,
     write_quota: int,
     max_refs: int,
-    seed: int,
-    prewarm: bool,
 ) -> Tuple[List[PCMAccess], TraceStats, int]:
     """One core's pass: its stream, its stats and its L3 access count.
 
@@ -174,6 +161,7 @@ def _generate_core(
     shared, and the prewarm of one core is freed before the next starts:
     a trace peaks at one core's prewarm, not all of them.
     """
+    seed = config.seed
     rng = make_rng(seed, "workload", core_id, bench.name)
     hierarchy = CoreHierarchy(
         config.caches, core_id,
@@ -183,8 +171,7 @@ def _generate_core(
     image = LineStore(line_size)
     pcm_image = LineStore(line_size)
     base = (core_id + 1) * CORE_ADDR_STRIDE
-    if prewarm:
-        _prewarm_l3(hierarchy, image, pcm_image, bench, base, rng)
+    _prewarm_l3(hierarchy, image, pcm_image, bench, base, rng)
 
     stream: List[PCMAccess] = []
     stats = TraceStats()

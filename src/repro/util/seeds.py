@@ -8,10 +8,9 @@ clocks, no global RNG state:
 * retry backoff jitter (:func:`repro.experiments.resilience.
   backoff_delay`) de-synchronizes concurrent retries while keeping a
   plan's retry schedule bit-reproducible;
-* golden-corpus spot-check sampling (:func:`repro.experiments.golden.
-  select_spot_checks`) rotates which entries CI verifies per seed;
 * explore strategies (:mod:`repro.explore.strategies`) seed their
-  sampling from ``(space, strategy, seed)``.
+  sampling from ``(space, strategy, seed)``, and explore spaces and
+  sessions take their identities from :func:`derive_key`.
 
 Before this module each site hand-rolled its own ``sha256``-to-number
 recipe; they all derive through here now, from one canonical byte
@@ -19,8 +18,8 @@ layout: the parts are stringified with ``str`` and joined with ``":"``
 (so ``derive_*("a", 1)`` hashes the bytes ``b"a:1"``), then digested
 with SHA-256. The layout is part of the on-disk/manifest compatibility
 surface — :func:`derive_fraction` reproduces the historical backoff
-jitter byte-for-byte and :func:`derive_key` the historical golden
-sample ranking — so changing it invalidates recorded schedules.
+jitter byte-for-byte — so changing it invalidates recorded schedules
+and identities.
 
 For *simulation* random streams (numpy generators) use
 :func:`repro.rng.make_rng`, which layers SeedSequence spawning on top;
@@ -39,11 +38,8 @@ def stable_digest(*parts: object) -> bytes:
 
 
 def derive_key(*parts: object) -> str:
-    """A stable 64-hex-char ranking/identity key for the parts.
-
-    ``derive_key(seed, fingerprint)`` reproduces the golden corpus's
-    salted sample ranking (``sha256("seed:fingerprint")``).
-    """
+    """A stable 64-hex-char identity key for the parts: the hex
+    SHA-256 of their canonical encoding."""
     return stable_digest(*parts).hex()
 
 

@@ -559,10 +559,11 @@ class TestMemberFailure:
 
     def test_member_exception_that_cannot_cross_processes(self, tmp_path,
                                                           monkeypatch):
-        """A member's exception that will not pickle ends its cohort
-        task at that member: the cohort dissolves, the member is charged
-        the pickling error and quarantined, and the other runs complete
-        bit-identical to serial."""
+        """A member's exception that will not pickle comes back on the
+        member's own future as the pickling error, with its worker
+        alive: the member is charged that error and quarantined, its
+        cohort runs on in the same worker without dissolving, and the
+        other runs complete bit-identical to serial."""
         requests = budget_sweep()
         target = requests[2]
         survivors = [r for r in requests if r is not target]
@@ -588,7 +589,8 @@ class TestMemberFailure:
         assert failure["error_type"] == "TypeError"
         actions = [r["action"] for r in telemetry.resilience_events
                    if r["type"] == "batch_cohort"]
-        assert actions.count("dissolved") == 1
+        assert "dissolved" not in actions
+        assert len({worker_of(telemetry, r) for r in survivors}) == 1
         # The run_failure record alone names the quarantine.
         [record] = [r for r in telemetry.resilience_events
                     if r["type"] == "run_failure"]
@@ -786,3 +788,36 @@ class TestInterrupt:
         monkeypatch.setattr(engine_mod, "wait", interrupted_wait)
         with pytest.raises(KeyboardInterrupt):
             execute_plan(requests, jobs=2)
+
+    def test_interrupt_keeps_the_runs_a_cohort_finished(self, tmp_path,
+                                                        monkeypatch):
+        """Ctrl-C while the second member of a 2-run cohort hangs: the
+        first member, finished seconds before, stays in the memory and
+        disk caches, and the hung worker is killed, not left behind."""
+        [cohort] = partition_cohorts(budget_sweep(2), 1)
+        finished, hung = cohort.members
+        monkeypatch.setenv(ENV_VAR, json.dumps([{
+            "point": "worker_run", "mode": "hang", "hang_s": 120.0,
+            "match": hung.fingerprint,
+        }]))
+        cache = SimCache(tmp_path / "cache")
+        use_disk_cache(cache)
+        real_wait = engine.wait
+        interrupt_at = time.monotonic() + 5.0
+
+        def interrupting_wait(futures, timeout=None, return_when=None):
+            left = interrupt_at - time.monotonic()
+            if left <= 0:
+                raise KeyboardInterrupt
+            return real_wait(futures, return_when=return_when,
+                             timeout=left if timeout is None
+                             else min(timeout, left))
+
+        monkeypatch.setattr(engine, "wait", interrupting_wait)
+        with pytest.raises(KeyboardInterrupt):
+            execute_plan(cohort.members, jobs=1)
+
+        assert finished.fingerprint in _SIM_CACHE
+        assert cache.get(finished.fingerprint) is not None
+        assert hung.fingerprint not in _SIM_CACHE
+        assert wait_for_no_children() == []

@@ -388,6 +388,7 @@ def test_serve_subprocess_sigterm_exits_cleanly(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
+        proc.stdout.close()
 
     # The drain wrote the v4 service manifest records.
     records = [json.loads(line)
@@ -431,6 +432,7 @@ def test_serve_subprocess_sigkill_reaps_its_worker():
     finally:
         proc.kill()
         proc.wait(timeout=30)
+        proc.stdout.close()
     deadline = time.monotonic() + 5
     while parent_of(worker) is not None and time.monotonic() < deadline:
         time.sleep(0.1)

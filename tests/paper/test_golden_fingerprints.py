@@ -121,21 +121,6 @@ def test_spot_checks_cover_every_planning_experiment(corpus):
     assert covered == experiments
 
 
-def test_spot_checks_honor_an_explicit_seed(corpus):
-    """CI spot-checks are reproducible: the same seed always picks the
-    same sample, different seeds rank differently, and the unseeded
-    path keeps its legacy ranking."""
-    seeded = golden.select_spot_checks(corpus, SPOT_CHECKS, seed=7)
-    again = golden.select_spot_checks(corpus, SPOT_CHECKS, seed=7)
-    assert seeded == again
-    assert len(seeded) == SPOT_CHECKS
-    other = golden.select_spot_checks(corpus, SPOT_CHECKS, seed=8)
-    assert seeded != other  # astronomically unlikely to collide
-    legacy = golden.select_spot_checks(corpus, SPOT_CHECKS)
-    assert legacy == golden.select_spot_checks(corpus, SPOT_CHECKS,
-                                               seed=None)
-
-
 class _CannedFig10(Experiment):
     """Fig. 10 rendered from a canned mean burst residency: its shape
     check passes for residency in [0.2, 1.0]. Plans no runs."""

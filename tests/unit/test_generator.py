@@ -32,8 +32,8 @@ def fresh_cache():
     clear_trace_cache()
 
 
-def tiny_trace(workload="mcf_m", **kwargs):
-    config = make_tiny_config()
+def tiny_trace(workload="mcf_m", seed=1, **kwargs):
+    config = make_tiny_config(seed=seed)
     kwargs.setdefault("n_pcm_writes", 60)
     kwargs.setdefault("max_refs_per_core", 15_000)
     return generate_trace(config, workload, **kwargs)
@@ -108,11 +108,9 @@ class TestMemoBound:
         """The structure of every trace generated, in call order."""
         structures = []
 
-        def stub(config, spec, n_pcm_writes, max_refs_per_core, seed,
-                 prewarm):
+        def stub(config, spec, n_pcm_writes, max_refs_per_core):
             structures.append(trace_structure(
-                config, spec.name, n_pcm_writes, max_refs_per_core,
-                seed=seed))
+                config, spec.name, n_pcm_writes, max_refs_per_core))
             return object()
 
         monkeypatch.setattr(generator, "_generate", stub)
@@ -124,8 +122,8 @@ class TestMemoBound:
 
     @staticmethod
     def fetch(seed):
-        return generate_trace(make_tiny_config(), "tig_m", n_pcm_writes=60,
-                              max_refs_per_core=15_000, seed=seed)
+        return generate_trace(make_tiny_config(seed=seed), "tig_m",
+                              n_pcm_writes=60, max_refs_per_core=15_000)
 
     def test_one_past_the_bound_evicts_the_least_recently_used(
             self, generated):
@@ -236,12 +234,6 @@ class TestCalibration:
     def test_read_dominated_workload(self):
         trace = tiny_trace("tig_m", n_pcm_writes=120, max_refs_per_core=30_000)
         assert trace.stats.reads > 2 * trace.stats.writes
-
-    def test_prewarm_disabled_changes_behaviour(self):
-        warm = tiny_trace(use_cache=False, prewarm=True)
-        cold = tiny_trace(use_cache=False, prewarm=False)
-        # Without prewarm, the tiny window produces far fewer writes.
-        assert cold.stats.writes <= warm.stats.writes
 
 
 class TestCellChangeContent:

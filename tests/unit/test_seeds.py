@@ -3,15 +3,13 @@
 The module's whole value is *byte-compatibility*: every site that used
 to hand-roll its own sha256-to-number recipe now derives through one
 canonical layout, and that layout must reproduce the historical values
-exactly — the backoff jitter is part of recorded retry schedules and
-the golden sample ranking is part of CI's spot-check contract.
+exactly — the backoff jitter is part of recorded retry schedules.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from repro.experiments.golden import select_spot_checks
 from repro.experiments.resilience import RetryPolicy, backoff_delay
 from repro.util.seeds import (
     derive_fraction,
@@ -39,7 +37,7 @@ class TestCanonicalLayout:
 
 class TestDeriveKey:
     def test_matches_historical_golden_ranking(self):
-        # golden.select_spot_checks ranked by sha256("seed:fingerprint").
+        # The canonical layout: the hex sha256 of "seed:fingerprint".
         seed, fingerprint = 42, "deadbeef" * 8
         expected = hashlib.sha256(
             f"{seed}:{fingerprint}".encode()).hexdigest()
@@ -89,15 +87,3 @@ class TestCallSitesUnchanged:
             jitter = int.from_bytes(digest[:8], "big") / float(2 ** 64)
             assert backoff_delay(fingerprint, attempt, policy) == (
                 base * (1.0 + 0.5 * jitter))
-
-    def test_golden_sample_ranking(self):
-        entries = [{"result_fingerprint": f"fp{i:02d}", "i": i}
-                   for i in range(12)]
-        seed = 7
-        expected = sorted(
-            entries,
-            key=lambda e: hashlib.sha256(
-                f"{seed}:{e['result_fingerprint']}".encode()
-            ).hexdigest())[:5]
-        assert select_spot_checks({"runs": entries}, 5,
-                                  seed=seed) == expected
