@@ -398,10 +398,6 @@ class SystemConfig:
         """Derive a config with a different DIMM power budget (Fig. 22)."""
         return replace(self, power=replace(self.power, dimm_tokens=tokens))
 
-    def with_gcp_efficiency(self, efficiency: float) -> "SystemConfig":
-        """Derive a config with a different GCP power efficiency."""
-        return replace(self, power=replace(self.power, gcp_efficiency=efficiency))
-
     def with_lcp_efficiency(self, efficiency: float) -> "SystemConfig":
         """Derive a config with a different local charge-pump
         efficiency (Eq. 4; an exploration axis)."""

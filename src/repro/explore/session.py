@@ -178,42 +178,42 @@ class ExploreSession:
     # -- telemetry ----------------------------------------------------
 
     def _emit_point(self, record: _PointRecord) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_explore_point(
-                session=self.session_id,
-                run_fingerprint=record.fingerprint,
-                generation=record.generation,
-                index=record.index,
-                point=record.point,
-                scheme=record.scheme,
-                source=record.source,
-                objectives=record.objectives,
-                error=record.error,
-            )
-        elif self.on_event is not None:
-            self.on_event("explore_point", {
-                "session": self.session_id,
-                "run_fingerprint": record.fingerprint,
-                "generation": record.generation,
-                "source": record.source,
-            })
+        self._emit({
+            "type": "explore_point",
+            "fingerprint": self.session_id,
+            "session": self.session_id,
+            "run_fingerprint": record.fingerprint,
+            "generation": record.generation,
+            "index": record.index,
+            "point": record.point,
+            "scheme": record.scheme,
+            "source": record.source,
+            "objectives": record.objectives,
+            "error": record.error,
+        })
 
     def _emit_frontier(self, generation: int,
                        frontier: List[_PointRecord]) -> None:
-        points = [r.fingerprint for r in frontier]
+        self._emit({
+            "type": "explore_frontier",
+            "fingerprint": self.session_id,
+            "session": self.session_id,
+            "generation": generation,
+            "size": len(frontier),
+            "points": [r.fingerprint for r in frontier],
+        })
+
+    def _emit(self, record: Dict[str, object]) -> None:
+        """Hand one progress record to the session's sink: the
+        telemetry, which keeps it for the manifest and forwards it to
+        its own ``on_event``, or else ``on_event`` itself. A record's
+        ``fingerprint`` is the session id, so ``/watch`` streams keyed
+        on it receive the exploration's progress; a point's own run is
+        its ``run_fingerprint``."""
         if self.telemetry is not None:
-            self.telemetry.record_explore_frontier(
-                session=self.session_id,
-                generation=generation,
-                size=len(frontier),
-                points=points,
-            )
+            self.telemetry.record_explore(record)
         elif self.on_event is not None:
-            self.on_event("explore_frontier", {
-                "session": self.session_id,
-                "generation": generation,
-                "size": len(frontier),
-            })
+            self.on_event(record["type"], record)
 
     # -- execution ----------------------------------------------------
 

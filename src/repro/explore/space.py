@@ -261,12 +261,6 @@ class SearchSpace:
         """Canonical content digest of the space definition."""
         return derive_key("explore.space", repr(canonical_value(self)))
 
-    def grid_size(self) -> int:
-        size = 1
-        for axis in self.axes:
-            size *= len(axis.grid())
-        return size
-
     def grid_points(self) -> Iterator[Point]:
         """Cartesian product of the axis grids, last axis fastest —
         the grid strategy's canonical point order."""

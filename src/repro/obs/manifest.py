@@ -36,8 +36,7 @@ The tracing plane (v5) adds ``span`` (one wall-clock span: name,
 trace_id/span_id/parent_id, pid, kind, start/duration in microseconds,
 attributes — trace ids derive deterministically from run fingerprints,
 see :mod:`repro.obs.tracing`) and ``worker_telemetry`` (one per worker
-snapshot merged into the parent: fingerprint, worker pid, trace id,
-assigned parent pid, span count). Worker-computed
+snapshot merged into the parent; gone in v16). Worker-computed
 ``sim_run`` records are now fully instrumented and carry
 ``fingerprint``/``trace_id``.
 
@@ -68,6 +67,11 @@ v15 drops the sample-drop counts v5 added (``sim_run.series[*]
 ``worker_telemetry.samples_dropped``): telemetry keeps every sample,
 so they always read 0.
 
+v16 drops the ``worker_telemetry`` record kind: the merged ``sim_run``
+record already carries the run's ``fingerprint``, ``worker`` pid,
+``trace_id`` and assigned ``pid``, and the ``span`` records are the
+merged spans.
+
 See docs/observability.md and docs/service.md for the full schema.
 """
 
@@ -91,7 +95,7 @@ from typing import Dict, Iterable, List, Optional, Union
 #: ``service_summary``, ``service_state``.
 #: v5: tracing-plane records — ``span``, ``worker_telemetry`` — plus
 #: instrumented worker ``sim_run`` records and sample-drop counts (the
-#: counts gone in v15).
+#: counts gone in v15, ``worker_telemetry`` in v16).
 #: v6: ``checkpoint`` records — one per capsule lifecycle step
 #: (``action`` save/resume/discard) — from the checkpoint/resume plane
 #: (gone in v13).
@@ -122,7 +126,10 @@ from typing import Dict, Iterable, List, Optional, Union
 #: v15: the sample-drop counts are gone — ``sim_run.series[*].dropped``,
 #: ``sim_run.samples_dropped`` and ``worker_telemetry.samples_dropped``;
 #: telemetry keeps every sample.
-MANIFEST_SCHEMA_VERSION = 15
+#: v16: the ``worker_telemetry`` record kind is gone; the merged
+#: ``sim_run`` record carries its fingerprint, worker pid, trace id and
+#: pid.
+MANIFEST_SCHEMA_VERSION = 16
 
 
 def _jsonable(value):

@@ -152,12 +152,6 @@ class TraceBuilder:
             "meta": [dict(m) for m in self._meta],
         }
 
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "TraceBuilder":
-        builder = cls()
-        builder.merge(state)
-        return builder
-
     def merge(self, other: Union["TraceBuilder", Dict[str, object]],
               pid_map: Optional[Dict[int, int]] = None) -> None:
         """Fold another builder (or a :meth:`to_state` dict) into this

@@ -70,9 +70,6 @@ class Telemetry:
         #: path, worker runs) — exported alongside the simulated-time
         #: trace and as manifest ``span`` records.
         self.tracer = Tracer()
-        #: ``worker_telemetry`` manifest records: one per merged worker
-        #: snapshot (provenance of the cross-process merge).
-        self.worker_telemetry: List[Dict[str, object]] = []
         #: Optional live-event hook ``(kind, record) -> None`` invoked
         #: on retry / run_failure records as they happen (the gateway's
         #: ``/watch`` stream taps this); exceptions are swallowed so a
@@ -217,16 +214,15 @@ class Telemetry:
     def merge_worker_telemetry(self, payload: Dict[str, object]) -> None:
         """Fold one worker's :meth:`worker_snapshot` into this
         telemetry: the run record (re-pid'd onto a fresh parent pid,
-        stamped with worker provenance and trace id), its spans, its
-        Perfetto events and its counters/histograms. Emits a
-        ``worker_telemetry`` manifest record describing the merge."""
+        stamped with the run's fingerprint, the worker's pid and the
+        trace id), its spans, its Perfetto events and its
+        counters/histograms."""
         worker_pid = payload.get("worker_pid")
         trace_id = payload.get("trace_id")
         fingerprint = payload.get("fingerprint")
         if self._freq_ghz is None and payload.get("freq_ghz"):
             self._freq_ghz = payload["freq_ghz"]
 
-        new_pid = None
         run = payload.get("run")
         if isinstance(run, dict):
             new_pid = self._next_pid
@@ -255,19 +251,11 @@ class Telemetry:
                 )
 
         spans = payload.get("spans")
-        adopted = self.tracer.absorb(spans) if isinstance(spans, list) else 0
+        if isinstance(spans, list):
+            self.tracer.absorb(spans)
         metrics = payload.get("metrics")
         if isinstance(metrics, dict):
             self.registry.merge_snapshot(metrics)
-
-        self.worker_telemetry.append({
-            "type": "worker_telemetry",
-            "fingerprint": fingerprint,
-            "worker": worker_pid,
-            "trace_id": trace_id,
-            "pid": new_pid,
-            "spans": adopted,
-        })
 
     def record_sim_request(self, *, workload: str, scheme: str,
                            fingerprint: str, source: str,
@@ -345,51 +333,18 @@ class Telemetry:
             "detail": detail,
         })
 
-    def record_explore_point(self, *, session: str, run_fingerprint: str,
-                             generation: int, index: int,
-                             point: Dict[str, object], scheme: str,
-                             source: str,
-                             objectives: Optional[Dict[str, float]],
-                             error: Optional[str] = None) -> None:
-        """Record one evaluated exploration point (manifest
-        ``explore_point`` record, schema v9). ``source`` says how the
-        run was acquired (``memory``/``disk``/``computed``/``invalid``
-        lowering/``failed``). The record's
-        ``fingerprint`` field carries the *session* id so ``/watch``
-        streams keyed on it receive frontier progress; the run's own
-        content address is ``run_fingerprint``."""
-        record: Dict[str, object] = {
-            "type": "explore_point",
-            "fingerprint": session,
-            "session": session,
-            "run_fingerprint": run_fingerprint,
-            "generation": generation,
-            "index": index,
-            "point": point,
-            "scheme": scheme,
-            "source": source,
-            "objectives": objectives,
-            "error": error,
-        }
+    def record_explore(self, record: Dict[str, object]) -> None:
+        """Record one exploration progress record built by
+        :class:`~repro.explore.session.ExploreSession` (manifest
+        ``explore_point`` or ``explore_frontier`` record, schema v9)
+        and forward it to ``on_event`` under its ``type``. An
+        ``explore_point`` says how one design-space point's run was
+        acquired (``source``: ``memory``/``disk``/``computed``,
+        ``invalid`` lowering or ``failed``) with the point's parameter
+        values and objectives; an ``explore_frontier`` lists the Pareto
+        frontier's member run fingerprints after one generation."""
         self.resilience_events.append(record)
-        self._emit("explore_point", record)
-
-    def record_explore_frontier(self, *, session: str, generation: int,
-                                size: int,
-                                points: List[str]) -> None:
-        """Record one Pareto-frontier snapshot after an exploration
-        generation (manifest ``explore_frontier`` record, schema v9);
-        ``points`` lists the frontier members' run fingerprints."""
-        record: Dict[str, object] = {
-            "type": "explore_frontier",
-            "fingerprint": session,
-            "session": session,
-            "generation": generation,
-            "size": size,
-            "points": points,
-        }
-        self.resilience_events.append(record)
-        self._emit("explore_frontier", record)
+        self._emit(str(record["type"]), record)
 
     def record_service_request(self, *, method: str, path: str,
                                status: int, wall_ms: float,
@@ -553,7 +508,7 @@ class Telemetry:
         """Write header + per-run records + the full metrics snapshot
         as JSON-lines. ``service``, when given, is the gateway's final
         operational snapshot (``service_state`` record, schema v4);
-        ``span`` / ``worker_telemetry`` records are schema v5."""
+        ``span`` records are schema v5."""
         writer = ManifestWriter(path)
         if config is not None:
             writer.append(run_header(config, seed=seed, scale=scale,
@@ -563,7 +518,6 @@ class Telemetry:
         writer.extend(self.resilience_events)
         writer.extend(self.service_requests)
         writer.extend(self.tracer.to_records())
-        writer.extend(self.worker_telemetry)
         if self.plan_summary is not None:
             writer.append({"type": "plan_summary", **self.plan_summary})
         if self.service_requests:

@@ -3,7 +3,7 @@
 The simulator's existing Perfetto events live in *simulated* time
 (cycles); spans answer the complementary question of where the
 *wall-clock* time of a request went as it crosses layers and
-processes: service HTTP handler → admission → coalescer → dispatcher
+processes: service HTTP handler → admission table → dispatcher
 batch → ``execute_plan`` supervision → worker process → ``SimEngine``.
 
 Identifiers are **deterministic**: a run's ``trace_id`` derives from

@@ -3,8 +3,9 @@
 The DIMM has 8 chips; every logical bank is interleaved across all of
 them (Figure 1), so each chip serves a *segment* of every line. The chip
 owns a local power-token account: tokens allocated to in-flight write
-segments plus tokens lent to the global charge pump may never exceed the
-chip's LCP budget.
+segments may never exceed the chip's LCP budget. GCP borrowing
+(Eqs. 5–6) is accounted by :class:`~repro.power.gcp.GlobalChargePump`,
+not here.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ class PCMChip:
         self.chip_id = chip_id
         self.budget = float(lcp_tokens)
         self.allocated = 0.0
-        self.lent_to_gcp = 0.0
 
     @property
     def free(self) -> float:
-        """Tokens available for local allocation or lending."""
-        return self.budget - self.allocated - self.lent_to_gcp
+        """Tokens available for local allocation."""
+        return self.budget - self.allocated
 
     def can_allocate(self, tokens: float) -> bool:
         return tokens <= self.free + TOKEN_EPS
@@ -54,28 +54,8 @@ class PCMChip:
             )
         self.allocated = max(0.0, self.allocated - tokens)
 
-    def lend(self, tokens: float) -> None:
-        """Lend free tokens to the global charge pump."""
-        if tokens < -TOKEN_EPS:
-            raise TokenError(f"chip {self.chip_id}: negative lend {tokens}")
-        if tokens > self.free + TOKEN_EPS:
-            raise TokenError(
-                f"chip {self.chip_id}: lending {tokens:.3f} beyond free "
-                f"{self.free:.3f}"
-            )
-        self.lent_to_gcp += max(0.0, tokens)
-
-    def reclaim_loan(self, tokens: float) -> None:
-        """Take back tokens previously lent to the GCP."""
-        if tokens > self.lent_to_gcp + TOKEN_EPS:
-            raise TokenError(
-                f"chip {self.chip_id}: reclaiming {tokens:.3f} of only "
-                f"{self.lent_to_gcp:.3f} lent"
-            )
-        self.lent_to_gcp = max(0.0, self.lent_to_gcp - tokens)
-
     def __repr__(self) -> str:
         return (
             f"PCMChip(id={self.chip_id}, budget={self.budget:.1f}, "
-            f"allocated={self.allocated:.1f}, lent={self.lent_to_gcp:.1f})"
+            f"allocated={self.allocated:.1f})"
         )

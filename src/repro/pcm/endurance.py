@@ -96,11 +96,6 @@ class WearTracker:
         values = [self.wear_imbalance(addr) for addr in self._wear]
         return float(np.mean(values)) if values else 1.0
 
-    def remaining_lifetime_fraction(self, line_addr: int) -> float:
-        """Fraction of the line's endurance budget still unspent."""
-        worst = self.max_wear(line_addr)
-        return max(0.0, 1.0 - worst / self.endurance)
-
     @property
     def lines_tracked(self) -> int:
         return len(self._wear)

@@ -47,11 +47,6 @@ class FlipResult:
     def encoded_changes(self) -> int:
         return int(self.changed_idx.size) + self.flag_changes
 
-    @property
-    def savings_fraction(self) -> float:
-        if self.plain_changes == 0:
-            return 0.0
-        return 1.0 - self.encoded_changes / self.plain_changes
 
 
 class FlipNWrite:

@@ -141,14 +141,6 @@ class GlobalChargePump:
         self.output_in_use = max(0.0, self.output_in_use - grant.output_tokens)
         del self._grants[grant.grant_id]
 
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def mean_tokens_per_acquire(self) -> float:
-        if not self.acquire_count:
-            return 0.0
-        return self.total_acquired / self.acquire_count
-
     def __repr__(self) -> str:
         return (
             f"GlobalChargePump(E={self.gcp_efficiency:.2f}, "

@@ -64,15 +64,6 @@ class TokenPool:
         self._advance(now)
         self.allocated = max(0.0, self.allocated - tokens)
 
-    def resize(self, delta: float, now: int = 0) -> None:
-        """Adjust the budget (used by xLocal-style what-if experiments)."""
-        if self.budget + delta < self.allocated - TOKEN_EPS:
-            raise TokenError(
-                f"{self.name}: cannot shrink budget below current allocation"
-            )
-        self._advance(now)
-        self.budget += delta
-
     def _advance(self, now: int) -> None:
         if now > self._last_time:
             self._weighted_alloc += self.allocated * (now - self._last_time)

@@ -2,18 +2,18 @@
 
 A long-lived asyncio daemon (``python -m repro.experiments serve``)
 that accepts simulation and experiment requests over local HTTP+JSON,
-normalizes them to canonical cache fingerprints, coalesces concurrent
-requests for the same run, and dispatches cold work behind a bounded
-admission queue to the fault-tolerant engine, whose long-lived worker
-pool supervises every run the gateway computes.
+normalizes them to canonical cache fingerprints, and admits each cold
+run in one step through an admission table that coalesces concurrent
+requests for the same run and bounds the runs waiting for dispatch.
+The fault-tolerant engine's long-lived worker pool supervises every
+run the gateway computes.
 
 See docs/service.md for the API and operational semantics.
 """
 
-from .admission import AdmissionQueue
+from .admission import AdmissionTable
 from .app import Gateway
 from .client import GatewayClient
-from .coalescer import Coalescer, Lease
 from .schemas import (
     BusyError,
     DrainingError,
@@ -26,15 +26,13 @@ from .schemas import (
 )
 
 __all__ = [
-    "AdmissionQueue",
+    "AdmissionTable",
     "BusyError",
-    "Coalescer",
     "DrainingError",
     "ExperimentRequest",
     "Gateway",
     "GatewayClient",
     "InvalidRequestError",
-    "Lease",
     "RunExecutionError",
     "ServiceError",
     "SimRequest",

@@ -8,18 +8,17 @@ Request lifecycle (``POST /run``)::
         │                              canonical fingerprint (SimCache key)
         ▼                                                 ▼
     hot?  ──── in-memory cache hit ────────────▶ 200 source="memory"
-    cold ──▶ Coalescer.lease ──┬─ follower ──▶ await shared future
-                               └─ leader ──▶ AdmissionQueue.offer
-                                               │        │
-                                     queue full┘        ▼
-                                     429+Retry-After   dispatcher batch
-                                     (all waiters)      │
-                                               execute_plan (supervised
-                                               engine: retries, watchdog,
-                                               crash containment)
-                                                        │
-                                      resolve/reject every waiter with
-                                      the result or one structured error
+    cold ──▶ AdmissionTable.admit (one step)
+               ├─ draining ───▶ 503
+               ├─ in flight ──▶ follow: await the shared future
+               ├─ FIFO full ──▶ 429 + Retry-After (no entry left)
+               └─ lead ───────▶ FIFO ──▶ dispatcher batch
+                                              │
+                                 execute_plan (supervised engine:
+                                 retries, watchdog, crash containment)
+                                              │
+                                 resolve/reject every waiter with the
+                                 result or one structured error
 
 The dispatcher is a single task pulling admitted work in batches, so
 concurrent cold requests for *different* fingerprints still share one
@@ -73,8 +72,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..obs.prometheus import render_registry
 from ..obs.tracing import Tracer
-from .admission import AdmissionQueue
-from .coalescer import Coalescer
+from .admission import AdmissionTable
 from .schemas import (
     DrainingError,
     ExperimentRequest,
@@ -110,16 +108,6 @@ _STATUS_TEXT = {
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
-
-
-class _Work:
-    """One admitted cold fingerprint awaiting dispatch."""
-
-    __slots__ = ("request", "fingerprint")
-
-    def __init__(self, request: RunRequest):
-        self.request = request
-        self.fingerprint = request.fingerprint
 
 
 class _WatchStreamGuard:
@@ -192,8 +180,9 @@ class Gateway:
         self.tracer: Tracer = (telemetry.tracer if telemetry is not None
                                else Tracer())
 
-        self.coalescer = Coalescer()
-        self.admission = AdmissionQueue(queue_limit, workers=self.jobs)
+        #: In-flight runs by fingerprint and the FIFO of cold runs not
+        #: yet dispatched.
+        self.admission = AdmissionTable(queue_limit, workers=self.jobs)
         #: Engine workers for every run the gateway computes (``/run``,
         #: ``/experiment`` and ``/explore``), kept from the first cold
         #: dispatch until shutdown.
@@ -345,7 +334,7 @@ class Gateway:
         self.draining = True
         self._g_draining.set(1)
         log.info("draining (%s): %d queued, %d in flight", reason,
-                 len(self.admission), len(self.coalescer))
+                 self.admission.depth, len(self.admission))
         self.admission.close()
         # Wake every /watch stream so open connections end promptly.
         for fingerprint in list(self._watchers):
@@ -365,7 +354,7 @@ class Gateway:
                 timed_out = True
                 log.warning("drain timeout (%.1fs): cancelling the "
                             "dispatcher, failing %d in-flight run(s)",
-                            self.drain_timeout_s, len(self.coalescer))
+                            self.drain_timeout_s, len(self.admission))
                 self._dispatcher.cancel()
                 try:
                     await self._dispatcher
@@ -375,7 +364,7 @@ class Gateway:
         # timed-out drain they may still run the abandoned batch.
         await asyncio.to_thread(self.pool.close, timed_out)
         # Safety net: nobody may be left awaiting a dead future.
-        stranded = self.coalescer.abort_all(
+        stranded = self.admission.abort_all(
             lambda key: DrainingError(
                 "gateway shut down before this run executed",
                 fingerprint=key))
@@ -409,8 +398,7 @@ class Gateway:
             "uptime_s": (time.monotonic() - self.started_at
                          if self.started_at is not None else 0.0),
             "jobs": self.jobs,
-            "queue": self.admission.snapshot(),
-            "coalescing": self.coalescer.snapshot(),
+            **self.admission.snapshot(),
             "memory_cache_entries": len(_SIM_CACHE),
             "memory_cache_limit": self.memory_cache_limit,
             "disk_cache": (self.cache.snapshot()
@@ -453,58 +441,56 @@ class Gateway:
     async def _dispatch_loop(self) -> None:
         while True:
             first = await self.admission.take()
-            self._g_queue.set(len(self.admission))
+            self._g_queue.set(self.admission.depth)
             if first is None:
                 return  # closed and drained
-            batch: List[_Work] = [first]
+            batch: List[RunRequest] = [first]
             batch.extend(self.admission.drain_now(self.batch_max - 1))
-            self._g_queue.set(len(self.admission))
+            self._g_queue.set(self.admission.depth)
             self._c_batches.inc()
-            for work in batch:
-                self._publish(work.fingerprint, "running",
+            for request in batch:
+                self._publish(request.fingerprint, "running",
                               batch=len(batch))
             started = time.monotonic()
-            requests = [work.request for work in batch]
             try:
                 with self.tracer.span("service.batch",
                                       attrs={"batch": len(batch)}):
                     outcomes = await asyncio.to_thread(
-                        self._execute_batch, requests)
+                        self._execute_batch, batch)
             except BaseException as exc:  # engine blew past supervision
                 log.error("dispatch batch failed wholesale: %s: %s",
                           type(exc).__name__, exc)
-                for work in batch:
-                    self.coalescer.reject(work.fingerprint, ServiceError(
+                for request in batch:
+                    self.admission.reject(request.fingerprint, ServiceError(
                         f"engine dispatch failed: "
                         f"{type(exc).__name__}: {exc}"))
                     self._c_run_failed.inc()
-                    self._publish(work.fingerprint, "failed",
+                    self._publish(request.fingerprint, "failed",
                                   error=f"{type(exc).__name__}: {exc}")
-                self._g_inflight.set(len(self.coalescer))
+                self._g_inflight.set(len(self.admission))
                 continue
             elapsed = time.monotonic() - started
             computed = sum(1 for _, source in outcomes.values()
                            if source == "computed")
             if computed:
                 self.admission.observe_run_seconds(elapsed / computed)
-            for work in batch:
-                result, source = outcomes[work.fingerprint]
+            for request in batch:
+                fingerprint = request.fingerprint
+                result, source = outcomes[fingerprint]
                 if source == "failed":
                     self._c_run_failed.inc()
-                    self.coalescer.reject(
-                        work.fingerprint,
-                        run_failure_error(work.fingerprint, str(result)))
-                    self._publish(work.fingerprint, "failed",
-                                  error=str(result))
+                    self.admission.reject(
+                        fingerprint,
+                        run_failure_error(fingerprint, str(result)))
+                    self._publish(fingerprint, "failed", error=str(result))
                 else:
                     if source == "disk":
                         self._c_hit_disk.inc()
                     else:
                         self._c_computed.inc()
-                    self.coalescer.resolve(work.fingerprint,
-                                           (result, source))
-                    self._publish(work.fingerprint, "done", source=source)
-            self._g_inflight.set(len(self.coalescer))
+                    self.admission.resolve(fingerprint, (result, source))
+                    self._publish(fingerprint, "done", source=source)
+            self._g_inflight.set(len(self.admission))
             self._trim_sim_cache()
 
     def _execute_batch(self, requests: List[RunRequest]) -> Dict[
@@ -543,38 +529,28 @@ class Gateway:
     # Request handling
     # ==================================================================
     async def _resolve_run(self, request: RunRequest) -> Tuple[object, str]:
-        """Resolve one canonical run through hot-cache → coalescer →
-        admission; returns ``(SimResult, source)`` or raises a
+        """Resolve one canonical run through the hot cache, then the
+        admission table; returns ``(SimResult, source)`` or raises a
         :class:`ServiceError`."""
         fingerprint = request.fingerprint
         result = cache_get(fingerprint)  # LRU: a hit refreshes recency
         if result is not None:
             self._count_source("memory")
             return result, "memory"
-        if self.draining:
-            raise DrainingError("gateway is draining; not admitting "
-                                "new work")
-        lease = self.coalescer.lease(fingerprint)
-        if lease.leader:
-            # No await between lease() and offer(): on rejection the
-            # entry retracts before any follower can join it.
-            try:
-                self.admission.offer(_Work(request))
-            except ServiceError:
-                self.coalescer.retract(lease)
-                raise
-            self._g_queue.set(len(self.admission))
-            self._g_inflight.set(len(self.coalescer))
+        future, leader = self.admission.admit(fingerprint, request)
+        if leader:
+            self._g_queue.set(self.admission.depth)
+            self._g_inflight.set(len(self.admission))
             self._publish(fingerprint, "queued",
-                          queue_depth=len(self.admission))
+                          queue_depth=self.admission.depth)
             self.tracer.instant("service.queued", fingerprint=fingerprint,
-                                attrs={"queue_depth": len(self.admission)})
+                                attrs={"queue_depth": self.admission.depth})
         else:
             self._c_coalesced.inc()
             self.tracer.instant("service.coalesced",
                                 fingerprint=fingerprint)
-        result, source = await lease.wait()
-        source = source if lease.leader else "coalesced"
+        result, source = await self.admission.wait(future)
+        source = source if leader else "coalesced"
         self._count_source(source)
         return result, source
 
@@ -845,7 +821,7 @@ class Gateway:
             await writer.drain()
 
             in_cache = fingerprint in _SIM_CACHE
-            inflight = fingerprint in self.coalescer
+            inflight = fingerprint in self.admission
             state = ("done" if in_cache
                      else "inflight" if inflight
                      else "unknown")

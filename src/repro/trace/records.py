@@ -99,11 +99,6 @@ class Trace:
         """Number of per-core access streams."""
         return len(self.per_core)
 
-    @property
-    def n_accesses(self) -> int:
-        """Total PCM accesses across all cores."""
-        return sum(len(stream) for stream in self.per_core)
-
     def validate(self) -> None:
         """Cheap structural checks used by tests and the generator."""
         for core, stream in enumerate(self.per_core):
@@ -119,33 +114,6 @@ class Trace:
                 if acc.kind == WRITE and acc.iter_counts is not None:
                     if acc.iter_counts.size != acc.changed_idx.size:
                         raise TraceError("iteration counts misaligned")
-
-    def bank_histogram(self, n_banks: int) -> List[int]:
-        """Accesses per bank (line-interleaved) — bank-conflict preview."""
-        counts = [0] * n_banks
-        for stream in self.per_core:
-            for acc in stream:
-                counts[(acc.line_addr // self.line_size) % n_banks] += 1
-        return counts
-
-    def per_core_summary(self) -> List[Dict[str, float]]:
-        """Reads/writes/instructions per core."""
-        out: List[Dict[str, float]] = []
-        for core, (stream, stats) in enumerate(
-            zip(self.per_core, self.per_core_stats or [None] * self.n_cores)
-        ):
-            reads = sum(1 for a in stream if a.kind == READ)
-            writes = len(stream) - reads
-            out.append({
-                "core": core,
-                "reads": reads,
-                "writes": writes,
-                "instructions": (
-                    stats.instructions if stats is not None
-                    else sum(a.gap_instr for a in stream)
-                ),
-            })
-        return out
 
     def summary(self) -> Dict[str, float]:
         """Aggregate statistics as a plain dict."""

@@ -171,7 +171,7 @@ class TestTelemetry:
     def test_manifest_roundtrip(self, tmp_path, tmp_sim_cache):
         from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, read_manifest
 
-        assert MANIFEST_SCHEMA_VERSION == 15
+        assert MANIFEST_SCHEMA_VERSION == 16
         telemetry = Telemetry()
         run_session(settings(), telemetry=telemetry)
         path = tmp_path / "manifest.jsonl"

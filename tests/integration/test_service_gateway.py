@@ -27,6 +27,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -277,7 +278,7 @@ def test_backpressure_429_with_retry_after(monkeypatch):
             assert body["error"]["retryable"] is True
             assert body["error"]["retry_after_s"] >= 1
             assert body["error"]["queue_limit"] == 1
-            # The rejected fingerprint left no coalescer residue and
+            # The rejected fingerprint left no in-flight entry and
             # the admitted work still completes correctly.
             results = await asyncio.gather(first, second)
             for status, _, payload in results:
@@ -310,7 +311,7 @@ def test_graceful_drain_finishes_inflight_work():
         inflight = harness.submit(fire())
         deadline = time.monotonic() + 20
         while time.monotonic() < deadline:
-            if len(harness.gateway.coalescer) == 1:
+            if len(harness.gateway.admission) == 1:
                 break
             time.sleep(0.02)
         else:
@@ -520,3 +521,49 @@ def test_explore_computes_on_the_pool_not_in_the_gateway(monkeypatch):
     session = ExploreSession(ExploreRequest.from_wire(body).settings)
     expected = frontier_report(session.run())
     assert payload == json.loads(json.dumps(expected))
+
+
+def test_watch_streams_an_exploration_without_telemetry():
+    """``/watch?fingerprint=<session id>`` carries an exploration's
+    progress when the gateway writes no manifest: each evaluated point
+    (with its parameter values and objectives) and the frontier arrive
+    once each, before ``explore_done``."""
+    body = {"space": {"name": "gw", "axes": [
+                {"param": "dimm_tokens", "values": [490, 560]}]},
+            "strategy": "grid", "budget_points": 2, "workload": "tig_m",
+            **MICRO_FIELDS}
+    session_id = ExploreSession(
+        ExploreRequest.from_wire(body).settings).session_id
+    events = []
+    with GatewayHarness(jobs=1) as harness:
+        assert harness.gateway.telemetry is None
+        client = harness.client(timeout_s=120)
+        watcher = threading.Thread(
+            target=lambda: events.extend(client.watch(session_id)),
+            daemon=True)
+        watcher.start()
+        deadline = time.monotonic() + 30
+        while harness.gateway.snapshot()["watchers"] < 1:
+            if time.monotonic() > deadline:
+                pytest.fail("watcher never registered")
+            time.sleep(0.02)
+        status, _, payload = harness.submit(raw_request(
+            harness.gateway.host, harness.gateway.port, "POST",
+            "/explore", body)).result(timeout=120)
+        assert status == 200, payload
+    # Leaving the harness drained the gateway, which ends the stream.
+    watcher.join(timeout=30)
+    assert not watcher.is_alive(), f"watch never ended: {events}"
+
+    kinds = [event["event"] for event in events]
+    assert kinds.count("explore_point") == 2, kinds
+    assert kinds.count("explore_frontier") == 1, kinds
+    assert kinds.count("explore_done") == 1, kinds
+    done_at = kinds.index("explore_done")
+    assert all(index < done_at for index, kind in enumerate(kinds)
+               if kind in ("explore_point", "explore_frontier")), kinds
+    points = [event for event in events if event["event"] == "explore_point"]
+    assert sorted(event["point"]["dimm_tokens"] for event in points) == [
+        490, 560]
+    assert all(event["objectives"] for event in points)
+    assert all(event["fingerprint"] == session_id for event in events)

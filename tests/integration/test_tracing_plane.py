@@ -55,10 +55,9 @@ def test_jobs2_plan_yields_one_merged_correlated_trace(tmp_path):
     assert summary["computed"] == 4
 
     # Every run was computed in a worker yet arrived instrumented, with
-    # a sidecar provenance record and a fingerprint-derived trace id.
+    # its worker's pid and a fingerprint-derived trace id.
     assert len(telemetry.runs) == 4
     assert all(run.get("instrumented") for run in telemetry.runs)
-    assert len(telemetry.worker_telemetry) == 4
     worker_pids = {run["worker"] for run in telemetry.runs}
     assert len(worker_pids) == 2, (
         f"expected runs from both workers, got {worker_pids}")
@@ -84,14 +83,16 @@ def test_jobs2_plan_yields_one_merged_correlated_trace(tmp_path):
     sim_pids = {e["pid"] for e in events if e.get("cat") == "sim"}
     assert {run["pid"] for run in telemetry.runs} <= sim_pids
 
-    # Manifest: schema v5, span + worker_telemetry records, every
-    # worker run correlated by trace id to at least one span record.
+    # Manifest: schema v5, span records and worker-stamped sim_run
+    # records, every worker run correlated by trace id to at least one
+    # span record.
     manifest_path = tmp_path / "runs.jsonl"
     telemetry.write_manifest(manifest_path, config, scale=MICRO.name)
     records = read_manifest(manifest_path)
     assert records[0]["schema_version"] >= 5
     span_tids = {r["trace_id"] for r in records if r["type"] == "span"}
-    worker_records = [r for r in records if r["type"] == "worker_telemetry"]
+    worker_records = [r for r in records
+                      if r["type"] == "sim_run" and r.get("worker")]
     assert len(worker_records) == 4
     for run in (r for r in records if r["type"] == "sim_run"):
         assert run["trace_id"] in span_tids, (

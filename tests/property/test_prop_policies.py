@@ -105,7 +105,6 @@ class TestManagerConservation:
         assert manager.dimm_pool.allocated == pytest.approx(0.0, abs=1e-6)
         for chip in dimm.chips:
             assert chip.allocated == pytest.approx(0.0, abs=1e-6)
-            assert chip.lent_to_gcp == pytest.approx(0.0, abs=1e-6)
         if manager.gcp is not None:
             assert manager.gcp.output_in_use == pytest.approx(0.0, abs=1e-6)
 

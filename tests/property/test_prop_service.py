@@ -1,6 +1,6 @@
 """Property tests for the service gateway's concurrency core.
 
-The claims under test (see ``repro/service/coalescer.py``): for *any*
+The claims under test (see ``repro/service/admission.py``): for *any*
 interleaving of K concurrent requests over M distinct fingerprints,
 
 * exactly M submissions reach the engine — never a double-run;
@@ -10,8 +10,8 @@ interleaving of K concurrent requests over M distinct fingerprints,
   bounded by the number of in-flight fingerprints, not by K;
 * a failure fans the same error out to every waiter — nobody hangs.
 
-The scenario drives the real :class:`Coalescer` + :class:`AdmissionQueue`
-with a stand-in dispatcher (no simulations — interleavings are the
+The scenario drives the real :class:`AdmissionTable` with a stand-in
+dispatcher (no simulations — interleavings are the
 subject here), with Hypothesis choosing the request → fingerprint
 mapping and per-request start delays.
 """
@@ -24,8 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.admission import AdmissionQueue
-from repro.service.coalescer import Coalescer
+from repro.service.admission import AdmissionTable
 from repro.service.schemas import BusyError, RunExecutionError
 
 
@@ -42,24 +41,23 @@ def workloads(draw):
 
 async def _run_scenario(requests, *, dispatcher_yields=1):
     """The gateway's resolve path with a stand-in engine: returns
-    (coalescer, queue, submissions, responses)."""
-    coalescer = Coalescer()
-    queue = AdmissionQueue(limit=1_000)
+    (table, submissions, responses)."""
+    table = AdmissionTable(limit=1_000)
     submissions = []
     cache = {}
 
     async def dispatcher():
         while True:
-            key = await queue.take()
+            key = await table.take()
             if key is None:
                 return
             for _ in range(dispatcher_yields):  # interleave with clients
                 await asyncio.sleep(0)
             submissions.append(key)
             # Engine contract: the cache holds the result before the
-            # coalescer entry resolves (no await between the two).
+            # table entry resolves (no await between the two).
             cache[key] = f"value-for-{key}"
-            coalescer.resolve(key, cache[key])
+            table.resolve(key, cache[key])
 
     async def client(fingerprint, delay):
         for _ in range(delay):
@@ -67,23 +65,21 @@ async def _run_scenario(requests, *, dispatcher_yields=1):
         hit = cache.get(fingerprint)
         if hit is not None:
             return hit
-        lease = coalescer.lease(fingerprint)
-        if lease.leader:
-            queue.offer(fingerprint)
-        return await lease.wait()
+        future, _leader = table.admit(fingerprint, fingerprint)
+        return await table.wait(future)
 
     task = asyncio.get_running_loop().create_task(dispatcher())
     responses = await asyncio.gather(
         *(client(f"fp-{index}", delay) for index, delay in requests))
-    queue.close()
+    table.close()
     await task
-    return coalescer, queue, submissions, responses
+    return table, submissions, responses
 
 
 @settings(max_examples=120, deadline=None)
 @given(requests=workloads())
 def test_any_interleaving_runs_each_fingerprint_once(requests):
-    coalescer, queue, submissions, responses = asyncio.run(
+    table, submissions, responses = asyncio.run(
         _run_scenario(requests))
     distinct = {f"fp-{index}" for index, _delay in requests}
     # Exactly M engine submissions, each fingerprint exactly once.
@@ -92,12 +88,13 @@ def test_any_interleaving_runs_each_fingerprint_once(requests):
     assert responses == [f"value-for-fp-{index}"
                          for index, _delay in requests]
     # The in-flight map drained completely (bounded memory).
-    assert len(coalescer) == 0
-    assert coalescer.peak_inflight <= len(distinct)
-    assert len(queue) == 0
-    # Every submission had a leader; leases never exceed requests.
-    assert coalescer.leaders == len(submissions)
-    assert coalescer.leaders + coalescer.followers <= len(requests)
+    assert len(table) == 0
+    assert table.peak_inflight <= len(distinct)
+    assert table.depth == 0
+    # Every submission had a leader; leaders and followers never
+    # exceed requests.
+    assert table.admitted == len(submissions)
+    assert table.admitted + table.followers <= len(requests)
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,12 +103,12 @@ def test_any_interleaving_runs_each_fingerprint_once(requests):
 def test_slow_engine_coalesces_harder_never_wrong(requests, yields):
     """A slower dispatcher only increases sharing, never correctness
     risk: same single-submission and correct-response properties."""
-    coalescer, _queue, submissions, responses = asyncio.run(
+    table, submissions, responses = asyncio.run(
         _run_scenario(requests, dispatcher_yields=yields))
     assert len(submissions) == len(set(submissions))
     assert responses == [f"value-for-fp-{index}"
                          for index, _delay in requests]
-    assert len(coalescer) == 0
+    assert len(table) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,49 +119,44 @@ def test_failure_fans_out_to_every_waiter(waiters):
     story."""
 
     async def scenario():
-        coalescer = Coalescer()
-        leases = [coalescer.lease("fp") for _ in range(waiters)]
-        assert leases[0].leader and not any(
-            lease.leader for lease in leases[1:])
+        table = AdmissionTable(limit=1)
+        joins = [table.admit("fp", "fp") for _ in range(waiters)]
+        leaders = [leader for _future, leader in joins]
+        assert leaders[0] and not any(leaders[1:])
         error = RunExecutionError("boom", fingerprint="fp")
-        rejected = coalescer.reject("fp", error)
+        table.reject("fp", error)
         outcomes = await asyncio.gather(
-            *(lease.wait() for lease in leases), return_exceptions=True)
-        return rejected, outcomes, error, len(coalescer)
+            *(table.wait(future) for future, _leader in joins),
+            return_exceptions=True)
+        return outcomes, error, len(table)
 
-    rejected, outcomes, error, remaining = asyncio.run(scenario())
-    assert rejected == waiters
+    outcomes, error, remaining = asyncio.run(scenario())
     assert remaining == 0
     assert all(outcome is error for outcome in outcomes)
 
 
 def test_full_queue_rejects_all_current_waiters_and_recovers():
-    """Leader hits a full admission queue: the lease retracts before
-    any follower can join (no-await discipline), the client gets a
-    structured 429 with a Retry-After, and the fingerprint is
-    re-admittable afterwards."""
+    """Leader hits a full admission queue: the refused request leaves
+    no entry a follower could join, the client gets a structured 429
+    with a Retry-After, and the fingerprint is re-admittable
+    afterwards."""
 
     async def scenario():
-        coalescer = Coalescer()
-        queue = AdmissionQueue(limit=1)
-        queue.offer("occupies-the-only-slot")
+        table = AdmissionTable(limit=1)
+        table.admit("occupies-the-only-slot", "occupies-the-only-slot")
 
-        lease = coalescer.lease("fp")
-        assert lease.leader
         with pytest.raises(BusyError) as excinfo:
-            queue.offer("fp")
-        coalescer.retract(lease)
+            table.admit("fp", "fp")
         assert excinfo.value.retry_after_s >= 1
         assert excinfo.value.to_wire()["error"]["code"] == "busy"
-        assert "fp" not in coalescer
+        assert "fp" not in table
 
         # Queue drains -> the same fingerprint admits cleanly.
-        assert await queue.take() == "occupies-the-only-slot"
-        retry = coalescer.lease("fp")
-        assert retry.leader
-        queue.offer("fp")
-        coalescer.resolve("fp", "ok")
-        assert await retry.wait() == "ok"
+        assert await table.take() == "occupies-the-only-slot"
+        retry, leader = table.admit("fp", "fp")
+        assert leader
+        table.resolve("fp", "ok")
+        assert await table.wait(retry) == "ok"
 
     asyncio.run(scenario())
 
@@ -174,14 +166,15 @@ def test_cancelled_waiter_does_not_cancel_the_run():
     shared future the other waiters are awaiting."""
 
     async def scenario():
-        coalescer = Coalescer()
-        leader = coalescer.lease("fp")
-        follower = coalescer.lease("fp")
-        waiter = asyncio.get_running_loop().create_task(follower.wait())
+        table = AdmissionTable(limit=1)
+        leader, _ = table.admit("fp", "fp")
+        follower, _ = table.admit("fp", "fp")
+        waiter = asyncio.get_running_loop().create_task(
+            table.wait(follower))
         await asyncio.sleep(0)
         waiter.cancel()
         await asyncio.sleep(0)
-        coalescer.resolve("fp", "survived")
-        assert await leader.wait() == "survived"
+        table.resolve("fp", "survived")
+        assert await table.wait(leader) == "survived"
 
     asyncio.run(scenario())

@@ -90,10 +90,6 @@ class TestDerivedConfigs:
         cfg = baseline_config().with_dimm_tokens(466)
         assert cfg.power.dimm_tokens == 466
 
-    def test_with_gcp_efficiency(self):
-        cfg = baseline_config().with_gcp_efficiency(0.5)
-        assert cfg.power.gcp_efficiency == 0.5
-
     def test_with_mapping(self):
         cfg = baseline_config().with_mapping("bim")
         assert cfg.cell_mapping == "bim"

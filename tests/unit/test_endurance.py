@@ -11,7 +11,6 @@ class TestWearTracker:
     def test_untouched_line_has_no_wear(self):
         tracker = WearTracker(1024)
         assert tracker.max_wear(0) == 0
-        assert tracker.remaining_lifetime_fraction(0) == 1.0
 
     def test_write_ages_changed_cells(self):
         tracker = WearTracker(1024)
@@ -49,12 +48,6 @@ class TestWearTracker:
         tracker.record_write(256, np.array([0, 1]))
         tracker.record_write(256, np.array([0]))
         assert tracker.max_wear() == 2
-
-    def test_lifetime_fraction_decreases(self):
-        tracker = WearTracker(16, endurance=10)
-        for _ in range(4):
-            tracker.record_write(0, np.array([3]))
-        assert tracker.remaining_lifetime_fraction(0) == pytest.approx(0.6)
 
     def test_mean_imbalance(self):
         tracker = WearTracker(8)

@@ -101,7 +101,7 @@ class TestSearchSpace:
     def test_grid_points_cartesian_order(self):
         space = small_space()
         points = list(space.grid_points())
-        assert len(points) == space.grid_size() == 8
+        assert len(points) == 8
         assert points[0] == (("dimm_tokens", 490.0),
                              ("gcp_efficiency", 0.5), ("mr_splits", 1))
         # Last axis varies fastest.
@@ -132,7 +132,7 @@ class TestSearchSpace:
             space.validate(BASE, "fpb")
 
     def test_demo3_has_sixty_grid_points(self):
-        assert named_spaces()["demo3"].grid_size() == 60
+        assert len(list(named_spaces()["demo3"].grid_points())) == 60
 
 
 class TestLowering:

@@ -55,13 +55,6 @@ class TestEncoder:
         result = enc.encode(0, inverted, inverted.copy())
         assert result.encoded_changes == 0
 
-    def test_savings_fraction(self):
-        enc = FlipNWrite(256, 32)
-        old = np.zeros(64, dtype=np.uint8)
-        new = np.full(64, 0xFF, dtype=np.uint8)
-        result = enc.encode(0, old, new)
-        assert result.savings_fraction > 0.9
-
     def test_bad_geometry(self):
         with pytest.raises(ConfigError):
             FlipNWrite(100, 32)

@@ -142,8 +142,8 @@ class TestTraceBuilderEdgeCases:
         original = TraceBuilder()
         original.process(1, "p")
         original.instant(1, 0, "mark", 42)
-        rebuilt = TraceBuilder.from_state(
-            json.loads(json.dumps(original.to_state())))
+        rebuilt = TraceBuilder()
+        rebuilt.merge(json.loads(json.dumps(original.to_state())))
         assert rebuilt.to_dict(freq_ghz=2.0) == original.to_dict(
             freq_ghz=2.0)
 

@@ -1,7 +1,7 @@
-"""Service-layer policy units: LRU result-cache trimming, the
-admission EWMA's sample hygiene, the Retry-After clamp, cancelled-
-waiter accounting in the coalescer, and the ``/watch`` write-side
-dead-client guard. Pure in-process tests — the gateway's HTTP
+"""Service-layer policy units: LRU result-cache trimming, one-step
+admission (join, admit or refuse), the admission EWMA's sample
+hygiene, the Retry-After clamp, cancelled-waiter accounting in the
+admission table, and the ``/watch`` write-side dead-client guard. Pure in-process tests — the gateway's HTTP
 behaviour lives in ``tests/integration/test_service_gateway``."""
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ import pytest
 
 from repro.experiments.base import _SIM_CACHE, cache_get
 from repro.service.admission import (
-    DEFAULT_RETRY_AFTER_CAP_S,
     DEFAULT_RUN_SECONDS,
-    AdmissionQueue,
     EWMA_ALPHA,
+    RETRY_AFTER_CAP_S,
+    AdmissionTable,
 )
 from repro.service.app import _WatchStreamGuard, Gateway
-from repro.service.coalescer import Coalescer
+from repro.service.schemas import BusyError, DrainingError
 
 
 @pytest.fixture(autouse=True)
@@ -69,9 +69,89 @@ class TestGatewayTrimIsLRU:
         assert list(_SIM_CACHE) == ["a"]
 
 
+class TestOneStepAdmission:
+    """``AdmissionTable.admit`` joins, admits or refuses in one call,
+    and a refusal leaves no entry behind."""
+
+    def test_first_request_leads_and_later_ones_share_its_future(self):
+        async def scenario():
+            table = AdmissionTable(limit=4)
+            leader, leads = table.admit("k", "work-k")
+            follower, follows = table.admit("k", "other-work")
+            assert (leads, follows) == (True, False)
+            assert follower is leader
+            assert (len(table), table.depth) == (1, 1)
+            assert await table.take() == "work-k"
+            # Taken by the dispatcher, still in flight: still joinable.
+            assert table.admit("k", "k")[0] is leader
+            table.resolve("k", "result")
+            assert "k" not in table
+            assert await table.wait(leader) == "result"
+            coalescing = table.snapshot()["coalescing"]
+            assert (coalescing["leaders"], coalescing["followers"]) == (1, 2)
+
+        asyncio.run(scenario())
+
+    def test_busy_refusal_leaves_no_entry_and_no_leader(self):
+        async def scenario():
+            table = AdmissionTable(limit=1)
+            table.admit("a", "a")
+            with pytest.raises(BusyError) as excinfo:
+                table.admit("b", "b")
+            assert excinfo.value.detail["queue_depth"] == 1
+            assert "b" not in table and table.depth == 1
+            snapshot = table.snapshot()
+            assert snapshot["queue"]["rejected"] == 1
+            assert (snapshot["coalescing"]["leaders"]
+                    == snapshot["queue"]["admitted"] == 1)
+            # A full FIFO still lets a request join a run in flight.
+            assert table.admit("a", "a")[1] is False
+
+        asyncio.run(scenario())
+
+    def test_closed_table_refuses_leaders_and_followers(self):
+        async def scenario():
+            table = AdmissionTable(limit=4)
+            table.admit("a", "a")
+            table.close()
+            for key in ("a", "b"):
+                with pytest.raises(DrainingError):
+                    table.admit(key, key)
+            assert "b" not in table
+            assert table.snapshot()["coalescing"]["followers"] == 0
+            assert await table.take() == "a"  # the backlog still drains
+            assert await table.take() is None
+
+        asyncio.run(scenario())
+
+    def test_abort_all_rejects_every_inflight_waiter(self):
+        async def scenario():
+            table = AdmissionTable(limit=4)
+            futures = [table.admit(key, key)[0] for key in ("a", "b")]
+            aborted = table.abort_all(
+                lambda key: DrainingError("shut down", fingerprint=key))
+            assert aborted == 2 and len(table) == 0
+            for future, key in zip(futures, ("a", "b")):
+                with pytest.raises(DrainingError) as excinfo:
+                    await table.wait(future)
+                assert excinfo.value.detail["fingerprint"] == key
+
+        asyncio.run(scenario())
+
+    def test_snapshot_keeps_the_healthz_blocks(self):
+        snapshot = AdmissionTable(limit=4).snapshot()
+        assert set(snapshot["queue"]) == {
+            "depth", "limit", "peak_depth", "admitted", "rejected",
+            "ewma_run_s", "ewma_rejected_samples", "retry_after_cap_s",
+            "retry_after_clamped", "closed"}
+        assert set(snapshot["coalescing"]) == {
+            "inflight", "peak_inflight", "leaders", "followers",
+            "cancelled_waiters"}
+
+
 class TestAdmissionSampleHygiene:
     def test_positive_sample_folds_into_ewma(self):
-        queue = AdmissionQueue(limit=4)
+        queue = AdmissionTable(limit=4)
         queue.observe_run_seconds(10.0)
         expected = (DEFAULT_RUN_SECONDS
                     + EWMA_ALPHA * (10.0 - DEFAULT_RUN_SECONDS))
@@ -80,17 +160,17 @@ class TestAdmissionSampleHygiene:
 
     @pytest.mark.parametrize("bad", [0.0, -0.001, -5.0])
     def test_non_positive_sample_counted_not_folded(self, bad, caplog):
-        queue = AdmissionQueue(limit=4)
+        queue = AdmissionTable(limit=4)
         with caplog.at_level("WARNING", logger="repro.service.admission"):
             queue.observe_run_seconds(bad)
         assert queue.ewma_run_s == DEFAULT_RUN_SECONDS
         assert queue.ewma_rejected_samples == 1
         assert any("non-positive service-time sample" in rec.message
                    for rec in caplog.records)
-        assert queue.snapshot()["ewma_rejected_samples"] == 1
+        assert queue.snapshot()["queue"]["ewma_rejected_samples"] == 1
 
     def test_rejected_sample_hook_fires(self):
-        queue = AdmissionQueue(limit=4)
+        queue = AdmissionTable(limit=4)
         fired = []
         queue.on_rejected_sample = lambda: fired.append(1)
         queue.observe_run_seconds(-1.0)
@@ -106,89 +186,39 @@ class TestAdmissionSampleHygiene:
 
 class TestRetryAfterClamp:
     def test_small_backlog_estimate_passes_through(self):
-        queue = AdmissionQueue(limit=8)
+        queue = AdmissionTable(limit=8)
         # Empty queue, default EWMA prior: ceil(1 * 2.0 / 1) = 2 s.
         assert queue.retry_after_s() == 2
         assert queue.retry_after_clamped == 0
 
     def test_deep_backlog_is_clamped_to_the_cap(self):
-        queue = AdmissionQueue(limit=8)
+        queue = AdmissionTable(limit=8)
         queue.ewma_run_s = 3600.0  # an hour per run: "come back never"
-        assert queue.retry_after_s() == DEFAULT_RETRY_AFTER_CAP_S
+        assert queue.retry_after_s() == RETRY_AFTER_CAP_S
         assert queue.retry_after_clamped == 1
-        snap = queue.snapshot()
-        assert snap["retry_after_cap_s"] == DEFAULT_RETRY_AFTER_CAP_S
+        snap = queue.snapshot()["queue"]
+        assert snap["retry_after_cap_s"] == RETRY_AFTER_CAP_S
         assert snap["retry_after_clamped"] == 1
-
-    def test_cap_is_configurable(self):
-        queue = AdmissionQueue(limit=8, retry_after_cap_s=5)
-        queue.ewma_run_s = 100.0
-        assert queue.retry_after_s() == 5
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            AdmissionQueue(limit=8, retry_after_cap_s=0)
 
 
 class TestCancelledWaiterAccounting:
-    def test_abandon_decrements_waiters_and_counts(self):
-        async def scenario():
-            c = Coalescer()
-            leader = c.lease("k")
-            follower = c.lease("k")
-            assert c.waiters("k") == 2
-            c.abandon(follower)
-            assert c.waiters("k") == 1
-            assert c.cancelled_waiters == 1
-            assert c.snapshot()["cancelled_waiters"] == 1
-            leader.future.set_result(None)  # silence "never retrieved"
-
-        asyncio.run(scenario())
-
-    def test_abandon_after_resolution_is_a_noop(self):
-        async def scenario():
-            c = Coalescer()
-            lease = c.lease("k")
-            assert c.resolve("k", "result") == 1
-            c.abandon(lease)  # late cancellation: entry already gone
-            assert c.cancelled_waiters == 0
-
-        asyncio.run(scenario())
-
-    def test_abandon_never_touches_a_successor_entry(self):
-        """A stale lease from a *previous* in-flight run of the same
-        fingerprint must not corrupt the waiter count of the current
-        one."""
-        async def scenario():
-            c = Coalescer()
-            stale = c.lease("k")
-            c.resolve("k", "first result")
-            successor = c.lease("k")  # same key, new entry
-            c.abandon(stale)
-            assert c.waiters("k") == 1
-            assert c.cancelled_waiters == 0
-            successor.future.set_result(None)
-
-        asyncio.run(scenario())
-
     def test_cancelled_wait_abandons_without_unshielding(self):
-        """Cancelling one waiter's task removes it from the count but
-        leaves the shared future running; the surviving waiter still
-        gets the result."""
+        """Cancelling one waiter's task counts it but leaves the shared
+        future running; the surviving waiter still gets the result."""
         async def scenario():
-            c = Coalescer()
-            leader = c.lease("k")
-            follower = c.lease("k")
-            task = asyncio.ensure_future(follower.wait())
+            table = AdmissionTable(limit=4)
+            leader, _ = table.admit("k", "k")
+            follower, _ = table.admit("k", "k")
+            task = asyncio.ensure_future(table.wait(follower))
             await asyncio.sleep(0)  # let the waiter reach the shield
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            assert not leader.future.cancelled()
-            assert c.waiters("k") == 1
-            assert c.cancelled_waiters == 1
-            leader.future.set_result("result")
-            assert await leader.wait() == "result"
+            assert not leader.cancelled()
+            assert table.cancelled_waiters == 1
+            assert table.snapshot()["coalescing"]["cancelled_waiters"] == 1
+            table.resolve("k", "result")
+            assert await table.wait(leader) == "result"
 
         asyncio.run(scenario())
 

@@ -57,14 +57,6 @@ class TestTokenPool:
         pool.release(40.0, now=10)
         assert pool.mean_allocated(20) == pytest.approx(20.0)
 
-    def test_resize(self):
-        pool = TokenPool(80.0)
-        pool.resize(20.0)
-        assert pool.budget == 100.0
-        pool.allocate(100.0)
-        with pytest.raises(TokenError):
-            pool.resize(-10.0)
-
     def test_zero_budget_rejected(self):
         with pytest.raises(TokenError):
             TokenPool(0.0)
@@ -79,32 +71,13 @@ class TestPCMChip:
     def test_free_accounting(self):
         chip = PCMChip(0, 66.5)
         chip.allocate(30.0)
-        chip.lend(10.0)
-        assert chip.free == pytest.approx(26.5)
+        assert chip.free == pytest.approx(36.5)
 
     def test_over_allocation_rejected(self):
         chip = PCMChip(0, 66.5)
         chip.allocate(60.0)
         with pytest.raises(TokenError):
             chip.allocate(10.0)
-
-    def test_lend_beyond_free_rejected(self):
-        chip = PCMChip(0, 66.5)
-        chip.allocate(60.0)
-        with pytest.raises(TokenError):
-            chip.lend(10.0)
-
-    def test_reclaim_loan(self):
-        chip = PCMChip(0, 66.5)
-        chip.lend(20.0)
-        chip.reclaim_loan(20.0)
-        assert chip.free == 66.5
-
-    def test_reclaim_beyond_loan_rejected(self):
-        chip = PCMChip(0, 66.5)
-        chip.lend(5.0)
-        with pytest.raises(TokenError):
-            chip.reclaim_loan(10.0)
 
     def test_release_beyond_allocated_rejected(self):
         chip = PCMChip(0, 66.5)

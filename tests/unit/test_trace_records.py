@@ -72,26 +72,4 @@ class TestTraceValidation:
         trace.stats = TraceStats(instructions=1000, reads=3, writes=1)
         summary = trace.summary()
         assert summary["rpki"] == 3.0
-        assert trace.n_accesses == 0
-
-
-class TestTraceUtilities:
-    def test_bank_histogram(self):
-        trace = Trace("t", 256, per_core=[
-            [read_rec(0, 0), read_rec(0, 256), read_rec(0, 256 * 9)],
-        ])
-        hist = trace.bank_histogram(8)
-        assert hist[0] == 1
-        assert hist[1] == 2  # lines 1 and 9 share bank 1
-        assert sum(hist) == 3
-
-    def test_per_core_summary(self):
-        trace = Trace("t", 256, per_core=[
-            [read_rec(0, 0), write_rec(0, 256)],
-            [read_rec(1, 512)],
-        ])
-        summary = trace.per_core_summary()
-        assert summary[0]["reads"] == 1
-        assert summary[0]["writes"] == 1
-        assert summary[1]["reads"] == 1
-        assert summary[1]["instructions"] == 10
+        assert not any(trace.per_core)
