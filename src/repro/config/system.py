@@ -334,6 +334,11 @@ class SchedulerConfig:
 #: Simulation-kernel implementations (see :mod:`repro.kernel`).
 KERNELS = ("reference", "vectorized")
 
+#: The kernel every config, sampler and write runs on unless told
+#: otherwise. The reference kernel stays selectable as the executable
+#: specification and the tests' oracle.
+DEFAULT_KERNEL = "vectorized"
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -349,13 +354,13 @@ class SystemConfig:
     wear_leveling: bool = False
     #: Track per-cell wear during simulation (endurance studies).
     track_wear: bool = False
-    #: Simulation-kernel implementation: ``"reference"`` (per-cell
-    #: scalar loops — the executable specification) or ``"vectorized"``
-    #: (batched NumPy fast path). Both produce byte-identical
+    #: Simulation-kernel implementation: ``"vectorized"`` (batched NumPy,
+    #: the default) or ``"reference"`` (per-cell scalar loops — the
+    #: executable specification). Both produce byte-identical
     #: :class:`~repro.sim.runner.SimResult`\ s; the choice participates
     #: in :func:`config_fingerprint` like every other field, so caches
     #: never conflate kernels.
-    kernel: str = "reference"
+    kernel: str = DEFAULT_KERNEL
     seed: int = 1
 
     def __post_init__(self) -> None:

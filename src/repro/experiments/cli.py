@@ -39,7 +39,7 @@ import time
 from typing import List, Optional, Tuple
 
 from ..config.presets import baseline_config
-from ..config.system import SystemConfig
+from ..config.system import DEFAULT_KERNEL, SystemConfig
 from ..errors import RunFailedError
 from ..kernel import available_kernels
 from ..obs.logging import get_logger, setup_logging
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--kernel", choices=available_kernels(), default=None,
         help="simulation kernel (reference/vectorized; results are "
-             "identical, only speed differs; default: config default)",
+             f"identical, only speed differs; default: {DEFAULT_KERNEL})",
     )
     run.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "--kernel", choices=available_kernels(), default=None,
         help="simulation kernel (results are identical, only speed "
-             "differs; default: config default)",
+             f"differs; default: {DEFAULT_KERNEL})",
     )
     explore.add_argument(
         "--jobs", type=_jobs, default=1, metavar="N",

@@ -6,9 +6,12 @@ implementations:
 
 * **reference** — per-cell scalar Python loops. This is the executable
   specification: each loop mirrors the paper's prose one cell, one chip,
-  one iteration at a time, and stays the default for every run.
+  one iteration at a time, and it is the oracle the tests hold the
+  vectorized kernel to.
 * **vectorized** — batched NumPy. One RNG draw matrix per write, fused
-  histogram planning, and array-ledger token accounting.
+  histogram planning, and array-ledger token accounting. Every run uses
+  it unless its config names the reference kernel
+  (:data:`~repro.config.system.DEFAULT_KERNEL`).
 
 Both kernels are *byte-identical* by construction: they consume the same
 RNG streams in the same order (NumPy ``Generator`` scalar draws consume
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, Union
 
+from ..config.system import DEFAULT_KERNEL
 from ..errors import ConfigError
 from .base import Kernel
 from .reference import ReferenceKernel
@@ -42,11 +46,11 @@ def available_kernels() -> Tuple[str, ...]:
 
 def get_kernel(name: Union[str, Kernel, None]) -> Kernel:
     """Resolve a kernel by name (``Kernel`` instances pass through;
-    ``None`` means the reference kernel)."""
+    ``None`` means :data:`~repro.config.system.DEFAULT_KERNEL`)."""
     if isinstance(name, Kernel):
         return name
     if name is None:
-        return _KERNELS["reference"]
+        name = DEFAULT_KERNEL
     try:
         return _KERNELS[name]
     except KeyError:

@@ -199,19 +199,17 @@ class Tracer:
     # ------------------------------------------------------------------
     # Merge & export
     # ------------------------------------------------------------------
-    def absorb(self, records: Iterable[Dict[str, object]]) -> int:
+    def absorb(self, records: Iterable[Dict[str, object]]) -> None:
         """Adopt span records produced by another tracer (a worker's
-        snapshot). Records keep their original pids and ids — the merge
-        is pure concatenation, correlation lives in the trace ids."""
-        adopted = 0
+        snapshot); anything that is not a span record is skipped.
+        Records keep their original pids and ids — the merge is pure
+        concatenation, correlation lives in the trace ids."""
         for record in records:
             if not isinstance(record, dict) or "span_id" not in record:
                 continue
             merged = dict(record)
             merged["type"] = "span"
             self.spans.append(merged)
-            adopted += 1
-        return adopted
 
     def to_records(self) -> List[Dict[str, object]]:
         """Manifest-ready ``span`` records, in completion order."""

@@ -39,7 +39,7 @@ class IterationSampler:
 
     ``kernel`` selects the sampling implementation (a name from
     :func:`repro.kernel.available_kernels`, a :class:`~repro.kernel.
-    Kernel` instance, or ``None`` for the reference kernel); the drawn
+    Kernel` instance, or ``None`` for the default kernel); the drawn
     counts are identical either way.
     """
 

@@ -40,7 +40,9 @@ MAX_REFS_PER_CORE = 1_000_000
 #: at the bounds above on the reference kernel took 10.6-29.3 s under
 #: ``dimm+chip`` across the 13 workloads on a 2-vCPU host; ``sche96``,
 #: the slowest scheme, took up to 37.6 s (``lbm_m``). A run still going
-#: at 8x that is hung, not slow.
+#: at 8x that is hung, not slow. The bound stays sized on the reference
+#: kernel: requests default to the faster vectorized kernel, but a
+#: client may still ask for the reference one.
 RUN_TIMEOUT_S = 300.0
 
 

@@ -162,7 +162,7 @@ class TestWorkerPool:
                 assert execute_plan(plan, jobs=2, pool=pool)["computed"] == 1
         generated = [line.split() for line in log.read_text().splitlines()]
         assert sorted(trace for _, trace in generated) == [
-            "mcf_m/reference", "tig_m/reference"]
+            f"mcf_m/{config.kernel}", f"tig_m/{config.kernel}"]
         assert len({pid for pid, _ in generated}) == 2
 
         pooled = {request.fingerprint: _SIM_CACHE[request.fingerprint]

@@ -37,11 +37,14 @@ def write_batches(draw, span=1024):
     return batch
 
 
-def build_manager(flags):
-    config = make_tiny_config()
+def build_manager(flags, kernel):
+    config = make_tiny_config().with_kernel(kernel)
     dimm = DIMM(config)
     manager = PowerManager(config, dimm, **flags)
     return config, dimm, manager
+
+
+KERNELS = st.sampled_from(["reference", "vectorized"])
 
 
 MANAGER_FLAGS = st.sampled_from([
@@ -56,15 +59,17 @@ MANAGER_FLAGS = st.sampled_from([
 
 
 class TestManagerConservation:
-    @given(batch=write_batches(), flags=MANAGER_FLAGS)
+    @given(batch=write_batches(), flags=MANAGER_FLAGS, kernel=KERNELS)
     @settings(max_examples=50, deadline=None)
-    def test_random_schedule_conserves_everything(self, batch, flags):
+    def test_random_schedule_conserves_everything(self, batch, flags,
+                                                  kernel):
         """Drive writes to completion in round-robin; at every step the
         pools' allocations must equal the sum of live holdings, and at
         the end everything must be free again."""
-        config, dimm, manager = build_manager(flags)
+        config, dimm, manager = build_manager(flags, kernel)
         writes = [
-            WriteOperation(i, 0, 0, idx, counts, dimm.mapping)
+            WriteOperation(i, 0, 0, idx, counts, dimm.mapping,
+                           kernel=kernel)
             for i, (idx, counts) in enumerate(batch)
         ]
         live = []
@@ -103,18 +108,19 @@ class TestManagerConservation:
             live = still
         assert guard < 10_000, "schedule did not converge"
         assert manager.dimm_pool.allocated == pytest.approx(0.0, abs=1e-6)
-        for chip in dimm.chips:
-            assert chip.allocated == pytest.approx(0.0, abs=1e-6)
+        for allocated in manager.chip_allocations():
+            assert allocated == pytest.approx(0.0, abs=1e-6)
         if manager.gcp is not None:
             assert manager.gcp.output_in_use == pytest.approx(0.0, abs=1e-6)
 
-    @given(batch=write_batches(), flags=MANAGER_FLAGS)
+    @given(batch=write_batches(), flags=MANAGER_FLAGS, kernel=KERNELS)
     @settings(max_examples=30, deadline=None)
-    def test_release_all_always_safe(self, batch, flags):
+    def test_release_all_always_safe(self, batch, flags, kernel):
         """Abandoning writes at arbitrary points never corrupts pools."""
-        config, dimm, manager = build_manager(flags)
+        config, dimm, manager = build_manager(flags, kernel)
         for i, (idx, counts) in enumerate(batch):
-            write = WriteOperation(i, 0, 0, idx, counts, dimm.mapping)
+            write = WriteOperation(i, 0, 0, idx, counts, dimm.mapping,
+                                   kernel=kernel)
             if manager.required_rounds(write) > 1:
                 continue
             if manager.try_issue(write, 0):
@@ -147,7 +153,7 @@ def manager_state(manager, writes):
 class TestRetryMemo:
     @given(batch=st.sampled_from([1024, 256, 64]).flatmap(write_batches),
            flags=MANAGER_FLAGS,
-           kernel=st.sampled_from(["reference", "vectorized"]),
+           kernel=KERNELS,
            dimm_tokens=st.sampled_from([160.0, 240.0, 560.0]),
            retries=st.integers(2, 4))
     @settings(max_examples=50, deadline=None)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config.system import KERNELS, config_fingerprint
+from repro.config.system import DEFAULT_KERNEL, KERNELS, config_fingerprint
 from repro.errors import ConfigError
 from repro.kernel import (
     Kernel,
@@ -28,7 +28,7 @@ class TestRegistry:
     def test_lookup_by_name(self):
         assert isinstance(get_kernel("reference"), ReferenceKernel)
         assert isinstance(get_kernel("vectorized"), VectorizedKernel)
-        assert get_kernel(None).name == "reference"
+        assert get_kernel(None).name == DEFAULT_KERNEL
 
     def test_instance_passthrough(self):
         kernel = VectorizedKernel()
@@ -46,15 +46,22 @@ class TestRegistry:
             base.plan(np.array([]), np.array([]), 1)
 
 
+def other_kernel() -> str:
+    """The kernel a default config does not run on."""
+    (other,) = set(KERNELS) - {DEFAULT_KERNEL}
+    return other
+
+
 class TestConfigPlumbing:
-    def test_default_is_reference(self):
-        assert make_tiny_config().kernel == "reference"
+    def test_default_is_vectorized(self):
+        assert DEFAULT_KERNEL == "vectorized"
+        assert make_tiny_config().kernel == DEFAULT_KERNEL
 
     def test_with_kernel(self):
-        config = make_tiny_config().with_kernel("vectorized")
-        assert config.kernel == "vectorized"
+        config = make_tiny_config().with_kernel(other_kernel())
+        assert config.kernel == other_kernel()
         # ... and everything else is untouched.
-        assert replace(config, kernel="reference") == make_tiny_config()
+        assert replace(config, kernel=DEFAULT_KERNEL) == make_tiny_config()
 
     def test_invalid_kernel_rejected(self):
         with pytest.raises(ConfigError, match="kernel"):
@@ -63,14 +70,14 @@ class TestConfigPlumbing:
     def test_kernel_in_config_fingerprint(self):
         config = make_tiny_config()
         assert config_fingerprint(config) != config_fingerprint(
-            config.with_kernel("vectorized")
+            config.with_kernel(other_kernel())
         )
 
     def test_sampler_takes_kernel(self):
         config = make_tiny_config()
-        sampler = IterationSampler(config.pcm, kernel="vectorized")
-        assert sampler.kernel.vectorized
-        assert not IterationSampler(config.pcm).kernel.vectorized
+        sampler = IterationSampler(config.pcm, kernel=other_kernel())
+        assert sampler.kernel.name == other_kernel()
+        assert IterationSampler(config.pcm).kernel.name == DEFAULT_KERNEL
 
 
 class TestResultFingerprint:
@@ -83,7 +90,7 @@ class TestResultFingerprint:
             n_pcm_writes=20, max_refs_per_core=4_000,
         )
         relabeled = replace(
-            result, config=result.config.with_kernel("vectorized")
+            result, config=result.config.with_kernel(other_kernel())
         )
         assert result.result_fingerprint() == relabeled.result_fingerprint()
 

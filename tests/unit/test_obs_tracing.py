@@ -126,8 +126,10 @@ class TestAbsorbAndExport:
             with worker.span("worker.run", fingerprint=FP):
                 pass
         parent = Tracer()
-        assert parent.absorb(worker.to_records()) == 1
-        assert parent.absorb([{"not": "a span"}, "junk"]) == 0
+        parent.absorb(worker.to_records())
+        assert len(parent.spans) == 1
+        parent.absorb([{"not": "a span"}, "junk"])
+        assert len(parent.spans) == 1
         assert parent.spans[0]["span_id"] == worker.spans[0]["span_id"]
 
     def test_export_offsets_pids_and_carries_correlation_args(self):

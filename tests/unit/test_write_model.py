@@ -5,6 +5,7 @@ import pytest
 
 from repro.config.system import PCMConfig
 from repro.errors import ConfigError
+from repro.kernel import available_kernels
 from repro.pcm.write_model import (
     IterationSampler,
     active_cells_per_chip_iteration,
@@ -62,10 +63,12 @@ class TestIterationSampler:
         rng = make_rng(1, "t")
         assert sampler.sample(np.zeros(0, dtype=np.uint8), rng).size == 0
 
-    def test_unknown_level_rejected(self, sampler):
-        rng = make_rng(1, "t")
-        with pytest.raises(ConfigError):
-            sampler.sample(np.array([9], dtype=np.uint8), rng)
+    def test_unknown_level_rejected(self):
+        for kernel in available_kernels():
+            sampler = IterationSampler(PCMConfig(), kernel=kernel)
+            with pytest.raises(ConfigError):
+                sampler.sample(np.array([9], dtype=np.uint8),
+                               make_rng(1, "t"))
 
 
 class TestActiveCells:
