@@ -301,14 +301,23 @@ def request_key(request: "RunRequest") -> str:
 def record_cache_event(request: RunRequest, source: str,
                        worker: Optional[int] = None,
                        prefetch: bool = False) -> None:
-    """Report one run acquisition (memory/disk hit or fresh compute) to
-    the active telemetry's manifest, if any."""
-    if _ACTIVE_TELEMETRY is not None:
-        _ACTIVE_TELEMETRY.record_sim_request(
-            workload=request.workload, scheme=request.scheme,
-            fingerprint=request.fingerprint, source=source,
-            worker=worker, prefetch=prefetch,
-        )
+    """Record one run acquisition (memory/disk hit or fresh compute) as
+    a ``cache_event`` of the active telemetry, if any. ``cache_hit`` is
+    derived so manifest consumers can aggregate without knowing the
+    ``source`` vocabulary."""
+    telemetry = _ACTIVE_TELEMETRY
+    if telemetry is not None:
+        telemetry.record({
+            "type": "cache_event",
+            "workload": request.workload,
+            "scheme": request.scheme,
+            "fingerprint": request.fingerprint,
+            "source": source,
+            "cache_hit": source != "computed",
+            "worker": worker,
+            "prefetch": prefetch,
+            "experiment": telemetry.current_experiment,
+        })
 
 
 def execute_request(request: RunRequest, telemetry=None) -> SimResult:

@@ -43,6 +43,7 @@ from ..config.system import DEFAULT_KERNEL, SystemConfig
 from ..errors import RunFailedError
 from ..kernel import available_kernels
 from ..obs.logging import get_logger, setup_logging
+from ..obs.manifest import run_header
 from ..service.schemas import RUN_TIMEOUT_S
 from ..sim.simcache import DEFAULT_CACHE_DIR, SimCache
 from .base import (
@@ -70,7 +71,7 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(
-            f"must be a positive cycle count, got {value}"
+            f"must be a positive integer, got {value}"
         )
     return value
 
@@ -363,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--metrics-out", type=pathlib.Path, default=None, metavar="PATH",
-        help="write a JSON-lines manifest (per-request service records) "
-             "on drain",
+        help="stream a JSON-lines manifest (per-request service records) "
+             "to PATH; the drain appends the closing records",
     )
     serve.add_argument(
         "--timeout", type=_positive_float, default=RUN_TIMEOUT_S,
@@ -459,21 +460,24 @@ def _explore_main(args) -> int:
         log.error("bad space definition %r: %s", args.space, exc)
         return EXIT_FAILURE
 
-    telemetry = None
-    if args.metrics_out is not None:
-        from ..obs import Telemetry
-        telemetry = Telemetry()
-        use_telemetry(telemetry)
-    cache = None
-    if not args.no_cache:
-        cache = SimCache(args.cache_dir)
-        use_disk_cache(cache)
-
     policy = RetryPolicy(max_attempts=args.retries + 1,
                          run_timeout_s=args.timeout)
     base_config = baseline_config(seed=1)
     if args.kernel is not None and args.kernel != base_config.kernel:
         base_config = base_config.with_kernel(args.kernel)
+
+    telemetry = None
+    if args.metrics_out is not None:
+        from ..obs import Telemetry
+        telemetry = Telemetry(manifest=args.metrics_out)
+        telemetry.record(run_header(
+            base_config, seed=args.seed, scale=args.scale,
+            explore_space=space.name, explore_strategy=args.strategy))
+        use_telemetry(telemetry)
+    cache = None
+    if not args.no_cache:
+        cache = SimCache(args.cache_dir)
+        use_disk_cache(cache)
 
     exit_code = EXIT_OK
     wall_start = time.monotonic()
@@ -507,17 +511,12 @@ def _explore_main(args) -> int:
     finally:
         use_telemetry(None)
         use_disk_cache(None)
-        if telemetry is not None and args.metrics_out is not None:
-            telemetry.write_manifest(
-                args.metrics_out,
-                base_config,
-                seed=args.seed,
-                scale=args.scale,
-                explore_space=space.name,
-                explore_strategy=args.strategy,
-                wall_time_s=time.monotonic() - wall_start,
-                cache=cache.snapshot() if cache is not None else None,
-            )
+        if telemetry is not None:
+            telemetry.close({
+                "type": "run_footer",
+                "wall_time_s": time.monotonic() - wall_start,
+                "cache": cache.snapshot() if cache is not None else None,
+            })
             log.info("wrote run manifest: %s", args.metrics_out)
 
     counts = report["counts"]
@@ -603,7 +602,7 @@ def _serve_main(args) -> int:
     telemetry = None
     if args.metrics_out is not None:
         from ..obs import Telemetry
-        telemetry = Telemetry()
+        telemetry = Telemetry(manifest=args.metrics_out)
         use_telemetry(telemetry)
     gateway = Gateway(
         host=args.host,
@@ -616,7 +615,6 @@ def _serve_main(args) -> int:
                            run_timeout_s=args.timeout),
         drain_timeout_s=args.drain_timeout,
         telemetry=telemetry,
-        manifest_path=args.metrics_out,
         cache=cache,
     )
     try:
@@ -652,11 +650,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         # De-duplicate while preserving the order given on the CLI.
         targets = list(dict.fromkeys(requested))
 
+    policy = RetryPolicy(max_attempts=args.retries + 1,
+                         run_timeout_s=args.timeout)
+    base_config = baseline_config(seed=args.seed)
+    if args.kernel is not None and args.kernel != base_config.kernel:
+        base_config = base_config.with_kernel(args.kernel)
+
     telemetry = None
     if (args.trace is not None or args.metrics_out is not None
             or args.metrics_text is not None):
         from ..obs import Telemetry
-        telemetry = Telemetry(sample_interval=args.sample_interval)
+        telemetry = Telemetry(sample_interval=args.sample_interval,
+                              manifest=args.metrics_out, trace=args.trace)
+        telemetry.record(run_header(
+            base_config, seed=args.seed, scale=scale.name,
+            experiments=targets, jobs=args.jobs))
         use_telemetry(telemetry)
 
     cache = None
@@ -664,14 +672,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache = SimCache(args.cache_dir)
         use_disk_cache(cache)
 
-    policy = RetryPolicy(max_attempts=args.retries + 1,
-                         run_timeout_s=args.timeout)
-    base_config = baseline_config(seed=args.seed)
-    if args.kernel is not None and args.kernel != base_config.kernel:
-        base_config = base_config.with_kernel(args.kernel)
-
     exit_code = EXIT_OK
-    summary = None
     # Monotonic for the interval (NTP steps must not skew the manifest's
     # wall_time_s); record timestamps elsewhere use time.time().
     wall_start = time.monotonic()
@@ -679,6 +680,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             summary = execute_plan(plan_runs(targets, base_config, scale),
                                    jobs=args.jobs, policy=policy)
+            if telemetry is not None:
+                telemetry.record({"type": "plan_summary", **{
+                    k: v for k, v in summary.items() if k != "failures"}})
             log.info(
                 "plan: %d runs (%d unique) — %d in memory, %d from "
                 "cache, %d computed on %d worker(s)\n",
@@ -720,40 +724,30 @@ def main(argv: Optional[List[str]] = None) -> int:
                 log.info("%s\n", text)
         except KeyboardInterrupt:
             # Graceful SIGINT: no traceback; completed results are
-            # already cached, and the manifest below still gets written.
+            # already cached, and the manifest below still gets closed.
             exit_code = EXIT_INTERRUPTED
             log.error("interrupted — shutting down (completed runs kept; "
-                      "manifest will be written if requested)")
+                      "manifest will be closed if requested)")
     finally:
-        if telemetry is not None:
-            telemetry.current_experiment = None
         use_telemetry(None)
         use_disk_cache(None)
         if telemetry is not None:
+            telemetry.current_experiment = None
+            telemetry.close({
+                "type": "run_footer",
+                "wall_time_s": time.monotonic() - wall_start,
+                "exit_code": exit_code,
+                "interrupted": exit_code == EXIT_INTERRUPTED,
+                "cache": cache.snapshot() if cache is not None else None,
+            })
             if args.trace is not None:
-                telemetry.write_trace(args.trace)
                 log.info("wrote Perfetto trace: %s (%d events, open at "
                          "https://ui.perfetto.dev)", args.trace,
                          len(telemetry.trace))
             if args.metrics_out is not None:
-                if summary is not None:
-                    telemetry.plan_summary = {
-                        k: v for k, v in summary.items() if k != "failures"
-                    }
-                telemetry.write_manifest(
-                    args.metrics_out,
-                    base_config,
-                    seed=args.seed,
-                    scale=scale.name,
-                    experiments=targets,
-                    wall_time_s=time.monotonic() - wall_start,
-                    jobs=args.jobs,
-                    exit_code=exit_code,
-                    interrupted=exit_code == EXIT_INTERRUPTED,
-                    cache=cache.snapshot() if cache is not None else None,
-                )
-                log.info("wrote run manifest: %s (%d runs)",
-                         args.metrics_out, len(telemetry.runs))
+                log.info("wrote run manifest: %s (%d records)",
+                         args.metrics_out,
+                         telemetry.manifest.records_written)
             if args.metrics_text is not None:
                 from ..obs.prometheus import render_registry
                 args.metrics_text.parent.mkdir(parents=True, exist_ok=True)

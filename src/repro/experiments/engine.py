@@ -37,12 +37,12 @@ Correctness guarantees:
 * **Telemetry crosses back with the result, never by sharing.**
   When the parent has a :class:`~repro.obs.Telemetry`, each worker
   attaches its own local one per run, runs instrumented, and returns a
-  JSON-safe snapshot (run record, spans, metrics, trace events) with
-  the run's result; the parent merges it into one manifest and one
-  multi-process Perfetto trace. Span trace ids derive from the
-  run fingerprint, so parent and worker agree without extra transport.
-  Attaching (or not attaching) telemetry never changes simulation
-  results.
+  snapshot (the run's records and metrics, and its Perfetto events only
+  when the parent writes a trace) with the run's result; the parent
+  records it in its manifest and, with a trace, one multi-process
+  Perfetto trace. Span trace ids derive from the run fingerprint, so
+  parent and worker agree without extra transport. Attaching (or not
+  attaching) telemetry never changes simulation results.
 * **Deterministic scheduling irrelevance.** Completion order only
   affects cache-fill order, never values; experiments read results by
   fingerprint.
@@ -109,7 +109,6 @@ from typing import (
 from ..errors import WorkerTimeoutError
 from ..obs import tracing
 from ..obs.logging import get_logger, log_context
-from ..obs.manifest import _jsonable
 from ..testing.faults import maybe_inject
 from ..util.procs import (
     close_inherited_sockets, exit_when_orphaned, trim_heap,
@@ -170,10 +169,12 @@ def _execute_one(
     """One run in this process, uncached — the member body of an engine
     worker: ``(result, telemetry snapshot)``.
 
-    With an ``obs`` spec (``sample_interval`` / ``parent_span_id``) the
-    run executes under a process-local :class:`~repro.obs.Telemetry`
-    whose JSON-safe :meth:`~repro.obs.Telemetry.worker_snapshot` comes
-    back for the parent to merge; without one the snapshot is ``None``.
+    With an ``obs`` spec (``sample_interval`` / ``parent_span_id`` /
+    ``trace``) the run executes under a process-local
+    :class:`~repro.obs.Telemetry` whose
+    :meth:`~repro.obs.Telemetry.worker_snapshot` comes back for the
+    parent to merge, with Perfetto events only if ``trace``; without
+    one the snapshot is ``None``.
     """
     maybe_inject("worker_run", key=request_key(request))
     if obs is None:
@@ -196,7 +197,8 @@ def _execute_one(
                    "role": "worker"},
         ):
             result = execute_request(request, telemetry=telemetry)
-    return result, _jsonable(telemetry.worker_snapshot(fingerprint))
+    return result, telemetry.worker_snapshot(
+        fingerprint, trace=bool(obs.get("trace")))
 
 
 #: How long killing a slot waits for its worker to exit, so a killed
@@ -397,6 +399,7 @@ class _PlanSupervisor:
             "sample_interval": self.telemetry.sample_interval,
             "parent_span_id":
                 context.span_id if context is not None else None,
+            "trace": self.telemetry.trace_path is not None,
         }
 
     # -- scheduling ----------------------------------------------------
@@ -532,12 +535,15 @@ class _PlanSupervisor:
                         request.workload, request.scheme,
                         type(exc).__name__, exc, attempt - 1, delay)
             if self.telemetry is not None:
-                self.telemetry.record_retry(
-                    fingerprint=request.fingerprint,
-                    workload=request.workload, scheme=request.scheme,
-                    attempt=attempt, delay_s=delay,
-                    error_type=type(exc).__name__,
-                )
+                self.telemetry.record({
+                    "type": "retry",
+                    "fingerprint": request.fingerprint,
+                    "workload": request.workload,
+                    "scheme": request.scheme,
+                    "attempt": attempt,
+                    "delay_s": delay,
+                    "error_type": type(exc).__name__,
+                })
             self._defer(Cohort(flight.cohort.key, (request,)), attempt,
                         delay)
             return
@@ -557,7 +563,8 @@ class _PlanSupervisor:
         self.summary["failures"].append(failure.as_record())
         mark_run_failed(failure.fingerprint, failure.message())
         if self.telemetry is not None:
-            self.telemetry.record_run_failure(failure.as_record())
+            self.telemetry.record({"type": "run_failure",
+                                   **failure.as_record()})
 
     def _retire(self, flight: _Flight, reason: Optional[str] = None) -> None:
         """Close a cohort. Members it never reached requeue as one
@@ -577,11 +584,14 @@ class _PlanSupervisor:
                         "delivered, %d requeued", cohort.key[:12],
                         cohort.size, reason, flight.delivered, len(rest))
         if self.telemetry is not None:
-            self.telemetry.record_batch_cohort(
-                action="executed" if reason is None else "dissolved",
-                key=cohort.key, size=cohort.size,
-                delivered=flight.delivered, detail=reason,
-            )
+            self.telemetry.record({
+                "type": "batch_cohort",
+                "action": "executed" if reason is None else "dissolved",
+                "key": cohort.key,
+                "size": cohort.size,
+                "delivered": flight.delivered,
+                "detail": reason,
+            })
 
     # -- slot failures ---------------------------------------------------
 
@@ -633,10 +643,13 @@ class _PlanSupervisor:
                     "requeued", self.respawns, self.policy.max_pool_respawns,
                     reason, requeued)
         if self.telemetry is not None:
-            self.telemetry.record_pool_respawn(
-                respawns=self.respawns, reason=reason, requeued=requeued,
-                error=str(exc) if exc is not None else None,
-            )
+            self.telemetry.record({
+                "type": "pool_respawn",
+                "respawns": self.respawns,
+                "reason": reason,
+                "requeued": requeued,
+                "error": str(exc) if exc is not None else None,
+            })
         return True
 
     def _stop(self) -> List[_Flight]:

@@ -205,13 +205,13 @@ class ExploreSession:
 
     def _emit(self, record: Dict[str, object]) -> None:
         """Hand one progress record to the session's sink: the
-        telemetry, which keeps it for the manifest and forwards it to
-        its own ``on_event``, or else ``on_event`` itself. A record's
+        telemetry, which records it and forwards it to its own
+        ``on_event``, or else ``on_event`` itself. A record's
         ``fingerprint`` is the session id, so ``/watch`` streams keyed
         on it receive the exploration's progress; a point's own run is
         its ``run_fingerprint``."""
         if self.telemetry is not None:
-            self.telemetry.record_explore(record)
+            self.telemetry.record(record)
         elif self.on_event is not None:
             self.on_event(record["type"], record)
 

@@ -8,11 +8,15 @@ modules:
   log-scale histograms components register against.
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` façade: attaches
   to a run, collects scope events (write rounds, bursts, GCP borrow
-  windows, Multi-RESET splits) and periodic pool/queue samples.
-* :mod:`repro.obs.perfetto` — export everything as Chrome/Perfetto
-  ``trace_event`` JSON, loadable at https://ui.perfetto.dev.
+  windows, Multi-RESET splits) and periodic pool/queue samples, and
+  sends every record through one sink that appends it as it happens.
+* :mod:`repro.obs.perfetto` — export the simulated-time events and
+  spans as Chrome/Perfetto ``trace_event`` JSON, loadable at
+  https://ui.perfetto.dev.
 * :mod:`repro.obs.manifest` — machine-readable run manifests
-  (JSON-lines) capturing config, seed, scale and the metrics snapshot.
+  (JSON-lines), streamed record by record: a header with config, seed
+  and scale, the records in event order, a closing record and the
+  metrics snapshot.
 * :mod:`repro.obs.tracing` — wall-clock spans with deterministic,
   fingerprint-derived trace ids, propagated across threads and worker
   processes so one request yields one connected trace.
@@ -29,11 +33,11 @@ Quickstart::
     from repro import baseline_config, run_simulation
     from repro.obs import Telemetry
 
-    telemetry = Telemetry()
+    telemetry = Telemetry(manifest="run.jsonl",  # JSON-lines manifest
+                          trace="run.json")      # open in Perfetto
     result = run_simulation(baseline_config(), "mcf_m", "fpb",
                             telemetry=telemetry)
-    telemetry.write_trace("run.json")          # open in Perfetto
-    telemetry.write_manifest("run.jsonl")      # JSON-lines manifest
+    telemetry.close()  # metrics snapshot, then the trace file
 
 See docs/observability.md for the metrics catalog and schemas.
 """

@@ -1,23 +1,36 @@
 """Run manifests: machine-readable records of what was simulated.
 
-A manifest is a JSON-lines file — one JSON object per line — so records
-stream-append during long sweeps and partial files stay parseable.
-Every record carries a ``type`` tag; the two core types are:
+A manifest is a JSON-lines file — one JSON object per line. A
+:class:`~repro.obs.Telemetry` built with a manifest path appends each
+record the moment it happens, so records appear in event order, a
+long sweep or a long-lived gateway holds none of them in memory, and a
+killed process leaves every record written so far in a parseable file.
+Every record carries a ``type`` tag; the core types are:
 
 ``run_header``
-    Written once per invocation: tool version, seed, scale, the full
-    :class:`SystemConfig` as a dict, and free-form context.
+    The first record of a CLI invocation, holding what is known at
+    start: tool version, seed, scale, the full :class:`SystemConfig`
+    as a dict, and free-form context (experiments, ``jobs``).
 
 ``sim_run``
     One per simulation: scheme, workload, cycles, CPI, wall time, the
-    :class:`SimStats` snapshot and the metrics-registry snapshot. Runs
-    computed by engine worker processes carry the worker's PID.
+    :class:`SimStats` snapshot and per-series summaries. Runs computed
+    by engine worker processes carry the worker's PID.
 
 ``cache_event``
     One per run acquisition through the experiment-layer run cache:
     workload, scheme, run fingerprint, ``source`` (``memory`` /
     ``disk`` / ``computed``), the derived ``cache_hit`` flag, worker
     provenance and the requesting experiment.
+
+``run_footer``
+    The closing record of a CLI invocation (v17): ``wall_time_s``,
+    ``exit_code``, ``interrupted`` and the disk-cache snapshot
+    (``cache``), written just before the final ``metrics_snapshot``.
+    The gateway closes with ``service_state`` instead.
+
+``metrics_snapshot``
+    Always last: the metrics registry at close.
 
 Failure supervision (v3) adds one record per supervision event:
 ``retry`` (a failed attempt being retried, with its deterministic
@@ -28,7 +41,7 @@ and a ``plan_summary`` aggregating the engine's counters.
 
 The service gateway (v4) adds ``service_request`` (one per HTTP request
 against a simulation endpoint: method, path, status, wall time, error
-code), ``service_summary`` (request counts by status) and
+code), ``service_summary`` (request counts by status; gone in v17) and
 ``service_state`` (the gateway's final operational snapshot: queue,
 coalescing and cache state at drain).
 
@@ -72,6 +85,12 @@ record already carries the run's ``fingerprint``, ``worker`` pid,
 ``trace_id`` and assigned ``pid``, and the ``span`` records are the
 merged spans.
 
+v17 streams the manifest: records appear in event order instead of
+grouped by kind at the end. ``wall_time_s``, ``exit_code``,
+``interrupted`` and ``cache`` move from ``run_header`` to the new
+closing ``run_footer`` record, and ``service_summary`` (a tally of the
+``service_request`` records) is gone.
+
 See docs/observability.md and docs/service.md for the full schema.
 """
 
@@ -80,6 +99,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -92,7 +112,8 @@ from typing import Dict, Iterable, List, Optional, Union
 #: ``quarantine``, ``pool_respawn`` — plus the ``plan_summary``
 #: aggregate written by the CLI (``quarantine`` gone in v14).
 #: v4: service-gateway records — ``service_request``,
-#: ``service_summary``, ``service_state``.
+#: ``service_summary``, ``service_state`` (``service_summary`` gone in
+#: v17).
 #: v5: tracing-plane records — ``span``, ``worker_telemetry`` — plus
 #: instrumented worker ``sim_run`` records and sample-drop counts (the
 #: counts gone in v15, ``worker_telemetry`` in v16).
@@ -129,7 +150,10 @@ from typing import Dict, Iterable, List, Optional, Union
 #: v16: the ``worker_telemetry`` record kind is gone; the merged
 #: ``sim_run`` record carries its fingerprint, worker pid, trace id and
 #: pid.
-MANIFEST_SCHEMA_VERSION = 16
+#: v17: records stream in event order; ``wall_time_s``, ``exit_code``,
+#: ``interrupted`` and ``cache`` move from ``run_header`` to the
+#: closing ``run_footer`` record; ``service_summary`` is gone.
+MANIFEST_SCHEMA_VERSION = 17
 
 
 def _jsonable(value):
@@ -158,19 +182,28 @@ def config_to_dict(config) -> Dict[str, object]:
 
 
 class ManifestWriter:
-    """Appends JSON-lines records to a manifest file."""
+    """Appends JSON-lines records to a manifest file.
+
+    Each :meth:`append` writes one whole line and closes the file, so
+    the line is on disk when it returns. Appends from several threads
+    (the gateway's event loop and its dispatcher) never interleave."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a"):  # fail here on a path we cannot append to
+            pass
         self.records_written = 0
+        self._lock = threading.Lock()
 
     def append(self, record: Dict[str, object]) -> None:
         if "type" not in record:
             raise ValueError("manifest records need a 'type' tag")
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(_jsonable(record)) + "\n")
-        self.records_written += 1
+        line = json.dumps(_jsonable(record)) + "\n"
+        with self._lock:
+            with self.path.open("a") as handle:
+                handle.write(line)
+            self.records_written += 1
 
     def extend(self, records: Iterable[Dict[str, object]]) -> None:
         for record in records:

@@ -12,35 +12,50 @@ telemetry=...)``):
 
 One ``Telemetry`` may observe many sequential runs (a scheme sweep);
 each run becomes its own Perfetto process and its own ``sim_run``
-manifest record.
+record.
+
+Outputs are fixed when the telemetry is built. Every record (``sim_run``,
+``cache_event``, supervision, exploration, service and ``span``
+records) goes through :meth:`Telemetry.record` the moment it happens:
+appended to the ``manifest`` file when there is one, else kept in the
+one :attr:`Telemetry.records` list. Runs observed in this process fill
+:attr:`Telemetry.trace`; :meth:`Telemetry.close` writes it to the
+``trace`` path, when there is one, with every span rendered into it.
 
 Cross-process capture: an engine worker builds its own ``Telemetry``,
 runs one simulation under it, and returns :meth:`worker_snapshot`
-with the run's result; the parent folds that back in with
-:meth:`merge_worker_telemetry` — run records keep full series
-summaries, spans land in the shared :class:`~repro.obs.tracing.Tracer`,
-trace events merge into one multi-process Perfetto export, and worker
-counters/histograms add into the parent registry.
+with the run's result — the run's records and metrics, plus its
+Perfetto events only when the parent writes a trace. The parent folds
+that back in with :meth:`merge_worker_telemetry`.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from .manifest import ManifestWriter, run_header
+from .logging import get_logger
+from .manifest import ManifestWriter
 from .metrics import MetricsRegistry
 from .perfetto import TID_BURST, TID_GCP, TID_SCHED, TraceBuilder
 from .sampler import StateSampler, TimeSeries
-from .tracing import Tracer, trace_id_for
+from .tracing import Tracer, render_span, trace_id_for
+
+log = get_logger("obs.telemetry")
+
+#: Record kinds forwarded to ``Telemetry.on_event`` as they happen (the
+#: gateway's ``/watch`` stream taps these).
+LIVE_EVENTS = frozenset(
+    {"retry", "run_failure", "explore_point", "explore_frontier"})
 
 
 class _RunContext:
     """Book-keeping for one simulation run being observed."""
 
     __slots__ = ("pid", "scheme", "workload", "series", "open_rounds",
-                 "open_gcp", "burst_since", "wall_start", "record")
+                 "open_gcp", "burst_since", "wall_start")
 
     def __init__(self, pid: int, scheme: str, workload: str):
         self.pid = pid
@@ -53,43 +68,42 @@ class _RunContext:
         self.open_gcp: Dict[int, List[float]] = {}
         self.burst_since: Optional[int] = None
         self.wall_start = 0.0
-        self.record: Optional[Dict[str, object]] = None
 
 
 class Telemetry:
-    """Collects metrics, time series, trace events and run manifests."""
+    """Collects metrics, time series, trace events and manifest records.
+
+    ``manifest`` is the JSON-lines file records stream to; without one
+    they collect in :attr:`records`. ``trace`` is where :meth:`close`
+    writes the Perfetto trace; without one no span or worker event is
+    kept for it.
+    """
 
     def __init__(self, sample_interval: int = 5_000,
-                 registry: Optional[MetricsRegistry] = None):
+                 registry: Optional[MetricsRegistry] = None, *,
+                 manifest=None, trace=None):
         if sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         self.sample_interval = sample_interval
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.manifest = (ManifestWriter(manifest) if manifest is not None
+                         else None)
+        #: Every record, in event order, when there is no manifest.
+        self.records: Optional[List[Dict[str, object]]] = (
+            [] if self.manifest is None else None)
+        self.trace_path = Path(trace) if trace is not None else None
+        #: Simulated-time events of the runs observed in this process,
+        #: plus merged worker events and spans when writing a trace.
         self.trace = TraceBuilder()
-        #: Wall-clock span records (engine supervision, service request
-        #: path, worker runs) — exported alongside the simulated-time
-        #: trace and as manifest ``span`` records.
-        self.tracer = Tracer()
+        #: Wall-clock spans (engine supervision, service request path,
+        #: worker runs), each recorded as a ``span`` record.
+        self.tracer = Tracer(self.record)
         #: Optional live-event hook ``(kind, record) -> None`` invoked
-        #: on retry / run_failure records as they happen (the gateway's
-        #: ``/watch`` stream taps this); exceptions are swallowed so a
-        #: subscriber can never corrupt supervision.
+        #: on the :data:`LIVE_EVENTS` records as they happen (the
+        #: gateway's ``/watch`` stream taps this); exceptions are
+        #: swallowed so a subscriber can never corrupt supervision.
         self.on_event: Optional[Callable[[str, Dict[str, object]], None]] = \
             None
-        #: Completed ``sim_run`` manifest records, in run order.
-        self.runs: List[Dict[str, object]] = []
-        #: ``cache_event`` manifest records: one per run acquisition
-        #: through the experiment-layer cache (hit or compute).
-        self.sim_requests: List[Dict[str, object]] = []
-        #: Failure-supervision records (``run_failure`` / ``retry`` /
-        #: ``pool_respawn`` / ``batch_cohort``), in event order.
-        self.resilience_events: List[Dict[str, object]] = []
-        #: ``service_request`` manifest records: one per gateway request
-        #: against a simulation endpoint (``/run``, ``/experiment``).
-        self.service_requests: List[Dict[str, object]] = []
-        #: The engine's ``execute_plan`` summary, written to the
-        #: manifest as a ``plan_summary`` record when set by the CLI.
-        self.plan_summary: Optional[Dict[str, object]] = None
         #: Experiment id stamped into cache events (set by the CLI
         #: around each experiment's run()).
         self.current_experiment: Optional[str] = None
@@ -124,6 +138,8 @@ class Telemetry:
             "wrq_depth_at_submit", "WRQ depth seen by arriving writes")
         self._h_gcp_tokens = reg.histogram(
             "gcp_tokens_per_window", "peak GCP output per borrow window")
+        self._c_lost = reg.counter(
+            "manifest_write_errors", "records lost to manifest write errors")
 
     # ==================================================================
     # Run lifecycle (called by repro.sim.runner)
@@ -157,8 +173,8 @@ class Telemetry:
         engine.set_probe(self.sample_interval, sampler.probe)
 
     def finish_run(self, stats, end: int) -> Dict[str, object]:
-        """Close the current run: flush counter tracks and build its
-        ``sim_run`` manifest record."""
+        """Close the current run: flush counter tracks and record its
+        ``sim_run`` record."""
         run = self._require_run()
         wall = time.perf_counter() - run.wall_start
         if run.burst_since is not None:  # burst open at end of sim
@@ -186,183 +202,83 @@ class Telemetry:
                 for name, series in sorted(run.series.items())
             },
         }
-        run.record = record
-        self.runs.append(record)
         self._run = None
+        self.record(record)
         return record
 
     def discard_run(self) -> None:
         """Drop the in-progress run context (aborted simulation)."""
         self._run = None
 
-    def worker_snapshot(self, fingerprint: str) -> Dict[str, object]:
-        """Everything a worker process observed for one run, as a
-        JSON-safe payload the parent can
-        :meth:`merge_worker_telemetry`. It travels back with the run's
-        result."""
+    def worker_snapshot(self, fingerprint: str, *,
+                        trace: bool) -> Dict[str, object]:
+        """Everything a worker process observed for one run, for the
+        parent to :meth:`merge_worker_telemetry`: its records (the
+        ``sim_run`` and the worker's spans) and metrics, and its
+        Perfetto events only when the parent writes a ``trace``. It
+        travels back, pickled, with the run's result."""
         return {
             "fingerprint": fingerprint,
             "worker_pid": os.getpid(),
-            "trace_id": trace_id_for(fingerprint),
-            "run": self.runs[-1] if self.runs else None,
-            "spans": self.tracer.to_records(),
+            "records": self.records,
             "metrics": self.registry.snapshot(),
-            "trace": self.trace.to_state(),
+            "trace": self.trace.to_state() if trace else None,
             "freq_ghz": self._freq_ghz,
         }
 
     def merge_worker_telemetry(self, payload: Dict[str, object]) -> None:
-        """Fold one worker's :meth:`worker_snapshot` into this
-        telemetry: the run record (re-pid'd onto a fresh parent pid,
-        stamped with the run's fingerprint, the worker's pid and the
-        trace id), its spans, its Perfetto events and its
+        """Record one worker's :meth:`worker_snapshot`: its ``sim_run``
+        record re-pid'd onto a fresh parent pid and stamped with the
+        run's fingerprint, the worker's pid and the trace id, its spans
+        as they are, its Perfetto events (if it sent any) and its
         counters/histograms."""
-        worker_pid = payload.get("worker_pid")
-        trace_id = payload.get("trace_id")
-        fingerprint = payload.get("fingerprint")
-        if self._freq_ghz is None and payload.get("freq_ghz"):
+        worker_pid = payload["worker_pid"]
+        fingerprint = payload["fingerprint"]
+        if self._freq_ghz is None:
             self._freq_ghz = payload["freq_ghz"]
+        for record in payload["records"]:
+            if record["type"] == "sim_run":
+                old_pid = record["pid"]
+                new_pid = self._next_pid
+                self._next_pid += 1
+                record = {**record, "pid": new_pid, "worker": worker_pid,
+                          "instrumented": True,
+                          "trace_id": trace_id_for(fingerprint),
+                          "fingerprint": fingerprint}
+                if payload["trace"] is not None:
+                    self.trace.merge(payload["trace"],
+                                     pid_map={old_pid: new_pid})
+                    # Re-register to mark worker provenance (last
+                    # registration wins at export).
+                    self.trace.process(
+                        new_pid, f"{record['workload']}/{record['scheme']}"
+                                 f" [worker {worker_pid}]")
+            self.record(record)
+        self.registry.merge_snapshot(payload["metrics"])
 
-        run = payload.get("run")
-        if isinstance(run, dict):
-            new_pid = self._next_pid
-            self._next_pid += 1
-            merged_run = dict(run)
-            old_pid = merged_run.get("pid")
-            merged_run.update({
-                "pid": new_pid,
-                "worker": worker_pid,
-                "instrumented": True,
-                "trace_id": trace_id,
-                "fingerprint": fingerprint,
-            })
-            self.runs.append(merged_run)
-            state = payload.get("trace")
-            if isinstance(state, dict):
-                pid_map = ({int(old_pid): new_pid}
-                           if old_pid is not None else None)
-                self.trace.merge(state, pid_map=pid_map)
-                # Re-register to mark worker provenance (last registration
-                # wins at export).
-                self.trace.process(
-                    new_pid,
-                    f"{merged_run.get('workload')}/"
-                    f"{merged_run.get('scheme')} [worker {worker_pid}]",
-                )
-
-        spans = payload.get("spans")
-        if isinstance(spans, list):
-            self.tracer.absorb(spans)
-        metrics = payload.get("metrics")
-        if isinstance(metrics, dict):
-            self.registry.merge_snapshot(metrics)
-
-    def record_sim_request(self, *, workload: str, scheme: str,
-                           fingerprint: str, source: str,
-                           worker: Optional[int] = None,
-                           prefetch: bool = False) -> None:
-        """Record one run acquisition through the experiment-layer run
-        cache. ``source`` is ``memory``, ``disk`` or ``computed``;
-        ``cache_hit`` is derived so manifest consumers can aggregate
-        without knowing the source vocabulary."""
-        self.sim_requests.append({
-            "type": "cache_event",
-            "workload": workload,
-            "scheme": scheme,
-            "fingerprint": fingerprint,
-            "source": source,
-            "cache_hit": source != "computed",
-            "worker": worker,
-            "prefetch": prefetch,
-            "experiment": self.current_experiment,
-        })
-
-    def record_retry(self, *, fingerprint: str, workload: str, scheme: str,
-                     attempt: int, delay_s: float, error_type: str) -> None:
-        """Record one failed attempt being retried by the engine's
-        supervisor (manifest ``retry`` record); ``delay_s`` is the
-        deterministic fingerprint-jittered backoff."""
-        record = {
-            "type": "retry",
-            "fingerprint": fingerprint,
-            "workload": workload,
-            "scheme": scheme,
-            "attempt": attempt,
-            "delay_s": delay_s,
-            "error_type": error_type,
-        }
-        self.resilience_events.append(record)
-        self._emit("retry", record)
-
-    def record_run_failure(self, failure: Dict[str, object]) -> None:
-        """Record a terminal run failure (manifest ``run_failure``
-        record; its ``verdict`` is ``fail`` or ``quarantine``)."""
-        record = {"type": "run_failure", **failure}
-        self.resilience_events.append(record)
-        self._emit("run_failure", record)
-
-    def record_pool_respawn(self, *, respawns: int, reason: str,
-                            requeued: int,
-                            error: Optional[str] = None) -> None:
-        """Record a worker-pool rebuild (manifest ``pool_respawn``
-        record)."""
-        self.resilience_events.append({
-            "type": "pool_respawn",
-            "respawns": respawns,
-            "reason": reason,
-            "requeued": requeued,
-            "error": error,
-        })
-
-    def record_batch_cohort(self, *, action: str, key: str, size: int,
-                            delivered: Optional[int] = None,
-                            detail: Optional[str] = None) -> None:
-        """Record one cohort of plan execution (manifest
-        ``batch_cohort`` record, schema v10). ``action`` is ``executed``
-        (the worker ran every member; ``delivered`` of ``size`` runs
-        produced results) or ``dissolved`` (a cohort of several runs was
-        cut short — its worker died or hung — so its finished members
-        were kept and the rest requeued; ``detail`` names the
-        reason)."""
-        self.resilience_events.append({
-            "type": "batch_cohort",
-            "action": action,
-            "key": key,
-            "size": size,
-            "delivered": delivered,
-            "detail": detail,
-        })
-
-    def record_explore(self, record: Dict[str, object]) -> None:
-        """Record one exploration progress record built by
-        :class:`~repro.explore.session.ExploreSession` (manifest
-        ``explore_point`` or ``explore_frontier`` record, schema v9)
-        and forward it to ``on_event`` under its ``type``. An
-        ``explore_point`` says how one design-space point's run was
-        acquired (``source``: ``memory``/``disk``/``computed``,
-        ``invalid`` lowering or ``failed``) with the point's parameter
-        values and objectives; an ``explore_frontier`` lists the Pareto
-        frontier's member run fingerprints after one generation."""
-        self.resilience_events.append(record)
-        self._emit(str(record["type"]), record)
-
-    def record_service_request(self, *, method: str, path: str,
-                               status: int, wall_ms: float,
-                               error: Optional[str] = None) -> None:
-        """Record one gateway request against a simulation endpoint
-        (manifest ``service_request`` record, schema v4)."""
-        self.service_requests.append({
-            "type": "service_request",
-            "method": method,
-            "path": path,
-            "status": status,
-            "wall_ms": round(wall_ms, 3),
-            "error": error,
-        })
-
-    def _emit(self, kind: str, record: Dict[str, object]) -> None:
-        hook = self.on_event
-        if hook is not None:
+    def record(self, record: Dict[str, object]) -> None:
+        """Append one record the moment it happens: to the manifest, or
+        to :attr:`records` without one. A span is also rendered into the
+        Perfetto trace when there is a trace output, and the
+        :data:`LIVE_EVENTS` go to ``on_event``."""
+        if self.manifest is not None:
+            try:
+                self.manifest.append(record)
+            except OSError as exc:
+                # A full or vanished disk must not fail the run or the
+                # request being recorded: count each lost record.
+                if not self._c_lost.value:
+                    log.error("cannot append to the manifest %s (%s); "
+                              "its records are being lost",
+                              self.manifest.path, exc)
+                self._c_lost.inc()
+        else:
+            self.records.append(record)
+        kind = record["type"]
+        hook = self.on_event  # read once: the gateway clears it at drain
+        if kind == "span" and self.trace_path is not None:
+            render_span(self.trace, record)
+        elif kind in LIVE_EVENTS and hook is not None:
             try:
                 hook(kind, record)
             except Exception:  # subscribers must never break recording
@@ -485,62 +401,23 @@ class Telemetry:
     # ==================================================================
     # Export
     # ==================================================================
-    def write_trace(self, path, freq_ghz: Optional[float] = None) -> None:
-        """Write everything observed so far as Perfetto-loadable JSON:
-        the simulated-time events (local and merged worker runs) plus
-        every wall-clock span, in one multi-process trace. The export
-        works on a merged copy, so it can be called repeatedly."""
-        combined = TraceBuilder()
-        combined.merge(self.trace)
-        self.tracer.export_to(combined)
-        combined.write(
-            path,
-            freq_ghz=freq_ghz or self._freq_ghz or 4.0,
-            other_data={"runs": len(self.runs),
-                        "spans": len(self.tracer)},
-        )
-
-    def write_manifest(self, path, config=None, *,
-                       seed: Optional[int] = None,
-                       scale: Optional[str] = None,
-                       service: Optional[Dict[str, object]] = None,
-                       **context) -> ManifestWriter:
-        """Write header + per-run records + the full metrics snapshot
-        as JSON-lines. ``service``, when given, is the gateway's final
-        operational snapshot (``service_state`` record, schema v4);
-        ``span`` records are schema v5."""
-        writer = ManifestWriter(path)
-        if config is not None:
-            writer.append(run_header(config, seed=seed, scale=scale,
-                                     **context))
-        writer.extend(self.runs)
-        writer.extend(self.sim_requests)
-        writer.extend(self.resilience_events)
-        writer.extend(self.service_requests)
-        writer.extend(self.tracer.to_records())
-        if self.plan_summary is not None:
-            writer.append({"type": "plan_summary", **self.plan_summary})
-        if self.service_requests:
-            by_status: Dict[str, int] = {}
-            for request in self.service_requests:
-                key = str(request["status"])
-                by_status[key] = by_status.get(key, 0) + 1
-            writer.append({
-                "type": "service_summary",
-                "requests": len(self.service_requests),
-                "by_status": by_status,
-            })
-        if service is not None:
-            writer.append({"type": "service_state", **service})
-        writer.append({
-            "type": "metrics_snapshot",
-            "metrics": self.registry.snapshot(),
-        })
-        return writer
+    def close(self, closing: Optional[Dict[str, object]] = None) -> None:
+        """Finish the outputs: record ``closing`` (``run_footer``,
+        ``service_state``) and the final ``metrics_snapshot``, which is
+        always last, then write the Perfetto trace if there is a trace
+        output."""
+        if closing is not None:
+            self.record(closing)
+        self.record({"type": "metrics_snapshot",
+                     "metrics": self.registry.snapshot()})
+        if self.trace_path is not None:
+            self.trace.write(self.trace_path,
+                             freq_ghz=self._freq_ghz or 4.0,
+                             other_data={"runs": self._next_pid})
 
     def __repr__(self) -> str:
         return (
-            f"Telemetry(runs={len(self.runs)}, "
+            f"Telemetry(runs={self._next_pid}, "
             f"trace_events={len(self.trace)}, "
             f"instruments={len(self.registry)})"
         )

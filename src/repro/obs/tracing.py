@@ -21,11 +21,13 @@ and :func:`activate` adopts a context that crossed a process boundary
 (the engine hands workers their parent span id; the worker re-derives
 the trace id from the fingerprint).
 
-Span records are plain dicts, ready to be written as manifest ``span``
-records (schema v5) or exported into a
-:class:`~repro.obs.perfetto.TraceBuilder` as wall-clock events
-(:meth:`Tracer.export_to`). Timestamps are integer microseconds since
-the epoch; the Perfetto export normalizes them per trace.
+Span records are plain dicts, handed as each span ends to the
+tracer's sink: a :class:`~repro.obs.Telemetry` writes them as manifest
+``span`` records (schema v5) and, when it writes a Perfetto trace,
+renders them there as wall-clock events. A tracer without a sink keeps
+nothing; its spans only carry context to the spans nested in them.
+Timestamps are integer microseconds since the epoch; the Perfetto
+export normalizes them per trace.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Optional
 
 #: Perfetto pids for span processes are ``SPAN_PID_OFFSET + os.getpid()``
 #: so they can never collide with the small logical pids Telemetry
@@ -100,23 +102,22 @@ def activate(context: Optional[SpanContext]):
 
 
 class Tracer:
-    """Accumulates span records; one per :class:`~repro.obs.Telemetry`.
+    """Opens spans and hands each finished span record to ``sink``.
 
     Spans nest via the contextvar: a span opened while another is
     active records that span's id as ``parent_id`` — including across
     ``await`` and ``asyncio.to_thread`` boundaries, which copy the
     context. Failures are captured, never swallowed: an exception
     raised inside ``span(...)`` stamps the span's ``error`` field and
-    propagates.
+    propagates. Without a ``sink`` the records are dropped.
     """
 
-    def __init__(self) -> None:
-        self.spans: List[Dict[str, object]] = []
+    def __init__(self,
+                 sink: Optional[Callable[[Dict[str, object]], None]] = None
+                 ) -> None:
+        self.sink = sink
         #: (trace_id, name) -> occurrences so far (deterministic ids).
         self._seq: Dict[tuple, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.spans)
 
     def _next_span_id(self, trace_id: str, name: str) -> str:
         key = (trace_id, name)
@@ -135,46 +136,9 @@ class Tracer:
             return parent.trace_id
         return trace_id_for(f"orphan:{name}")
 
-    @contextlib.contextmanager
-    def span(self, name: str, *, fingerprint: Optional[str] = None,
-             trace_id: Optional[str] = None,
-             attrs: Optional[Dict[str, object]] = None):
-        """A wall-clock ``complete`` span around the with-body."""
-        parent = _CONTEXT.get()
-        tid = self._resolve_trace_id(name, trace_id, fingerprint)
-        sid = self._next_span_id(tid, name)
-        record: Dict[str, object] = {
-            "type": "span",
-            "name": name,
-            "trace_id": tid,
-            "span_id": sid,
-            "parent_id": parent.span_id if (parent is not None
-                                            and parent.span_id) else None,
-            "pid": os.getpid(),
-            "kind": "complete",
-            "start_us": int(time.time() * 1e6),
-        }
-        if fingerprint is not None:
-            record["fingerprint"] = fingerprint
-        if attrs:
-            record["attrs"] = dict(attrs)
-        token = _CONTEXT.set(SpanContext(tid, sid))
-        start = time.perf_counter()
-        try:
-            yield record
-        except BaseException as exc:
-            record["error"] = type(exc).__name__
-            raise
-        finally:
-            _CONTEXT.reset(token)
-            record["dur_us"] = int((time.perf_counter() - start) * 1e6)
-            self.spans.append(record)
-
-    def instant(self, name: str, *, fingerprint: Optional[str] = None,
-                trace_id: Optional[str] = None,
-                attrs: Optional[Dict[str, object]] = None
-                ) -> Dict[str, object]:
-        """A zero-duration marker under the current context."""
+    def _open(self, name: str, kind: str, fingerprint: Optional[str],
+              trace_id: Optional[str],
+              attrs: Optional[Dict[str, object]]) -> Dict[str, object]:
         parent = _CONTEXT.get()
         tid = self._resolve_trace_id(name, trace_id, fingerprint)
         record: Dict[str, object] = {
@@ -185,68 +149,66 @@ class Tracer:
             "parent_id": parent.span_id if (parent is not None
                                             and parent.span_id) else None,
             "pid": os.getpid(),
-            "kind": "instant",
+            "kind": kind,
             "start_us": int(time.time() * 1e6),
-            "dur_us": 0,
         }
         if fingerprint is not None:
             record["fingerprint"] = fingerprint
         if attrs:
             record["attrs"] = dict(attrs)
-        self.spans.append(record)
         return record
 
-    # ------------------------------------------------------------------
-    # Merge & export
-    # ------------------------------------------------------------------
-    def absorb(self, records: Iterable[Dict[str, object]]) -> None:
-        """Adopt span records produced by another tracer (a worker's
-        snapshot); anything that is not a span record is skipped.
-        Records keep their original pids and ids — the merge is pure
-        concatenation, correlation lives in the trace ids."""
-        for record in records:
-            if not isinstance(record, dict) or "span_id" not in record:
-                continue
-            merged = dict(record)
-            merged["type"] = "span"
-            self.spans.append(merged)
+    def _emit(self, record: Dict[str, object]) -> None:
+        if self.sink is not None:
+            self.sink(record)
 
-    def to_records(self) -> List[Dict[str, object]]:
-        """Manifest-ready ``span`` records, in completion order."""
-        return [dict(span) for span in self.spans]
+    @contextlib.contextmanager
+    def span(self, name: str, *, fingerprint: Optional[str] = None,
+             trace_id: Optional[str] = None,
+             attrs: Optional[Dict[str, object]] = None):
+        """A wall-clock ``complete`` span around the with-body."""
+        record = self._open(name, "complete", fingerprint, trace_id, attrs)
+        token = _CONTEXT.set(SpanContext(record["trace_id"],
+                                         record["span_id"]))
+        start = time.perf_counter()
+        try:
+            yield record
+        except BaseException as exc:
+            record["error"] = type(exc).__name__
+            raise
+        finally:
+            _CONTEXT.reset(token)
+            record["dur_us"] = int((time.perf_counter() - start) * 1e6)
+            self._emit(record)
 
-    def export_to(self, builder, *, role: str = "tracing") -> None:
-        """Render every span into ``builder`` as wall-clock Perfetto
-        events, one process per originating OS pid (offset by
-        :data:`SPAN_PID_OFFSET` to stay clear of the logical run pids).
-        """
-        named = set()
-        for span in self.spans:
-            os_pid = int(span.get("pid") or 0)
-            pid = SPAN_PID_OFFSET + os_pid
-            if pid not in named:
-                builder.process(pid, f"{role} pid {os_pid}")
-                builder.thread(pid, 1, "spans")
-                named.add(pid)
-            args = {
-                "trace_id": span.get("trace_id"),
-                "span_id": span.get("span_id"),
-            }
-            if span.get("parent_id"):
-                args["parent_id"] = span["parent_id"]
-            if span.get("fingerprint"):
-                args["fingerprint"] = span["fingerprint"]
-            if span.get("error"):
-                args["error"] = span["error"]
-            args.update(span.get("attrs") or {})
-            start = int(span.get("start_us") or 0)
-            if span.get("kind") == "instant":
-                builder.instant_wall(pid, 1, str(span["name"]), start,
-                                     args=args)
-            else:
-                builder.complete_wall(pid, 1, str(span["name"]), start,
-                                      int(span.get("dur_us") or 0),
-                                      args=args)
+    def instant(self, name: str, *, fingerprint: Optional[str] = None,
+                trace_id: Optional[str] = None,
+                attrs: Optional[Dict[str, object]] = None
+                ) -> Dict[str, object]:
+        """A zero-duration marker under the current context."""
+        record = self._open(name, "instant", fingerprint, trace_id, attrs)
+        record["dur_us"] = 0
+        self._emit(record)
+        return record
 
-    def __repr__(self) -> str:
-        return f"Tracer({len(self.spans)} spans)"
+
+def render_span(builder, span: Dict[str, object]) -> None:
+    """Render one span record into ``builder`` as a wall-clock Perfetto
+    event on the span process of its OS pid (offset by
+    :data:`SPAN_PID_OFFSET` to stay clear of the logical run pids).
+    Process names are registered with every span; the export keeps one
+    per pid."""
+    pid = SPAN_PID_OFFSET + span["pid"]
+    builder.process(pid, f"tracing pid {span['pid']}")
+    builder.thread(pid, 1, "spans")
+    args = {"trace_id": span["trace_id"], "span_id": span["span_id"]}
+    for key in ("parent_id", "fingerprint", "error"):
+        if span.get(key):
+            args[key] = span[key]
+    args.update(span.get("attrs") or {})
+    if span["kind"] == "instant":
+        builder.instant_wall(pid, 1, span["name"], span["start_us"],
+                             args=args)
+    else:
+        builder.complete_wall(pid, 1, span["name"], span["start_us"],
+                              span["dur_us"], args=args)

@@ -35,7 +35,10 @@ admission (new work gets 503), lets the dispatcher finish the backlog,
 bounded by ``drain_timeout_s``, then resolves stragglers with a
 structured drain error — a connection is never left hanging — closes
 the worker pool (killing its workers if the drain timed out) and
-finally writes the run manifest when one was requested.
+finally closes the manifest when one was requested. Records stream to
+the manifest as they happen, so the drain writes only its closing
+``service_state`` and ``metrics_snapshot`` records, and a killed
+gateway leaves every record written before the kill.
 
 Observability: every ``/run`` request opens a wall-clock span whose
 trace id derives from the run fingerprint, connecting the HTTP handler
@@ -162,7 +165,7 @@ class Gateway:
                  policy: Optional[RetryPolicy] = None,
                  drain_timeout_s: float = 30.0,
                  watch_tick_s: float = 0.5,
-                 telemetry=None, manifest_path=None, cache=None,
+                 telemetry=None, cache=None,
                  registry: Optional[MetricsRegistry] = None):
         self.host = host
         self.port = port
@@ -173,10 +176,9 @@ class Gateway:
         self.drain_timeout_s = drain_timeout_s
         self.watch_tick_s = watch_tick_s
         self.telemetry = telemetry
-        self.manifest_path = manifest_path
         self.cache = cache
-        #: Spans survive in the telemetry manifest when one is attached;
-        #: a standalone tracer still propagates context either way.
+        #: The telemetry records every span; without one, spans only
+        #: propagate context and nothing keeps them.
         self.tracer: Tracer = (telemetry.tracer if telemetry is not None
                                else Tracer())
 
@@ -374,22 +376,14 @@ class Gateway:
             await self._server.wait_closed()
         if self.telemetry is not None:
             self.telemetry.on_event = None
-        self._write_manifest()
+            self.telemetry.close({"type": "service_state",
+                                  **self.snapshot()})
         log.info("gateway stopped")
 
     async def stop(self) -> None:
         """Drain and shut down (in-process embedding helper)."""
         self.request_drain("stop() called")
         await self._shutdown()
-
-    def _write_manifest(self) -> None:
-        if self.telemetry is None or self.manifest_path is None:
-            return
-        self.telemetry.write_manifest(
-            self.manifest_path, None,
-            service=self.snapshot(),
-        )
-        log.info("wrote service manifest: %s", self.manifest_path)
 
     def snapshot(self) -> Dict[str, object]:
         """Operational state for ``/healthz`` and the manifest."""
@@ -777,12 +771,14 @@ class Gateway:
                 by_path.observe(wall_ms)
             if self.telemetry is not None and record.get("path") in (
                     "/run", "/experiment", "/explore"):
-                self.telemetry.record_service_request(
-                    method=str(record.get("method", "?")),
-                    path=str(record.get("path", "?")),
-                    status=status, wall_ms=wall_ms,
-                    error=record.get("error"),
-                )
+                self.telemetry.record({
+                    "type": "service_request",
+                    "method": record["method"],
+                    "path": record["path"],
+                    "status": status,
+                    "wall_ms": round(wall_ms, 3),
+                    "error": record.get("error"),
+                })
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -151,18 +151,19 @@ class TestRerun:
         assert frontier_bytes(rerun) == frontier_bytes(reference)
         assert rerun["counts"] == {"evaluated": 8, "failed": 0,
                                    "cached": 8, "computed": 0}
-        assert not [e for e in telemetry.sim_requests
-                    if e["source"] == "computed"]
+        assert not [e for e in telemetry.records
+                    if e["type"] == "cache_event"
+                    and e["source"] == "computed"]
 
 
 class TestTelemetry:
     def test_v9_records_emitted(self, tmp_sim_cache):
         telemetry = Telemetry()
         _, report = run_session(settings(), telemetry=telemetry)
-        kinds = [r["type"] for r in telemetry.resilience_events]
+        kinds = [r["type"] for r in telemetry.records]
         assert kinds.count("explore_point") == 8
         assert kinds.count("explore_frontier") == report["generations"]
-        point = next(r for r in telemetry.resilience_events
+        point = next(r for r in telemetry.records
                      if r["type"] == "explore_point")
         # /watch routing key is the session id.
         assert point["fingerprint"] == point["session"]
@@ -171,11 +172,10 @@ class TestTelemetry:
     def test_manifest_roundtrip(self, tmp_path, tmp_sim_cache):
         from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, read_manifest
 
-        assert MANIFEST_SCHEMA_VERSION == 16
-        telemetry = Telemetry()
-        run_session(settings(), telemetry=telemetry)
+        assert MANIFEST_SCHEMA_VERSION == 17
         path = tmp_path / "manifest.jsonl"
-        telemetry.write_manifest(path, BASE, seed=3, scale="micro")
+        telemetry = Telemetry(manifest=path)
+        run_session(settings(), telemetry=telemetry)
         records = read_manifest(path)
         types = {r["type"] for r in records}
         assert {"explore_point", "explore_frontier"} <= types

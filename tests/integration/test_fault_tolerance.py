@@ -306,7 +306,7 @@ class TestHungWorker:
         [failure] = summary["failures"]
         assert failure["fingerprint"] == hung.fingerprint
         assert failure["error_type"] == "WorkerTimeoutError"
-        actions = [r["action"] for r in telemetry.resilience_events
+        actions = [r["action"] for r in telemetry.records
                    if r["type"] == "batch_cohort"]
         assert actions.count("dissolved") == 1
         assert wait_for_no_children() == []
@@ -352,15 +352,16 @@ class TestHungWorker:
 
 def worker_of(telemetry, request):
     """The pid of the worker that computed ``request``."""
-    [pid] = {event["worker"] for event in telemetry.sim_requests
-             if event["fingerprint"] == request.fingerprint
+    [pid] = {event["worker"] for event in telemetry.records
+             if event["type"] == "cache_event"
+             and event["fingerprint"] == request.fingerprint
              and event["source"] == "computed"}
     return pid
 
 
 def cohort_actions(telemetry, cohort):
     return [(event["action"], event["delivered"])
-            for event in telemetry.resilience_events
+            for event in telemetry.records
             if event["type"] == "batch_cohort"
             and event["size"] == cohort.size]
 
@@ -587,15 +588,15 @@ class TestMemberFailure:
         [failure] = summary["failures"]
         assert failure["fingerprint"] == target.fingerprint
         assert failure["error_type"] == "TypeError"
-        actions = [r["action"] for r in telemetry.resilience_events
+        actions = [r["action"] for r in telemetry.records
                    if r["type"] == "batch_cohort"]
         assert "dissolved" not in actions
         assert len({worker_of(telemetry, r) for r in survivors}) == 1
         # The run_failure record alone names the quarantine.
-        [record] = [r for r in telemetry.resilience_events
+        [record] = [r for r in telemetry.records
                     if r["type"] == "run_failure"]
         assert record["verdict"] == "quarantine"
-        assert not [r for r in telemetry.resilience_events
+        assert not [r for r in telemetry.records
                     if r["type"] == "quarantine"]
         for fingerprint, (cycles, cpi, snapshot) in truth.items():
             got = _SIM_CACHE[fingerprint]
@@ -736,9 +737,11 @@ class TestCLIAcceptance:
         [plan] = [r for r in records if r.get("type") == "plan_summary"]
         assert plan["failed"] == 1
         assert plan["computed"] == 3
-        [header] = [r for r in records if r.get("type") == "run_header"]
-        assert header["exit_code"] == 1
-        assert header["interrupted"] is False
+        assert types[0] == "run_header"
+        assert types[-2:] == ["run_footer", "metrics_snapshot"]
+        footer = records[-2]
+        assert footer["exit_code"] == 1
+        assert footer["interrupted"] is False
 
     def test_check_flag_promotes_shape_discrepancies(self, monkeypatch):
         from repro.experiments import checks, cli
@@ -766,9 +769,9 @@ class TestCLIAcceptance:
         assert exit_code == 130  # the conventional 128+SIGINT
         records = [json.loads(line)
                    for line in manifest.read_text().splitlines()]
-        [header] = [r for r in records if r.get("type") == "run_header"]
-        assert header["exit_code"] == 130
-        assert header["interrupted"] is True
+        [footer] = [r for r in records if r.get("type") == "run_footer"]
+        assert footer["exit_code"] == 130
+        assert footer["interrupted"] is True
 
 
 class TestInterrupt:

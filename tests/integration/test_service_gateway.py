@@ -11,6 +11,9 @@ gateway on real sockets:
   ``Retry-After`` header and a structured body, deterministically.
 * **Drain**: in-flight work finishes, new connections are refused, and
   a daemonized ``serve`` process exits 0 on SIGTERM.
+* **Streaming telemetry**: records reach the manifest as they happen,
+  so a killed gateway keeps them, and a gateway without telemetry
+  keeps no span.
 
 Runs here use a micro run scale (wire-level ``n_pcm_writes`` /
 ``max_refs_per_core`` overrides) so tier-1 stays fast; set
@@ -37,10 +40,12 @@ from repro.experiments.base import (
     _SIM_CACHE,
     clear_sim_cache,
     execute_request,
+    use_telemetry,
 )
 from repro.experiments.registry import get_experiment
 from repro.explore import ExploreSession, frontier_report
-from repro.obs.manifest import config_to_dict
+from repro.obs import Telemetry
+from repro.obs.manifest import config_to_dict, read_manifest
 from repro.service.client import GatewayClient
 from repro.service.schemas import (
     ExperimentRequest,
@@ -391,13 +396,12 @@ def test_serve_subprocess_sigterm_exits_cleanly(tmp_path):
             proc.wait(timeout=30)
         proc.stdout.close()
 
-    # The drain wrote the v4 service manifest records.
+    # The v4 service records, and the drain's closing records last.
     records = [json.loads(line)
                for line in manifest.read_text().splitlines()]
-    types = {record["type"] for record in records}
+    types = [record["type"] for record in records]
     assert "service_request" in types
-    assert "service_summary" in types
-    assert "service_state" in types
+    assert types[-2:] == ["service_state", "metrics_snapshot"]
     state = next(r for r in records if r["type"] == "service_state")
     assert state["status"] == "draining"
     requests = [r for r in records if r["type"] == "service_request"]
@@ -415,13 +419,33 @@ def parent_of(pid):
     return None if state == "Z" else int(ppid)
 
 
+def record_counts(path, wanted, timeout_s=10.0):
+    """Record-type counts of the manifest at ``path`` once it holds at
+    least ``wanted`` of each type, or at the deadline. A response can
+    reach the client just before its ``service_request`` record is
+    written."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        counts = {}
+        if path.exists():
+            for record in read_manifest(path):
+                counts[record["type"]] = counts.get(record["type"], 0) + 1
+        if (all(counts.get(kind, 0) >= n for kind, n in wanted.items())
+                or time.monotonic() > deadline):
+            return counts
+        time.sleep(0.05)
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
                     reason="finds processes through /proc")
-def test_serve_subprocess_sigkill_reaps_its_worker():
-    """A gateway killed with SIGKILL runs no drain. Its pool worker,
+def test_serve_subprocess_sigkill_reaps_its_worker(tmp_path):
+    """A gateway killed with SIGKILL runs no drain, yet its manifest
+    already holds the records of what it served. Its pool worker,
     which would otherwise wait for work forever, sees its parent gone
     and exits within seconds."""
-    proc, port = start_serve("--jobs", "1", "--no-cache")
+    manifest = tmp_path / "service.manifest.jsonl"
+    proc, port = start_serve("--jobs", "1", "--no-cache",
+                             "--metrics-out", str(manifest))
     try:
         assert port, "gateway never reported its port"
         payload = GatewayClient(port=port, timeout_s=120).run(
@@ -430,14 +454,65 @@ def test_serve_subprocess_sigkill_reaps_its_worker():
         [worker] = [int(path.parent.name)
                     for path in Path("/proc").glob("[0-9]*/stat")
                     if parent_of(path.parent.name) == proc.pid]
+        record_counts(manifest, {"service_request": 1})
     finally:
         proc.kill()
         proc.wait(timeout=30)
         proc.stdout.close()
+    counts = record_counts(manifest, {}, timeout_s=0)
+    assert counts.get("sim_run") == counts.get("service_request") == 1
+    assert "metrics_snapshot" not in counts  # no drain ran
     deadline = time.monotonic() + 5
     while parent_of(worker) is not None and time.monotonic() < deadline:
         time.sleep(0.1)
     assert parent_of(worker) is None, "pool worker outlived its gateway"
+
+
+def test_manifest_streams_records_before_the_drain(tmp_path):
+    """Each record reaches the manifest when it happens: two cold /runs
+    leave two ``sim_run`` and two ``service_request`` records on disk
+    before ``stop()``, and no Perfetto event is collected without a
+    trace output. The drain appends only the closing records."""
+    path = tmp_path / "service.manifest.jsonl"
+    telemetry = Telemetry(manifest=path)
+    use_telemetry(telemetry)
+    harness = GatewayHarness(jobs=1, telemetry=telemetry).start()
+    try:
+        client = harness.client(timeout_s=120)
+        for scheme in ("fpb", "ideal"):
+            payload = client.run(**run_fields("tig_m", scheme))
+            assert payload["source"] == "computed"
+        counts = record_counts(path, {"service_request": 2})
+        assert counts.get("sim_run") == counts.get("service_request") == 2
+        assert len(telemetry.trace) == 0
+        assert telemetry.records is None
+    finally:
+        harness.stop()
+    types = [record["type"] for record in read_manifest(path)]
+    assert types[-2:] == ["service_state", "metrics_snapshot"]
+    assert types.count("sim_run") == 2
+
+
+def test_gateway_without_telemetry_retains_no_span():
+    """The gateway's own tracer only propagates span context: after one
+    cold and 1,000 warm /runs it holds no span record. Its
+    per-(trace id, name) span counter, the one state it keeps, has the
+    fingerprint's ``service.request`` and ``service.queued`` entries and
+    the dispatcher's ``service.batch`` entry."""
+    fields = run_fields("tig_m", "fpb")
+    with GatewayHarness(jobs=1) as harness:
+        client = harness.client(timeout_s=120)
+        assert client.run(**fields)["source"] == "computed"
+        for _ in range(1000):
+            assert client.run(**fields)["source"] == "memory"
+        tracer = harness.gateway.tracer
+        held = [item for value in vars(tracer).values()
+                if isinstance(value, (list, dict))
+                for item in (value.values() if isinstance(value, dict)
+                             else value)]
+        assert not [item for item in held if isinstance(item, dict)
+                    and item.get("type") == "span"]
+        assert len(tracer._seq) == 3
 
 
 def test_memory_cache_stays_bounded():

@@ -7,6 +7,8 @@ scale so tier-1 stays fast:
 * a ``--jobs 2`` plan produces **one merged Perfetto trace** with spans
   from the parent and both worker processes, correlated by trace_id to
   the schema-v5 manifest records;
+* without a trace output, workers send back no Perfetto events and the
+  manifest's run records are the same;
 * the gateway's ``/metrics`` serves valid Prometheus text format 0.0.4
   under content negotiation (JSON stays the default);
 * ``/watch`` streams at least queued → running → done lifecycle events
@@ -21,10 +23,12 @@ import time
 
 import pytest
 
+from repro.experiments import engine
 from repro.experiments.base import RunScale, clear_sim_cache, use_telemetry
 from repro.experiments.engine import execute_plan
 from repro.experiments.fig17_mr_split import Fig17MRSplit
 from repro.obs import Telemetry, read_manifest
+from repro.obs.manifest import run_header
 from repro.obs.tracing import SPAN_PID_OFFSET, trace_id_for
 from repro.service.schemas import SimRequest
 from repro.service.testing import GatewayHarness
@@ -46,28 +50,33 @@ def isolated(isolated_run_state):
 def test_jobs2_plan_yields_one_merged_correlated_trace(tmp_path):
     """The headline acceptance: parent + both workers in one trace,
     correlated to the manifest by fingerprint-derived trace ids."""
-    telemetry = Telemetry(sample_interval=1_000)
+    manifest_path = tmp_path / "runs.jsonl"
+    trace_path = tmp_path / "trace.json"
+    telemetry = Telemetry(sample_interval=1_000, manifest=manifest_path,
+                          trace=trace_path)
     use_telemetry(telemetry)
     config = make_tiny_config()
+    telemetry.record(run_header(config, scale=MICRO.name))
     requests = Fig17MRSplit().plan(config, MICRO)
     assert len(requests) == 4
     summary = execute_plan(requests, jobs=2)
     assert summary["computed"] == 4
+    telemetry.close()
+    records = read_manifest(manifest_path)
+    runs = [r for r in records if r["type"] == "sim_run"]
 
     # Every run was computed in a worker yet arrived instrumented, with
     # its worker's pid and a fingerprint-derived trace id.
-    assert len(telemetry.runs) == 4
-    assert all(run.get("instrumented") for run in telemetry.runs)
-    worker_pids = {run["worker"] for run in telemetry.runs}
+    assert len(runs) == 4
+    assert all(run.get("instrumented") for run in runs)
+    worker_pids = {run["worker"] for run in runs}
     assert len(worker_pids) == 2, (
         f"expected runs from both workers, got {worker_pids}")
-    for run in telemetry.runs:
+    for run in runs:
         assert run["trace_id"] == trace_id_for(run["fingerprint"])
 
     # One merged Perfetto export: parent span process + a process per
     # worker pid + a logical process per merged run.
-    trace_path = tmp_path / "trace.json"
-    telemetry.write_trace(trace_path)
     doc = json.loads(trace_path.read_text())
     events = doc["traceEvents"]
     spans = [e for e in events if e.get("ph") == "X"
@@ -81,14 +90,11 @@ def test_jobs2_plan_yields_one_merged_correlated_trace(tmp_path):
     # Simulated-time events from the workers merged in too, on their
     # re-assigned logical pids.
     sim_pids = {e["pid"] for e in events if e.get("cat") == "sim"}
-    assert {run["pid"] for run in telemetry.runs} <= sim_pids
+    assert {run["pid"] for run in runs} <= sim_pids
 
     # Manifest: schema v5, span records and worker-stamped sim_run
     # records, every worker run correlated by trace id to at least one
     # span record.
-    manifest_path = tmp_path / "runs.jsonl"
-    telemetry.write_manifest(manifest_path, config, scale=MICRO.name)
-    records = read_manifest(manifest_path)
     assert records[0]["schema_version"] >= 5
     span_tids = {r["trace_id"] for r in records if r["type"] == "span"}
     worker_records = [r for r in records
@@ -97,6 +103,50 @@ def test_jobs2_plan_yields_one_merged_correlated_trace(tmp_path):
     for run in (r for r in records if r["type"] == "sim_run"):
         assert run["trace_id"] in span_tids, (
             f"run {run['fingerprint']} has no span with its trace id")
+
+
+def test_workers_send_trace_events_only_for_a_trace_output(
+        tmp_path, monkeypatch):
+    """A plan under a telemetry without a trace output gets no Perfetto
+    events from its workers, and its ``sim_run`` records — stats,
+    fingerprints, worker pids, trace ids — equal those of the same plan
+    run with a trace output."""
+    payloads = []
+    merge = Telemetry.merge_worker_telemetry
+
+    def spy(self, payload):
+        payloads.append(payload)
+        merge(self, payload)
+
+    monkeypatch.setattr(Telemetry, "merge_worker_telemetry", spy)
+    requests = Fig17MRSplit().plan(make_tiny_config(), MICRO)
+    provenance = ("stats", "fingerprint", "worker", "trace_id")
+
+    def sim_runs(telemetry):
+        records = (telemetry.records if telemetry.records is not None
+                   else read_manifest(telemetry.manifest.path))
+        return sorted(
+            ({key: r[key] for key in provenance}
+             for r in records if r["type"] == "sim_run"),
+            key=lambda r: r["fingerprint"])
+
+    with engine.WorkerPool(2) as pool:
+        runs = {}
+        for name, telemetry in (
+                ("manifest", Telemetry(manifest=tmp_path / "m.jsonl")),
+                ("traced", Telemetry(trace=tmp_path / "t.json"))):
+            clear_sim_cache()
+            use_telemetry(telemetry)
+            assert execute_plan(requests, jobs=2,
+                                pool=pool)["computed"] == 4
+            telemetry.close()
+            runs[name] = sim_runs(telemetry)
+
+    untraced, traced = payloads[:4], payloads[4:]
+    assert all(p["trace"] is None for p in untraced)
+    assert all(p["trace"]["events"] for p in traced)
+    assert runs["manifest"] == runs["traced"]
+    assert len({run["worker"] for run in runs["traced"]}) == 2
 
 
 def test_jobs2_results_identical_to_uninstrumented(tmp_path):

@@ -3,18 +3,25 @@
 Attaching a :class:`repro.obs.Telemetry` (probe sampling + hot-path
 hooks) to a run must leave every deterministic statistic bit-identical
 to the bare run, for any workload shape and scheme, under a fixed seed.
+
+The drawn streams never borrow from the GCP: their lines all map to one
+bank, so writes run one at a time, and a lone write's demand the chip's
+LCP refuses is larger than the GCP's output too, so Multi-RESET splits
+it instead. A micro-scale workload run covers the GCP-borrow hooks.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config.presets import baseline_config
 from repro.core.policies.registry import get_scheme
 from repro.obs import Telemetry
 from repro.pcm.dimm import DIMM
 from repro.sim.cpu import Core
 from repro.sim.events import SimEngine
 from repro.sim.memory_system import MemorySystem
+from repro.sim.runner import run_simulation
 from repro.sim.stats import SimStats
 from repro.trace.records import PCMAccess, READ, WRITE
 
@@ -99,3 +106,24 @@ def test_observed_run_is_self_consistent(streams):
         stats.write_cancellations
     bursts = telemetry.trace.events_named("write_burst")
     assert sum(e["dur"] for e in bursts) == stats.burst_cycles
+
+
+def test_observation_does_not_perturb_gcp_borrows(isolated_run_state):
+    """The micro ``tig_m``/``fpb`` run borrows from the GCP, so the
+    ``on_gcp_acquire`` hook and the ``gcp_borrow`` scope run. Observing
+    it changes no statistic on either kernel, and both kernels see the
+    same borrow windows."""
+    windows = {}
+    for kernel in ("reference", "vectorized"):
+        config = baseline_config().with_kernel(kernel)
+        telemetry = Telemetry()
+        bare, observed = (
+            run_simulation(config, "tig_m", "fpb", n_pcm_writes=40,
+                           max_refs_per_core=10_000, telemetry=observer)
+            for observer in (None, telemetry))
+        assert observed.stats.snapshot() == bare.stats.snapshot()
+        assert observed.cycles == bare.cycles
+        assert telemetry.registry.get("gcp_acquires").value > 0
+        windows[kernel] = telemetry.trace.events_named("gcp_borrow")
+    assert windows["reference"]
+    assert windows["reference"] == windows["vectorized"]

@@ -225,6 +225,25 @@ class TestCLIParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--queue-limit", "0"],
+        ["serve", "--batch-max", "-1"],
+        ["serve", "--memory-cache-limit", "0"],
+        ["explore", "--budget-points", "0"],
+        ["golden", "--sample", "0"],
+        ["run", "fig16", "--sample-interval", "0"],
+    ], ids=lambda argv: argv[-2])
+    def test_count_options_demand_a_positive_integer(self, argv, capsys):
+        """A count option's error states what it needs, not a cycle
+        count."""
+        from repro.experiments.cli import build_parser
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be a positive integer" in error
+        assert "cycle" not in error
+
     def test_explore_rejects_the_retired_resume_flag(self):
         """An interrupted exploration continues by rerunning the same
         command; there is no ``--resume``."""

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+import sys
+import threading
 
 import pytest
 
@@ -67,10 +69,46 @@ class TestManifestWriter:
         with pytest.raises(ValueError):
             writer.append({"seed": 1})
 
+    def test_unwritable_path_fails_at_construction(self, tmp_path):
+        """A path that cannot be appended to fails before any record,
+        so a run does not do its work for a manifest it cannot write."""
+        with pytest.raises(IsADirectoryError):
+            ManifestWriter(tmp_path)
+
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "m.jsonl"
         ManifestWriter(path).append({"type": "a"})
         assert path.exists()
+
+    def test_concurrent_appends_never_interleave(self, tmp_path):
+        """The gateway appends from its event loop and its dispatcher
+        thread at once: every line must stay one whole record."""
+        path = tmp_path / "m.jsonl"
+        writer = ManifestWriter(path)
+        threads, per_thread = 8, 200
+        payload = "x" * 5_000  # larger than one buffered write
+
+        def append(worker):
+            for i in range(per_thread):
+                writer.append({"type": "t", "worker": worker, "i": i,
+                               "payload": payload})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=append, args=(n,))
+                       for n in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        records = read_manifest(path)  # raises on a torn line
+        assert len(records) == writer.records_written == threads * per_thread
+        assert sorted((r["worker"], r["i"]) for r in records) == [
+            (n, i) for n in range(threads) for i in range(per_thread)]
 
     def test_read_skips_blank_lines(self, tmp_path):
         path = tmp_path / "m.jsonl"

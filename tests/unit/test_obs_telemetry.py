@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs import Telemetry, cycles_to_us, read_manifest
+from repro.obs.manifest import run_header
 from repro.obs.perfetto import TID_BURST, TraceBuilder
 from repro.sim.runner import run_simulation
 
@@ -12,15 +13,22 @@ from ..conftest import make_tiny_config
 
 
 @pytest.fixture(scope="module")
-def observed_run():
-    """One small instrumented simulation, shared by the assertions."""
-    telemetry = Telemetry(sample_interval=1_000)
+def observed_run(tmp_path_factory):
+    """One small instrumented simulation, shared by the assertions. Its
+    telemetry streams a manifest and writes a trace, both in
+    ``telemetry.trace_path``'s directory."""
+    out = tmp_path_factory.mktemp("observed")
+    telemetry = Telemetry(sample_interval=1_000,
+                          manifest=out / "run.jsonl",
+                          trace=out / "trace.json")
     config = make_tiny_config()
+    telemetry.record(run_header(config, seed=1, scale="test"))
     result = run_simulation(
         config, "mcf_m", "fpb",
         n_pcm_writes=40, max_refs_per_core=8_000,
         telemetry=telemetry,
     )
+    telemetry.close({"type": "run_footer", "exit_code": 0})
     return telemetry, result
 
 
@@ -175,18 +183,17 @@ class TestTelemetryRun:
 
     def test_series_sampled(self, observed_run):
         telemetry, result = observed_run
-        record = telemetry.runs[0]
+        [record] = [r for r in read_manifest(telemetry.manifest.path)
+                    if r["type"] == "sim_run"]
         series = record["series"]
         assert series["dimm_tokens_allocated"]["samples"] > 10
         assert series["wrq_depth"]["samples"] > 10
         # Sampling piggybacks on events: last sample <= final cycle.
         assert series["dimm_tokens_allocated"]["last"] is not None
 
-    def test_trace_is_perfetto_loadable_json(self, observed_run, tmp_path):
+    def test_trace_is_perfetto_loadable_json(self, observed_run):
         telemetry, _ = observed_run
-        path = tmp_path / "trace.json"
-        telemetry.write_trace(path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(telemetry.trace_path.read_text())
         assert isinstance(doc["traceEvents"], list)
         assert doc["traceEvents"], "empty trace"
         phases = {e["ph"] for e in doc["traceEvents"]}
@@ -194,15 +201,13 @@ class TestTelemetryRun:
         names = {e.get("name") for e in doc["traceEvents"]}
         assert "process_name" in names
 
-    def test_manifest_contents(self, observed_run, tmp_path):
+    def test_manifest_contents(self, observed_run):
         telemetry, result = observed_run
-        path = tmp_path / "run.jsonl"
-        telemetry.write_manifest(path, result.config, seed=1, scale="test")
-        records = read_manifest(path)
+        records = read_manifest(telemetry.manifest.path)
         kinds = [r["type"] for r in records]
-        assert kinds[0] == "run_header"
-        assert "sim_run" in kinds
-        assert kinds[-1] == "metrics_snapshot"
+        assert kinds == ["run_header", "sim_run", "run_footer",
+                         "metrics_snapshot"]
+        assert telemetry.records is None  # streamed, not kept
         header = records[0]
         assert header["seed"] == 1
         assert header["config"]["power"]["dimm_tokens"] == 560.0
@@ -219,6 +224,25 @@ class TestTelemetryRun:
             telemetry.attach(make_tiny_config(), "s", "w", None, None, None)
         telemetry._run = None
 
+    def test_manifest_write_errors_never_fail_the_observed_work(
+            self, tmp_path, caplog):
+        """A manifest that can no longer be appended to (a full or lost
+        disk) loses records, counted and logged once, instead of
+        failing the run or the request being recorded."""
+        path = tmp_path / "run.jsonl"
+        telemetry = Telemetry(manifest=path)
+        path.unlink()
+        path.mkdir()  # appends now raise IsADirectoryError
+        with caplog.at_level("ERROR", logger="repro"):
+            run_simulation(make_tiny_config(), "mcf_m", "fpb",
+                           n_pcm_writes=10, max_refs_per_core=2_000,
+                           telemetry=telemetry)
+            telemetry.close({"type": "run_footer"})
+        lost = telemetry.registry.get("manifest_write_errors").value
+        assert lost == 3  # sim_run, run_footer, metrics_snapshot
+        assert len(caplog.records) == 1
+        assert "records are being lost" in caplog.records[0].getMessage()
+
     def test_bad_sample_interval(self):
         with pytest.raises(ValueError):
             Telemetry(sample_interval=0)
@@ -232,8 +256,9 @@ class TestMultiRun:
             run_simulation(config, "mcf_m", scheme,
                            n_pcm_writes=20, max_refs_per_core=4_000,
                            telemetry=telemetry)
-        assert len(telemetry.runs) == 2
-        pids = {r["pid"] for r in telemetry.runs}
+        runs = [r for r in telemetry.records if r["type"] == "sim_run"]
+        assert len(runs) == 2
+        pids = {r["pid"] for r in runs}
         assert pids == {0, 1}
         doc = telemetry.trace.to_dict()
         process_names = {

@@ -1,4 +1,4 @@
-"""Span tracing: deterministic ids, nesting, propagation, export."""
+"""Span tracing: deterministic ids, nesting, propagation, rendering."""
 
 import pytest
 
@@ -10,11 +10,18 @@ from repro.obs.tracing import (
     activate,
     current_context,
     current_trace_id,
+    render_span,
     span_id_for,
     trace_id_for,
 )
 
 FP = "a" * 64  # a stand-in canonical run fingerprint
+
+
+def recording_tracer():
+    """A tracer whose sink collects its finished span records."""
+    spans = []
+    return Tracer(spans.append), spans
 
 
 class TestDeterministicIds:
@@ -36,21 +43,26 @@ class TestDeterministicIds:
         needs to cross the wire besides the parent span."""
         ids = []
         for _ in range(2):
-            tracer = Tracer()
+            tracer, spans = recording_tracer()
             with tracer.span("worker.run", fingerprint=FP):
                 pass
-            ids.append((tracer.spans[0]["trace_id"],
-                        tracer.spans[0]["span_id"]))
+            ids.append((spans[0]["trace_id"], spans[0]["span_id"]))
         assert ids[0] == ids[1]
+
+    def test_orphan_span_still_gets_a_trace_id(self):
+        tracer, spans = recording_tracer()
+        with tracer.span("lonely"):
+            pass
+        assert spans[0]["trace_id"] == trace_id_for("orphan:lonely")
 
 
 class TestSpanNesting:
     def test_child_parents_to_enclosing_span(self):
-        tracer = Tracer()
+        tracer, spans = recording_tracer()
         with tracer.span("outer", fingerprint=FP):
             with tracer.span("inner"):
                 pass
-        inner, outer = tracer.spans  # completion order: inner first
+        inner, outer = spans  # completion order: inner first
         assert inner["name"] == "inner"
         assert outer["parent_id"] is None
         assert inner["parent_id"] == outer["span_id"]
@@ -64,20 +76,20 @@ class TestSpanNesting:
         assert current_context() is None
 
     def test_exception_stamps_error_and_propagates(self):
-        tracer = Tracer()
+        tracer, spans = recording_tracer()
         with pytest.raises(ValueError):
             with tracer.span("failing", fingerprint=FP):
                 raise ValueError("boom")
-        [span] = tracer.spans
+        [span] = spans
         assert span["error"] == "ValueError"
         assert span["dur_us"] >= 0
 
     def test_repeated_names_get_sequential_occurrences(self):
-        tracer = Tracer()
+        tracer, spans = recording_tracer()
         for _ in range(3):
             with tracer.span("poll", fingerprint=FP):
                 pass
-        ids = [s["span_id"] for s in tracer.spans]
+        ids = [s["span_id"] for s in spans]
         assert len(set(ids)) == 3
         tid = trace_id_for(FP)
         assert ids == [span_id_for(tid, "poll", i) for i in range(3)]
@@ -88,20 +100,20 @@ class TestActivate:
         """A worker adopts the engine's (trace_id, parent span) and its
         spans slot under the parent's — the cross-process contract."""
         tid = trace_id_for(FP)
-        tracer = Tracer()
+        tracer, spans = recording_tracer()
         with activate(SpanContext(tid, "feedfeedfeedfeed")):
             with tracer.span("worker.run"):
                 pass
-        [span] = tracer.spans
+        [span] = spans
         assert span["trace_id"] == tid
         assert span["parent_id"] == "feedfeedfeedfeed"
 
     def test_empty_span_id_means_no_parent(self):
-        tracer = Tracer()
+        tracer, spans = recording_tracer()
         with activate(SpanContext(trace_id_for(FP), "")):
             with tracer.span("worker.run"):
                 pass
-        assert tracer.spans[0]["parent_id"] is None
+        assert spans[0]["parent_id"] is None
 
     def test_none_is_a_no_op(self):
         with activate(None):
@@ -110,35 +122,34 @@ class TestActivate:
 
 class TestInstant:
     def test_instant_records_zero_duration_marker(self):
-        tracer = Tracer()
+        tracer, spans = recording_tracer()
         with tracer.span("request", fingerprint=FP):
             tracer.instant("queued", attrs={"queue_depth": 3})
-        instant = next(s for s in tracer.spans if s["kind"] == "instant")
+        instant = next(s for s in spans if s["kind"] == "instant")
         assert instant["dur_us"] == 0
         assert instant["attrs"] == {"queue_depth": 3}
         assert instant["trace_id"] == trace_id_for(FP)  # from context
 
 
-class TestAbsorbAndExport:
-    def test_absorb_adopts_foreign_records_verbatim(self):
-        worker = Tracer()
-        with activate(SpanContext(trace_id_for(FP), "")):
-            with worker.span("worker.run", fingerprint=FP):
-                pass
-        parent = Tracer()
-        parent.absorb(worker.to_records())
-        assert len(parent.spans) == 1
-        parent.absorb([{"not": "a span"}, "junk"])
-        assert len(parent.spans) == 1
-        assert parent.spans[0]["span_id"] == worker.spans[0]["span_id"]
-
-    def test_export_offsets_pids_and_carries_correlation_args(self):
+class TestSinkAndRender:
+    def test_tracer_without_a_sink_keeps_nothing(self):
+        """Spans still carry context to nested spans, but a tracer with
+        nowhere to write holds no record of them."""
         tracer = Tracer()
+        with tracer.span("request", fingerprint=FP):
+            assert current_trace_id() == trace_id_for(FP)
+            with tracer.span("inner"):
+                tracer.instant("queued")
+        assert not any(isinstance(value, list)
+                       for value in vars(tracer).values())
+
+    def test_render_offsets_pids_and_carries_correlation_args(self):
+        tracer, spans = recording_tracer()
         with tracer.span("request", fingerprint=FP,
                          attrs={"path": "/run"}):
             pass
         builder = TraceBuilder()
-        tracer.export_to(builder)
+        render_span(builder, spans[0])
         doc = builder.to_dict()
         [event] = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert event["pid"] >= SPAN_PID_OFFSET
@@ -148,9 +159,3 @@ class TestAbsorbAndExport:
         names = [e["args"]["name"] for e in doc["traceEvents"]
                  if e["ph"] == "M"]
         assert any(name.startswith("tracing pid") for name in names)
-
-    def test_orphan_span_still_gets_a_trace_id(self):
-        tracer = Tracer()
-        with tracer.span("lonely"):
-            pass
-        assert tracer.spans[0]["trace_id"] == trace_id_for("orphan:lonely")
